@@ -27,13 +27,19 @@ has at least k to give; theta_peel pays out only part of the degree and
 pins the coordinate to zero; theta_terminal forgets the degree once
 every source coordinate is pinned.  All four preserve the target.
 
-Verification enumerates windowed strata exhaustively.  The bulk of any
-window is its all-finite part, a product of per-coordinate choices, so
-the engine materializes windows as packed integer arrays with numpy and
-compares sorted key arrays; infinity travels as a reserved code inside
-these private arrays only, never in element objects.  A plain
-element-level enumerator with identical semantics backs the fast path
-as an oracle in the tests.
+Verification covers windowed strata exhaustively without listing their
+elements.  A window splits into blocks by the position p of the first
+infinite source coordinate, and each block is the product of small
+per-coordinate tables of (offset, source) pairs, the offset at p being
+forced.  An element's exact position in its block is the mixed-radix
+number of its table indices.  A structural map acts on one coordinate,
+so it is applied to the tables; looking the image pairs up in the
+codomain's tables and summing over the product gives the codomain
+position of every image at once.  The map is a bijection when the image
+positions, counted, equal the codomain's membership indicator.  No row
+is packed, sorted or limited by a field width.  A plain element-level
+enumerator with identical semantics backs the fast path as an oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -506,115 +512,304 @@ def enumerate_stratum(n, k, j=0, window=8):
     return [_element_from_raw(raw, "plain") for raw in _iter_raw(spec)]
 
 
-# --- packed-array fast path -------------------------------------------------
+# --- exact ranking over pair tables -------------------------------------------
 
-_INF_CODE = 63
-_OFFSET = 32
-_FAR = 10 ** 6  # stands in for an infinite target coordinate during comparisons
+# Largest |offset|, source or degree a window may hold.  Sums over a block's
+# free coordinates then stay far inside int64, so no rank or offset wraps.
+_VALUE_LIMIT = 2 ** 40
 
 
-def _np_blocks(spec):
-    """Yield (Z, X, W) int64 arrays per first-inf block; W uses _INF_CODE.
+class _Axis:
+    """Pair table of one finite source coordinate.
 
-    Same row set as _iter_raw, materialized columnwise.
+    Every (x, w) with w_lo <= w <= w_hi and max(x_lo, -w) <= x <= x_hi,
+    ordered by w, then x: the order in which ``_iter_raw`` lists them.
     """
+
+    def __init__(self, x_lo, x_hi, w_lo, w_hi):
+        w = np.arange(w_lo, w_hi + 1, dtype=np.int64)
+        self.start = np.maximum(x_lo, -w)
+        lens = np.maximum(x_hi - self.start + 1, 0)
+        self.base = np.cumsum(lens) - lens
+        self.x_hi, self.w_lo = x_hi, w_lo
+        self.w = np.repeat(w, lens)
+        self.x = (np.arange(len(self.w), dtype=np.int64)
+                  + np.repeat(self.start - self.base, lens))
+        self.size = len(self.w)
+
+    def index(self, x, w):
+        """Table index of each pair (x[i], w[i]); -1 where the pair is absent."""
+        row = w - self.w_lo
+        inside = (row >= 0) & (row < len(self.start))
+        row = np.where(inside, row, 0)
+        start = self.start[row]
+        inside &= (x >= start) & (x <= self.x_hi)
+        return np.where(inside, self.base[row] + x - start, -1)
+
+
+def _outer(terms):
+    """Mixed-radix outer sum of per-coordinate terms, coordinate 0 slowest."""
+    total = np.zeros(1, dtype=np.int64)
+    for term in terms:
+        total = np.add.outer(total, term)
+    return total.ravel()
+
+
+def _forced_coefs(spec, p):
+    """Coefficient of each free offset x[i], i < p, in minus the forced offset.
+
+    The forced offset of a block is -z - sum(coef[i] * x[i]); the shear
+    moves the row degree z + x[0] into the first coefficient.
+    """
+    if p == 0:
+        return []
+    return [int(spec.variant != "primed") + int(spec.shear)] + [1] * (p - 1)
+
+
+class _Block:
+    """The rows of one window whose first infinite source coordinate is p.
+
+    A position in the block is the mixed-radix number of its free
+    coordinates' pair-table indices, coordinate 0 slowest; the forced
+    offset and the tail follow from them.  The primed window's p = 0 block
+    is indexed by its first offset alone.  ``indicator`` flags the
+    positions that are rows of the window.
+    """
+
+    def __init__(self, spec, p, axes):
+        self.spec, self.p = spec, p
+        self.by_x0 = spec.variant == "primed" and p == 0
+        if self.by_x0:
+            self.axes = ()
+            self.x0 = np.arange(spec.x_lo[0], spec.x_hi[0] + 1, dtype=np.int64)
+            self.shape = (len(self.x0),)
+        else:
+            self.axes = tuple(axes[:p])
+            self.shape = tuple(a.size for a in self.axes)
+        self.size = math.prod(self.shape)
+        self.strides = [math.prod(self.shape[i + 1:]) for i in range(len(self.axes))]
+
+    def indicator(self):
+        s, p = self.spec, self.p
+        if self.by_x0:
+            if s.shear:
+                return self.x0 == -s.z  # the row degree z + x[0] must vanish
+            return np.full(self.size, s.z == 0)
+        if p == s.n:
+            return np.ones(self.size, dtype=bool)
+        forced = -s.z - _outer(c * a.x for c, a in zip(_forced_coefs(s, p), self.axes))
+        return (forced >= s.x_lo[p]) & (forced <= s.x_hi[p])
+
+    def unrank(self, r):
+        """The raw (z, x, w) row at position r; its forced offset may lie
+        outside the window where ``indicator`` is false."""
+        s, p, n = self.spec, self.p, self.spec.n
+        if self.by_x0:
+            return (0, (int(self.x0[r]),) + (0,) * (n - 1), (INF,) * n)
+        digits = np.unravel_index(r, self.shape) if self.axes else ()
+        xs = [int(a.x[d]) for a, d in zip(self.axes, digits)]
+        ws = [int(a.w[d]) for a, d in zip(self.axes, digits)]
+        z_row = s.z + xs[0] if s.shear else s.z
+        if p < n:
+            xs.append(-s.z - sum(c * x for c, x in zip(_forced_coefs(s, p), xs)))
+        return (z_row, tuple(xs) + (0,) * (n - p - 1), tuple(ws) + (INF,) * (n - p))
+
+    def rank(self, raw):
+        """Position of a raw row in this block, or None when no position
+        holds it."""
+        z, x, w = raw
+        s, p = self.spec, self.p
+        if _first_inf(w) != p or any(is_finite(v) for v in w[p:]) or any(x[p + 1:]):
+            return None
+        if self.by_x0:
+            r = x[0] - s.x_lo[0]
+            return r if z == 0 and 0 <= r < self.size else None
+        r = 0
+        for a, stride, xi, wi in zip(self.axes, self.strides, x, w):
+            d = int(a.index(np.array([xi]), np.array([wi]))[0])
+            if d < 0:
+                return None
+            r += d * stride
+        if z != (s.z + x[0] if s.shear else s.z):
+            return None
+        forced = -s.z - sum(c * v for c, v in zip(_forced_coefs(s, p), x))
+        if p < s.n and x[p] != forced:
+            return None
+        return r
+
+
+def _blocks(spec):
+    """The blocks of a window by p, in ``_iter_raw`` order; pair tables are
+    built once per coordinate and shared by every block."""
     n = spec.n
+    values = (spec.z,) + spec.x_lo + spec.x_hi + spec.w_lo + spec.w_hi
+    if max(abs(v) for v in values) > _VALUE_LIMIT:
+        raise OutOfRange("window values must stay within +-2**40 to be ranked exactly")
+    axes = []
+    blocks = {}
     for p in range(n + 1):
         if p < n and not spec.w_inf[p]:
             continue
         if any(spec.x_lo[q] > 0 or spec.x_hi[q] < 0 for q in range(p + 1, n)):
             continue
+        while len(axes) < p:
+            i = len(axes)
+            axes.append(_Axis(spec.x_lo[i], spec.x_hi[i], spec.w_lo[i], spec.w_hi[i]))
+        blocks[p] = _Block(spec, p, axes)
+    return blocks
 
-        if spec.variant == "primed" and p == 0:
-            if spec.shear:
-                x0 = -spec.z
-                if not spec.x_lo[0] <= x0 <= spec.x_hi[0]:
-                    continue
-                xs0 = np.array([x0], dtype=np.int64)
-            elif spec.z == 0:
-                xs0 = np.arange(spec.x_lo[0], spec.x_hi[0] + 1, dtype=np.int64)
-            else:
+
+@dataclass(frozen=True)
+class _Action:
+    """Per-coordinate form of a structural map.
+
+    Coordinate ``coord`` gets ``dx`` added to its offset and its source
+    either shifted by ``dw`` (inf stays inf) or, with ``pin``, set to 0;
+    every other coordinate is copied.  The image degree is ``z``, plus the
+    first offset with ``shear``.
+    """
+
+    z: int
+    coord: int = 0
+    dx: int = 0
+    dw: int = 0
+    pin: bool = False
+    shear: bool = False
+
+    def row(self, raw):
+        """The image of one raw row."""
+        z, x, w = raw
+        c = self.coord
+        x = x[:c] + (x[c] + self.dx,) + x[c + 1:]
+        w = w[:c] + (0 if self.pin else _w_shift(w[c], self.dw),) + w[c + 1:]
+        return (self.z + raw[1][0] if self.shear else self.z, x, w)
+
+
+def _image_ranks(db, a, cb):
+    """Position in block cb of the image of every position of block db.
+
+    -1 marks an image that no position of cb holds.  Each free coordinate
+    is mapped on its pair table and looked up in cb's table; the rank is
+    the mixed-radix outer sum of those indices, and the image degree and
+    forced offset must equal the ones cb derives from the image's free
+    coordinates.
+    """
+    def none():
+        return np.full(db.size, -1, dtype=np.int64)
+
+    if cb is None or not cb.size or not db.size:
+        return none()
+    if not db.axes:  # p = 0: at most one row, or the primed first-offset block
+        ranks = [cb.rank(a.row(db.unrank(r))) for r in range(db.size)]
+        return np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
+    s, t, p, c = db.spec, cb.spec, db.p, a.coord
+    if (c > p and a.dx) or (c >= p and a.pin):
+        return none()  # the image leaves the infinite tail
+    invalid = -(cb.size + 1)  # keeps every sum that includes it negative
+    terms, mismatch = [], []
+    coefs = zip(_forced_coefs(s, p), _forced_coefs(t, p))
+    tables = zip(db.axes, cb.axes, cb.strides, coefs)
+    for i, (da, ca, stride, (dc, cc)) in enumerate(tables):
+        x2, w2 = da.x, da.w
+        if i == c:
+            x2 = x2 + a.dx
+            w2 = np.zeros_like(w2) if a.pin else w2 + a.dw
+        idx = ca.index(x2, w2)
+        if i == 0:
+            z2 = a.z + da.x if a.shear else np.full(da.size, a.z)
+            idx[z2 != (t.z + x2 if t.shear else t.z)] = -1
+        terms.append(np.where(idx >= 0, idx * stride, invalid))
+        mismatch.append(cc * x2 - dc * da.x)
+    ranks = _outer(terms)
+    if p < s.n:
+        # image forced offset minus the one cb forces for the image
+        const = t.z - s.z + (a.dx if c == p else 0)
+        if all((m == m[0]).all() for m in mismatch):
+            if const + sum(int(m[0]) for m in mismatch):
+                return none()
+        else:
+            ranks[_outer(mismatch) + const != 0] = -1
+    return ranks
+
+
+def _first_moved(db, a, keep):
+    """First kept position of db whose target the action changes, or None."""
+    c = a.coord
+    if c < db.p:
+        axis = db.axes[c]
+        w2 = 0 if a.pin else axis.w + a.dw
+        bad = a.dx + w2 != axis.w
+        if not bad.any():
+            return None
+        shape = [1] * db.p
+        shape[c] = -1
+        hit = (keep.reshape(db.shape) & bad.reshape(shape)).ravel()
+    elif a.pin:
+        hit = keep  # an infinite source coordinate pinned to 0
+    else:
+        return None
+    return int(np.argmax(hit)) if hit.any() else None
+
+
+def _image_check(sources, cod):
+    """Map every (window, action) source into the window ``cod``.
+
+    Blocks are compared one p at a time, which bounds memory by the
+    largest block.  The codomain rows are hit exactly once each when
+    ``np.bincount`` of the valid image ranks equals cod's indicator and
+    no kept source row has an invalid image.  Returns the number of source
+    rows, the number of codomain rows, and the first raw row found of each
+    failure kind: "moved" (a source row whose target the action changes),
+    "collision", "outside" (an image that is not a codomain row) and
+    "uncovered".
+    """
+    cod_blocks = _blocks(cod)
+    sources = [(_blocks(spec), a) for spec, a in sources]
+    rows = size = 0
+    found = {}
+    for p in range(cod.n + 1):
+        cb = cod_blocks.get(p)
+        member = cb.indicator() if cb else np.zeros(0, dtype=bool)
+        size += int(np.count_nonzero(member))
+        counts = np.zeros(len(member), dtype=np.int64)
+        for blocks, a in sources:
+            db = blocks.get(p)
+            if db is None:
                 continue
-            total = len(xs0)
-            X = np.zeros((total, n), dtype=np.int64)
-            X[:, 0] = xs0
-            Wc = np.full((total, n), _INF_CODE, dtype=np.int64)
-            yield np.zeros(total, dtype=np.int64), X, Wc
-            continue
-
-        cols = []
-        empty = False
-        for i in range(p):
-            xs, ws = [], []
-            for w in range(spec.w_lo[i], spec.w_hi[i] + 1):
-                for x in range(max(spec.x_lo[i], -w), spec.x_hi[i] + 1):
-                    xs.append(x)
-                    ws.append(w)
-            if not xs:
-                empty = True
-                break
-            cols.append((np.array(xs, dtype=np.int64), np.array(ws, dtype=np.int64)))
-        if empty:
-            continue
-
-        total = math.prod(len(c[0]) for c in cols) if cols else 1
-        X = np.zeros((total, n), dtype=np.int64)
-        Wc = np.full((total, n), _INF_CODE, dtype=np.int64)
-        rep = total
-        for i, (xa, wa) in enumerate(cols):
-            m = len(xa)
-            rep //= m
-            reps = np.repeat(xa, rep)
-            X[:, i] = np.tile(reps, total // (rep * m))
-            Wc[:, i] = np.tile(np.repeat(wa, rep), total // (rep * m))
-
-        Z = spec.z + X[:, 0] if spec.shear else np.full(total, spec.z, dtype=np.int64)
-        if p < n:
-            if spec.variant == "primed":
-                X[:, p] = -Z - X[:, 1:p].sum(axis=1)
-            else:
-                X[:, p] = -Z - X[:, :p].sum(axis=1)
-            keep = (X[:, p] >= spec.x_lo[p]) & (X[:, p] <= spec.x_hi[p])
-            if not keep.all():
-                Z, X, Wc = Z[keep], X[keep], Wc[keep]
-        if len(Z):
-            yield Z, X, Wc
+            keep = db.indicator()
+            ranks = _image_ranks(db, a, cb)[keep]
+            rows += len(ranks)
+            if "moved" not in found:
+                r = _first_moved(db, a, keep)
+                if r is not None:
+                    found["moved"] = db.unrank(r)
+            bad = ranks < 0
+            if bad.any():
+                if "outside" not in found:
+                    r = int(np.flatnonzero(keep)[np.argmax(bad)])
+                    found["outside"] = a.row(db.unrank(r))
+                ranks = ranks[~bad]
+            counts += np.bincount(ranks, minlength=len(member))
+        if not np.array_equal(counts, member):
+            for kind, hit in (("collision", (counts > 1) & member),
+                              ("outside", (counts > 0) & ~member),
+                              ("uncovered", (counts == 0) & member)):
+                if kind not in found and hit.any():
+                    found[kind] = cb.unrank(int(np.argmax(hit)))
+    return rows, size, found
 
 
-def _pack(Z, X, Wc):
-    """Fold rows into single int64 keys; fields stay within 6 bits each."""
-    assert np.all(np.abs(Z) < _OFFSET) and np.all(np.abs(X) < _OFFSET)
-    assert np.all((Wc >= 0) & (Wc <= _INF_CODE))
-    key = Z + _OFFSET
-    for i in range(X.shape[1]):
-        key = key * 64 + (X[:, i] + _OFFSET)
-    for i in range(Wc.shape[1]):
-        key = key * 64 + Wc[:, i]
-    return key
+def _element_json(raw):
+    z, x, w = raw
+    return {"z": z, "x": list(x), "w": [ext_to_json(v) for v in w]}
 
 
-def _unpack(key, n):
-    fields = []
-    k = int(key)
-    for _ in range(2 * n + 1):
-        k, f = divmod(k, 64)
-        fields.append(f)
-    fields.reverse()
-    z = fields[0] - _OFFSET
-    x = [v - _OFFSET for v in fields[1:n + 1]]
-    w = [INF if v == _INF_CODE else v for v in fields[n + 1:]]
-    return {"z": z, "x": x, "w": [ext_to_json(v) for v in w]}
-
-
-def _collect_keys(spec):
-    parts = [_pack(Z, X, Wc) for Z, X, Wc in _np_blocks(spec)]
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
-def _targets(X, Wc):
-    return np.where(Wc == _INF_CODE, _FAR, X + Wc)
+def _counterexample(found, kinds):
+    """The first failure in precedence order, named by ``kinds``."""
+    for kind, name in kinds:
+        if kind in found:
+            return {"kind": name, "element": _element_json(found[kind])}
+    return None
 
 
 # --- bijection checks -------------------------------------------------------
@@ -623,7 +818,7 @@ MAP_IDS = ("theta-neg", "theta-shift", "theta-peel", "theta-terminal", "gamma", 
 
 
 def _bijection_setup(map_id, n, k, j, l, W):
-    """Domain and codomain windows plus the columnwise action of the map.
+    """Domain and codomain windows plus the per-coordinate action of the map.
 
     Windows are paired so the map carries the domain box exactly onto the
     codomain box: whatever shift the map applies to a coordinate is also
@@ -638,30 +833,14 @@ def _bijection_setup(map_id, n, k, j, l, W):
             w_over={0: (-k, -k + W, True)},
             x_over={0: (-W + k, W + k)},
         )
-
-        def act(Z, X, Wc):
-            X2 = X.copy()
-            X2[:, 0] += k
-            W2 = Wc.copy()
-            W2[:, 0] = np.where(W2[:, 0] == _INF_CODE, _INF_CODE, W2[:, 0] - k)
-            return np.zeros_like(Z), X2, W2
-
-        return dom, cod, act
+        return dom, cod, _Action(z=0, coord=0, dx=k, dw=-k)
 
     if map_id == "theta-shift":
         if k is None or k < 1 or j is None or not 0 <= j <= n - 1:
             raise OutOfRange("theta-shift needs k >= 1 and a level 0 <= j <= n-1")
         dom = _stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)})
         cod = _stratum_spec(n, 0, W, pins=j, x_over={j: (-W + k, W + k)})
-
-        def act(Z, X, Wc):
-            X2 = X.copy()
-            X2[:, j] += k
-            W2 = Wc.copy()
-            W2[:, j] = np.where(W2[:, j] == _INF_CODE, _INF_CODE, W2[:, j] - k)
-            return np.zeros_like(Z), X2, W2
-
-        return dom, cod, act
+        return dom, cod, _Action(z=0, coord=j, dx=k, dw=-k)
 
     if map_id == "theta-peel":
         if k is None or k < 1 or j is None or not 0 <= j <= n - 1:
@@ -670,46 +849,26 @@ def _bijection_setup(map_id, n, k, j, l, W):
             raise OutOfRange(f"theta-peel needs a payout 0 <= l <= {k - 1}")
         dom = _stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)})
         cod = _stratum_spec(n, k - l, W, pins=j + 1, x_over={j: (-W + l, W + l)})
-
-        def act(Z, X, Wc):
-            X2 = X.copy()
-            X2[:, j] += l
-            W2 = Wc.copy()
-            W2[:, j] = 0
-            return np.full_like(Z, k - l), X2, W2
-
-        return dom, cod, act
+        return dom, cod, _Action(z=k - l, coord=j, dx=l, pin=True)
 
     if map_id == "theta-terminal":
         if l is None or l < 1:
             raise OutOfRange("theta-terminal needs a degree l >= 1")
         dom = _stratum_spec(n, l, W, pins=n)
         cod = _stratum_spec(n, 0, W, pins=n)
-
-        def act(Z, X, Wc):
-            return np.zeros_like(Z), X, Wc
-
-        return dom, cod, act
+        return dom, cod, _Action(z=0)
 
     if map_id == "gamma":
         if k is None:
             raise OutOfRange("gamma needs a degree k")
         dom = _stratum_spec(n, k, W)
         cod = _stratum_spec(n, k, W, variant="primed", shear=True)
-
-        def act(Z, X, Wc):
-            return Z + X[:, 0], X, Wc
-
-        return dom, cod, act
+        return dom, cod, _Action(z=k, shear=True)
 
     if map_id == "t":
         dom = _stratum_spec(n, 0, W)
         cod = _stratum_spec(n, 0, W)
-
-        def act(Z, X, Wc):
-            return np.zeros_like(Z), X, Wc
-
-        return dom, cod, act
+        return dom, cod, _Action(z=0)
 
     raise OutOfRange(f"unknown map id {map_id!r}; expected one of {MAP_IDS}")
 
@@ -717,64 +876,38 @@ def _bijection_setup(map_id, n, k, j, l, W):
 def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
     """Exhaustively check one structural map on paired windows.
 
-    The enumerated image must hit the independently enumerated codomain
-    window exactly once each, and every element must keep its target.
+    The image must hit the independently described codomain window exactly
+    once each, and every element must keep its target.
     """
     n = _as_int(n, "coordinate count")
     if n < 1:
         raise InvalidClass(f"coordinate count must be >= 1, got {n}")
     W = _window_value(window)
-    dom_spec, cod_spec, act = _bijection_setup(map_id, n, k, j, l, W)
-    params = {"map": map_id, "n": n, "k": k, "j": j, "l": l, "W": W}
-
-    domain_size = 0
-    image_parts = []
-    counterexample = None
-    for Z, X, Wc in _np_blocks(dom_spec):
-        Z2, X2, W2 = act(Z, X, Wc)
-        if counterexample is None:
-            bad = np.nonzero(~(_targets(X, Wc) == _targets(X2, W2)).all(axis=1))[0]
-            if len(bad):
-                row = int(bad[0])
-                counterexample = {
-                    "kind": "target-moved",
-                    "element": _unpack(_pack(Z[row:row + 1], X[row:row + 1],
-                                             Wc[row:row + 1])[0], n),
-                }
-        image_parts.append(_pack(Z2, X2, W2))
-        domain_size += len(Z)
-
-    image = np.concatenate(image_parts) if image_parts else np.zeros(0, dtype=np.int64)
-    codomain = _collect_keys(cod_spec)
-    image_sorted = np.sort(image)
-    codomain_sorted = np.sort(codomain)
-
-    injective = len(image) < 2 or bool((np.diff(image_sorted) != 0).all())
-    onto = bool(np.array_equal(image_sorted, codomain_sorted))
-    if counterexample is None and not injective:
-        dup = int(np.nonzero(np.diff(image_sorted) == 0)[0][0])
-        counterexample = {"kind": "collision",
-                         "element": _unpack(image_sorted[dup], n)}
-    if counterexample is None and not onto:
-        img_set = set(image_sorted.tolist())
-        cod_set = set(codomain_sorted.tolist())
-        extra = sorted(img_set - cod_set)
-        missing = sorted(cod_set - img_set)
-        if extra:
-            counterexample = {"kind": "image-outside-codomain",
-                             "element": _unpack(extra[0], n)}
-        else:
-            counterexample = {"kind": "codomain-not-covered",
-                             "element": _unpack(missing[0], n)}
-
+    dom_spec, cod_spec, action = _bijection_setup(map_id, n, k, j, l, W)
+    domain_size, image_size, found = _image_check([(dom_spec, action)], cod_spec)
+    counterexample = _counterexample(found, (
+        ("moved", "target-moved"),
+        ("collision", "collision"),
+        ("outside", "image-outside-codomain"),
+        ("uncovered", "codomain-not-covered"),
+    ))
     return VerifyReport(
         check="bijection",
-        params=params,
+        params={"map": map_id, "n": n, "k": k, "j": j, "l": l, "W": W},
         passed=counterexample is None,
         domain_size=domain_size,
-        image_size=int(len(codomain)),
+        image_size=image_size,
         counterexample=counterexample,
     )
+
+
+def _partition_setup(n, k, j, W):
+    """The full degree-k, level-j window and its k + 1 pieces."""
+    full = _stratum_spec(n, k, W, pins=j, w_over={j: (0, k + W, True)})
+    pieces = [_stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)})]
+    pieces += [_stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)})
+               for l in range(k)]
+    return full, pieces
 
 
 def verify_partition(n, k, j, window=8):
@@ -782,8 +915,8 @@ def verify_partition(n, k, j, window=8):
 
     The degree-k, level-j stratum is cut along source coordinate j: one
     piece with at least k to give (including inf), and one pinned piece
-    per shortfall l = 0..k-1.  Pieces are enumerated independently and
-    must reproduce the full window with no overlap and no gap.
+    per shortfall l = 0..k-1.  Pieces are ranked into the full window and
+    must cover it with no overlap and no gap.
     """
     n = _as_int(n, "coordinate count")
     if n < 1:
@@ -795,46 +928,17 @@ def verify_partition(n, k, j, window=8):
     if not 0 <= j <= n - 1:
         raise OutOfRange(f"level j={j} outside 0..{n - 1}")
     W = _window_value(window)
-
-    full = _collect_keys(
-        _stratum_spec(n, k, W, pins=j, w_over={j: (0, k + W, True)})
-    )
-    pieces = [
-        _collect_keys(_stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)}))
-    ]
-    for l in range(k):
-        pieces.append(
-            _collect_keys(_stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)}))
-        )
-
-    union = np.sort(np.concatenate(pieces))
-    full_sorted = np.sort(full)
-    passed = bool(np.array_equal(full_sorted, union))
-    counterexample = None
-    if not passed:
-        full_set = set(full_sorted.tolist())
-        union_list = union.tolist()
-        union_set = set(union_list)
-        if len(union_list) != len(union_set):
-            seen = set()
-            for key in union_list:
-                if key in seen:
-                    counterexample = {"kind": "overlap", "element": _unpack(key, n)}
-                    break
-                seen.add(key)
-        elif full_set - union_set:
-            counterexample = {"kind": "gap",
-                             "element": _unpack(sorted(full_set - union_set)[0], n)}
-        else:
-            counterexample = {"kind": "spill",
-                             "element": _unpack(sorted(union_set - full_set)[0], n)}
-
+    full, pieces = _partition_setup(n, k, j, W)
+    piece_rows, full_rows, found = _image_check(
+        [(piece, _Action(z=k)) for piece in pieces], full)
+    counterexample = _counterexample(found, (
+        ("collision", "overlap"), ("uncovered", "gap"), ("outside", "spill")))
     return VerifyReport(
         check="partition",
         params={"n": n, "k": k, "j": j, "W": W},
-        passed=passed,
-        domain_size=int(len(full)),
-        image_size=int(sum(len(p) for p in pieces)),
+        passed=counterexample is None,
+        domain_size=full_rows,
+        image_size=piece_rows,
         counterexample=counterexample,
     )
 

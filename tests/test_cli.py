@@ -237,3 +237,16 @@ class TestConsoleScript:
         proc = run_child(sys.executable, "-m", "qproj.cli", "normalize", "P[0,1]",
                          "--n", "1")
         assert proc.returncode == 0 and proc.stdout.strip() == "P[0,1]"
+
+    def test_optimized_interpreter_gives_same_records(self):
+        """No verdict rests on an assert: ``python -O`` prints the same
+        records, here for a window with offsets up to 38."""
+        argv = ("-m", "qproj.cli", "groupoid-verify", "--n", "1", "--map",
+                "theta-shift", "--k", "30", "--j", "0", "--window", "8",
+                "--format", "json")
+        plain = run_child(sys.executable, *argv)
+        optimized = run_child(sys.executable, "-O", *argv)
+        assert plain.returncode == optimized.returncode == 0, plain.stderr
+        assert plain.stdout == optimized.stdout
+        record = json.loads(plain.stdout)
+        assert record["pass"] and record["domain_size"] == record["image_size"] == 153

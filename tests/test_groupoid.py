@@ -17,11 +17,16 @@ from qproj.groupoid import (
     GroupoidElement,
     TElement,
     Window,
-    _collect_keys,
+    _Action,
+    _bijection_setup,
+    _blocks,
+    _element_from_raw,
+    _first_inf,
+    _image_check,
+    _image_ranks,
     _iter_raw,
-    _pack,
+    _partition_setup,
     _stratum_spec,
-    _unpack,
     canonicalize,
     compose,
     degree,
@@ -48,8 +53,58 @@ def raw_key(raw):
     return (z, tuple(x), tuple(ext_to_json(e) for e in w))
 
 
-def unpacked_key(record):
+def raw_target(raw):
+    _, x, w = raw
+    return tuple(e if e is INF else v + e for v, e in zip(x, w))
+
+
+def element_key(record):
     return (record["z"], tuple(record["x"]), tuple(record["w"]))
+
+
+ELEMENT_MAPS = {
+    "theta-neg": lambda g, k, j, l: theta_neg(g, k),
+    "theta-shift": lambda g, k, j, l: theta_shift(g, k, j),
+    "theta-peel": lambda g, k, j, l: theta_peel(g, k, j, l),
+    "theta-terminal": lambda g, k, j, l: theta_terminal(g, l),
+    "gamma": lambda g, k, j, l: gamma_iso(g),
+    "t": lambda g, k, j, l: t_iso(g),
+}
+
+
+def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
+    """(domain size, codomain size, verdict) from elements alone: the map
+    applied element by element to the domain window must be injective,
+    keep every target and give exactly the codomain window."""
+    dom, cod, _ = _bijection_setup(map_id, n, k, j, l, window)
+    domain = [_element_from_raw(raw, dom.variant) for raw in _iter_raw(dom)]
+    if map_id == "t":
+        codomain = {TElement(n, x, w) for _, x, w in _iter_raw(cod)}
+    else:
+        codomain = {_element_from_raw(raw, cod.variant) for raw in _iter_raw(cod)}
+    image = [ELEMENT_MAPS[map_id](g, k, j, l) for g in domain]
+    ok = (len(set(image)) == len(image) and set(image) == codomain
+          and all(g.target() == h.target() for g, h in zip(domain, image)))
+    return len(domain), len(codomain), ok
+
+
+def reference_partition(n, k, j, window):
+    """(full size, summed piece sizes, verdict) from the raw rows alone."""
+    full, pieces = _partition_setup(n, k, j, window)
+    full_rows = {raw_key(r) for r in _iter_raw(full)}
+    piece_rows = [raw_key(r) for piece in pieces for r in _iter_raw(piece)]
+    ok = len(set(piece_rows)) == len(piece_rows) and set(piece_rows) == full_rows
+    return len(full_rows), len(piece_rows), ok
+
+
+def window_positions(spec):
+    """Global position of every block start, and the window's indicator."""
+    offsets, flags, start = {}, [], 0
+    for p, block in _blocks(spec).items():
+        offsets[p] = start
+        flags.append(block.indicator())
+        start += block.size
+    return offsets, np.concatenate(flags)
 
 
 class TestMembership:
@@ -325,19 +380,34 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,z,kw", SPECS)
     def test_array_engine_matches_reference(self, n, z, kw):
         spec = _stratum_spec(n, z, 3, **kw)
-        reference = [raw_key(r) for r in _iter_raw(spec)]
-        assert len(set(reference)) == len(reference)
-        keys = _collect_keys(spec)
-        unpacked = {unpacked_key(_unpack(key, n)) for key in keys.tolist()}
-        assert len(keys) == len(unpacked)
-        assert set(reference) == unpacked
+        reference = list(_iter_raw(spec))
+        blocks = _blocks(spec)
+        offsets, indicator = window_positions(spec)
+        positions = []
+        for raw in reference:
+            p = _first_inf(raw[2])
+            positions.append(offsets[p] + blocks[p].rank(raw))
+        # distinct positions, in _iter_raw order, all flagged, and nothing else
+        assert positions == sorted(set(positions))
+        assert indicator[positions].all()
+        assert int(indicator.sum()) == len(reference)
+        # unranking every flagged position gives back the reference rows
+        unranked = []
+        for p, block in blocks.items():
+            for r in np.flatnonzero(block.indicator()):
+                unranked.append(block.unrank(int(r)))
+        assert [raw_key(r) for r in unranked] == [raw_key(r) for r in reference]
 
-    def test_pack_round_trip(self):
-        spec = _stratum_spec(2, -1, 3)
-        keys = _collect_keys(spec)
-        reference = {raw_key(r) for r in _iter_raw(spec)}
-        for key in keys.tolist()[:50]:
-            assert unpacked_key(_unpack(key, 2)) in reference
+    @pytest.mark.parametrize("n,z,kw", SPECS)
+    def test_table_ranks_match_row_ranks(self, n, z, kw):
+        # the outer-sum ranking of the identity map equals row-by-row ranking
+        spec = _stratum_spec(n, z, 3, **kw)
+        identity = _Action(z=spec.z, shear=spec.shear)
+        for block in _blocks(spec).values():
+            everywhere = list(range(block.size))
+            assert [block.rank(block.unrank(r)) for r in everywhere] == everywhere
+            if block.axes:
+                assert _image_ranks(block, identity, block).tolist() == everywhere
 
     def test_window_type(self):
         assert len(enumerate_stratum(1, 0, window=Window(2))) == 13
@@ -387,25 +457,168 @@ class TestVerifiers:
         with pytest.raises(OutOfRange):
             verify_partition(2, 1, 2, window=3)
 
+    def test_huge_values_are_refused(self):
+        # offsets near 2**62 would wrap int64 sums; refused, never ranked
+        with pytest.raises(OutOfRange):
+            verify_bijection("theta-shift", 3, k=2 ** 62, j=0, window=1)
+
     def test_failure_path_reports_counterexample(self, monkeypatch):
-        # force a mispaired codomain window: the identity map into a
-        # stratum of a different degree cannot be onto
+        # force a mispaired codomain window: the identity action into a
+        # stratum of a different degree cannot land in it
         import qproj.groupoid as G
 
-        def broken_setup(map_id, n, k, j, l, W):
-            dom = _stratum_spec(n, 0, W)
-            cod = _stratum_spec(n, 1, W)
-
-            def act(Z, X, Wc):
-                return Z, X, Wc
-
-            return dom, cod, act
-
-        monkeypatch.setattr(G, "_bijection_setup", broken_setup)
+        dom, cod = _stratum_spec(1, 0, 2), _stratum_spec(1, 1, 2)
+        monkeypatch.setattr(G, "_bijection_setup",
+                            lambda *args: (dom, cod, _Action(z=0)))
         report = G.verify_bijection("t", 1, window=2)
         assert not report.passed
-        assert report.counterexample["kind"] in (
-            "image-outside-codomain", "codomain-not-covered")
+        assert report.counterexample["kind"] == "image-outside-codomain"
+        element = element_key(report.counterexample["element"])
+        assert element in {raw_key(r) for r in _iter_raw(dom)}
+        assert element not in {raw_key(r) for r in _iter_raw(cod)}
+
+
+class TestWindowEdges:
+    """Windows past the old 6-bit key fields, against element-level sizes."""
+
+    @pytest.mark.parametrize("map_id,n,kwargs,window,sizes", [
+        # n = 6: a 64 -> 64 bijection once reported a made-up collision
+        ("theta-terminal", 6, {"l": 1}, 1, (64, 64)),
+        # offsets up to 38: once a bare AssertionError
+        ("theta-shift", 1, {"k": 30, "j": 0}, 8, (153, 153)),
+        ("theta-shift", 5, {"k": 2, "j": 3}, 2, None),
+        ("gamma", 5, {"k": 1}, 1, None),
+        ("theta-neg", 1, {"k": -3}, 40, None),
+        ("theta-peel", 1, {"k": 4, "j": 0, "l": 2}, 40, None),
+    ])
+    def test_bijection_matches_elements(self, map_id, n, kwargs, window, sizes):
+        domain_size, image_size, ok = reference_bijection(map_id, n, window=window,
+                                                          **kwargs)
+        assert ok
+        if sizes is not None:
+            assert (domain_size, image_size) == sizes
+        report = verify_bijection(map_id, n, window=window, **kwargs)
+        assert report.passed, report.to_json()
+        assert (report.domain_size, report.image_size) == (domain_size, image_size)
+
+    @pytest.mark.parametrize("n,k,j,window", [(1, 2, 0, 40), (5, 2, 3, 2)])
+    def test_partition_matches_rows(self, n, k, j, window):
+        full_size, piece_size, ok = reference_partition(n, k, j, window)
+        assert ok
+        report = verify_partition(n, k, j, window)
+        assert report.passed, report.to_json()
+        assert (report.domain_size, report.image_size) == (full_size, piece_size)
+
+
+class TestMutations:
+    """Broken actions and windows are caught, each with a concrete element."""
+
+    @staticmethod
+    def images(dom, action):
+        return [raw_key(action.row(raw)) for raw in _iter_raw(dom)]
+
+    def break_map(self, monkeypatch, map_id, n, k=None, j=None, l=None, window=2,
+                  dom=None, cod=None, action=None):
+        import qproj.groupoid as G
+
+        real = _bijection_setup(map_id, n, k, j, l, window)
+        dom, cod, action = dom or real[0], cod or real[1], action or real[2]
+        monkeypatch.setattr(G, "_bijection_setup", lambda *args: (dom, cod, action))
+        report = G.verify_bijection(map_id, n, k=k, j=j, l=l, window=window)
+        assert not report.passed
+        return dom, cod, action, report.counterexample
+
+    def test_shift_off_by_one_moves_targets(self, monkeypatch):
+        dom, _, action, found = self.break_map(
+            monkeypatch, "theta-shift", 2, k=2, j=1,
+            action=_Action(z=0, coord=1, dx=3, dw=-2))
+        assert found["kind"] == "target-moved"
+        element = element_key(found["element"])
+        [raw] = [r for r in _iter_raw(dom) if raw_key(r) == element]
+        assert raw_target(action.row(raw)) != raw_target(raw)
+        g = _element_from_raw(raw, "plain")
+        assert theta_shift(g, 2, 1).target() == g.target()  # unlike the map
+
+    def test_pinned_source_collides(self, monkeypatch):
+        # pinning the source instead of shifting it forgets w[j]: rows that
+        # differ only there share an image (and their targets move)
+        dom, cod, action, found = self.break_map(
+            monkeypatch, "theta-shift", 1, k=1, j=0,
+            action=_Action(z=0, coord=0, dx=1, pin=True))
+        assert found["kind"] == "target-moved"
+        _, _, kinds = _image_check([(dom, action)], cod)
+        collision = raw_key(kinds["collision"])
+        assert self.images(dom, action).count(collision) >= 2
+        assert collision in {raw_key(r) for r in _iter_raw(cod)}
+
+    def test_pinning_an_infinite_source_moves_its_target(self, monkeypatch):
+        # w[0] is k or inf; pinning is harmless on the finite rows only
+        dom, _, _, found = self.break_map(
+            monkeypatch, "theta-shift", 2, k=1, j=0,
+            dom=_stratum_spec(2, 1, 2, w_over={0: (1, 1, True)}),
+            action=_Action(z=0, coord=0, dx=1, pin=True))
+        assert found["kind"] == "target-moved"
+        element = element_key(found["element"])
+        assert element in {raw_key(r) for r in _iter_raw(dom)}
+        assert element[2][0] == "inf"
+
+    @pytest.mark.parametrize("map_id,kwargs,cod,action", [
+        # gamma without the shear: the image degree stays 0 (at k = 0 only
+        # the finite blocks see it)
+        ("gamma", {"k": 0}, None, _Action(z=0)),
+        # ... and with the shear dropped from the codomain too, the forced
+        # offset differs from the codomain's by x[0]
+        ("gamma", {"k": 0}, _stratum_spec(2, 0, 2, variant="primed"), _Action(z=0)),
+        # theta-peel paying one unit too few, into that degree: targets
+        # stay, but every forced offset is off by one
+        ("theta-peel", {"k": 2, "j": 0, "l": 1},
+         _stratum_spec(2, 2, 2, pins=1, x_over={0: (-1, 3)}),
+         _Action(z=2, coord=0, dx=1, pin=True)),
+    ])
+    def test_image_leaves_codomain(self, monkeypatch, map_id, kwargs, cod, action):
+        dom, cod, action, found = self.break_map(monkeypatch, map_id, 2, cod=cod,
+                                                 action=action, **kwargs)
+        assert found["kind"] == "image-outside-codomain"
+        element = element_key(found["element"])
+        assert element in self.images(dom, action)
+        assert element not in {raw_key(r) for r in _iter_raw(cod)}
+
+    def test_narrow_domain_leaves_codomain_uncovered(self, monkeypatch):
+        dom, cod, action, found = self.break_map(
+            monkeypatch, "t", 2, dom=_stratum_spec(2, 0, 1))
+        assert found["kind"] == "codomain-not-covered"
+        element = element_key(found["element"])
+        assert element in {raw_key(r) for r in _iter_raw(cod)}
+        assert element not in self.images(dom, action)
+
+    @pytest.mark.parametrize("kind,piece", [
+        ("overlap", (1, 5, True)),  # reaches into the l = 1 piece
+        ("spill", (2, 6, True)),  # one source value past the window
+    ])
+    def test_broken_piece(self, monkeypatch, kind, piece):
+        import qproj.groupoid as G
+
+        full, pieces = _partition_setup(2, 2, 0, 3)
+        pieces[0] = _stratum_spec(2, 2, 3, w_over={0: piece})
+        monkeypatch.setattr(G, "_partition_setup", lambda *args: (full, pieces))
+        report = G.verify_partition(2, 2, 0, window=3)
+        assert not report.passed
+        assert report.counterexample["kind"] == kind
+        element = element_key(report.counterexample["element"])
+        hits = sum(element in {raw_key(r) for r in _iter_raw(p)} for p in pieces)
+        in_full = element in {raw_key(r) for r in _iter_raw(full)}
+        assert (hits, in_full) == ((2, True) if kind == "overlap" else (1, False))
+
+    def test_missing_piece_leaves_gap(self, monkeypatch):
+        import qproj.groupoid as G
+
+        full, pieces = _partition_setup(2, 2, 0, 3)
+        monkeypatch.setattr(G, "_partition_setup", lambda *args: (full, pieces[:-1]))
+        report = G.verify_partition(2, 2, 0, window=3)
+        assert report.counterexample["kind"] == "gap"
+        element = element_key(report.counterexample["element"])
+        assert element in {raw_key(r) for r in _iter_raw(full)}
+        assert element in {raw_key(r) for r in _iter_raw(pieces[-1])}
 
 
 class TestTerminalTally:
