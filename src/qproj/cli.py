@@ -3,7 +3,9 @@
 Calculator subcommands (normalize, rho, boxplus, k0, linebundle) print a
 single result; verification subcommands (groupoid-verify, oracle-verify,
 verify-all) print one record per check and exit with status 2 if any
-check fails.  Status 1 means the invocation itself was invalid.
+check fails.  Status 1 means the invocation itself was invalid; an
+internal fault also exits 1, with one ``error: internal error:`` line on
+stderr instead of a traceback.
 
 Expressions use the grammar ``P[j,k] (+) P[j,k] (+) ...`` over an
 ambient index given by --n; whitespace is insignificant.  With
@@ -249,11 +251,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, QprojError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except QprojError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault in qproj itself: one line, not a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

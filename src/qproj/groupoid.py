@@ -67,9 +67,6 @@ __all__ = [
     "TElement",
     "Window",
     "canonicalize",
-    "source",
-    "target",
-    "degree",
     "compose",
     "gamma_iso",
     "t_iso",
@@ -246,20 +243,8 @@ def canonicalize(n, z, x, w, primed=False):
     return GroupoidElement(n=n, z=z, x=tuple(x), w=w, primed=primed)
 
 
-def source(g):
-    return g.source()
-
-
-def target(g):
-    return g.target()
-
-
-def degree(g):
-    return g.z
-
-
 def compose(g, h):
-    """Compose two arrows: needs source(g) = target(h); degrees and offsets add."""
+    """Compose two arrows: needs g.source() == h.target(); degrees and offsets add."""
     if not isinstance(g, GroupoidElement) or not isinstance(h, GroupoidElement):
         raise NotComposable("compose needs two groupoid elements")
     if g.n != h.n or g.primed != h.primed:

@@ -45,7 +45,6 @@ __all__ = [
     "ProjClass",
     "RhoVector",
     "zero_class",
-    "validate",
     "boxplus",
     "normalize",
     "rho",
@@ -204,11 +203,6 @@ class RhoVector:
 def zero_class(n):
     """The identity of the diagonal-sum monoid over ambient index n."""
     return ProjClass(n, 0, 0)
-
-
-def validate(n, j, k):
-    """Build the normal form P[j, k] over ambient n, rejecting bad data."""
-    return ProjClass(n, j, k)
 
 
 def boxplus(a, b):

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import groupoid, k_theory, line_bundles, oracle, projections
+from .errors import OutOfRange
 from .reports import VerifyReport
 
 __all__ = [
@@ -70,6 +71,7 @@ def monoid_checks(n_max=5, k_max=20):
             return p.j * (4 * k_max + 1) + p.k
 
         rhos = [projections.rho(p) for p in base]
+        ext_rhos = [projections.rho(p) for p in ext]
         prod = np.zeros((mb, mb), dtype=np.int32)
         codes = np.zeros((mb, mb), dtype=np.int32)
         for a_i, a in enumerate(base):
@@ -89,9 +91,12 @@ def monoid_checks(n_max=5, k_max=20):
                 if (c.j, c.k) != want and law_bad is None:
                     law_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
                                "got": c.to_json(), "want": list(want)}
-                if rhos[a_i] + rhos[b_i] != projections.rho(c) and add_bad is None:
+                c_i = ext_index[(c.j, c.k)]
+                # a sum over another ambient index is not ext[c_i]
+                rho_c = ext_rhos[c_i] if c == ext[c_i] else projections.rho(c)
+                if rhos[a_i] + rhos[b_i] != rho_c and add_bad is None:
                     add_bad = {"n": n, "a": a.to_json(), "b": b.to_json()}
-                prod[a_i, b_i] = ext_index[(c.j, c.k)]
+                prod[a_i, b_i] = c_i
                 codes[a_i, b_i] = code(c)
                 pairs += 1
         comm_ok = comm_ok and bool(np.array_equal(codes, codes.T))
@@ -150,11 +155,11 @@ def cancellation_checks(n_max=5, k_max=20):
         unit = projections.ProjClass(n, 0, 1)
         compact = [projections.ProjClass(n, j, k)
                    for j in range(1, n + 1) for k in range(1, k_max + 1)]
+        sums = [projections.boxplus(a, unit) for a in compact]
         for a_i, a in enumerate(compact):
-            for b in compact[a_i + 1:]:
-                same_sum = (projections.boxplus(a, unit)
-                            == projections.boxplus(b, unit))
-                if not same_sum or projections.is_equivalent(a, b):
+            for b_i in range(a_i + 1, len(compact)):
+                b = compact[b_i]
+                if sums[a_i] != sums[b_i] or projections.is_equivalent(a, b):
                     witness_bad = {"n": n, "a": a.to_json(), "b": b.to_json()}
                     break
                 witnesses += 1
@@ -168,19 +173,25 @@ def cancellation_checks(n_max=5, k_max=20):
     for n in range(n_max + 1):
         stock = _class_stock(n, k_max)
         positive = [p for p in stock if projections.rank(p) >= 1]
-        for a in positive:
-            for b in positive:
-                for c in stock:
-                    same = (projections.boxplus(a, c) == projections.boxplus(b, c))
-                    if same != projections.is_equivalent(a, b):
-                        cancel_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
-                                      "c": c.to_json()}
-                        break
-                    cancels += 1
-                if cancel_bad:
-                    break
-            if cancel_bad:
+        # each sum a (+) c once, as the id of its class: equal ids, equal sums
+        ids = {}
+        table = np.array([[ids.setdefault(projections.boxplus(a, c), len(ids))
+                           for c in stock] for a in positive], dtype=np.int64)
+        equiv = np.array([[projections.is_equivalent(a, b) for b in positive]
+                          for a in positive], dtype=bool)
+        for a_i, a in enumerate(positive):
+            # wrong[b, c]: whether a (+) c == b (+) c disagrees with a ~ b
+            wrong = (table == table[a_i]) != equiv[a_i][:, None]
+            hits = np.flatnonzero(wrong)
+            if hits.size:
+                # row-major order is the order of the triples (a, b, c)
+                b_i, c_i = divmod(int(hits[0]), len(stock))
+                cancel_bad = {"n": n, "a": a.to_json(),
+                              "b": positive[b_i].to_json(),
+                              "c": stock[c_i].to_json()}
+                cancels += int(hits[0])
                 break
+            cancels += wrong.size
         if cancel_bad:
             break
     params = {"n_max": n_max, "k_max": k_max}
@@ -393,16 +404,24 @@ def run_group(name, seed=DEFAULT_SEED):
 
 
 def effective_jobs(requested=None):
-    """Worker count: the request (default: the cpu count), capped by QPROJ_JOBS."""
+    """Worker count: the request (default: the cpu count), capped by QPROJ_JOBS.
+
+    A request or cap that is not a positive integer is refused.
+    """
     if requested is None:
         requested = os.cpu_count() or 1
+    elif requested < 1:
+        raise OutOfRange(f"job count must be >= 1, got {requested}")
     cap = os.environ.get("QPROJ_JOBS")
     if cap is not None:
         try:
-            requested = min(requested, int(cap))
+            cap_jobs = int(cap)
         except ValueError:
-            pass
-    return max(1, requested)
+            cap_jobs = 0
+        if cap_jobs < 1:
+            raise OutOfRange(f"QPROJ_JOBS must be a positive integer, got {cap!r}")
+        requested = min(requested, cap_jobs)
+    return requested
 
 
 def run_all(seed=DEFAULT_SEED, jobs=None):

@@ -97,6 +97,8 @@ class TestValidationExitCode:
         ("groupoid-verify", "--n", "2", "--map", "theta-neg", "--k", "1"),
         ("groupoid-verify", "--n", "2", "--window", "0"),
         ("rho", "P[1,2]", "--n", "2", "--format", "xml"),
+        ("verify-all", "--jobs", "0"),
+        ("verify-all", "--jobs", "-2"),
     ]
 
     @pytest.mark.parametrize("argv", CASES)
@@ -104,6 +106,22 @@ class TestValidationExitCode:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err  # some diagnostic is printed
+
+    @pytest.mark.parametrize("cap", ["many", "0"])
+    def test_bad_job_cap_refused(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("QPROJ_JOBS", cap)
+        code, out, err = run_cli(capsys, "verify-all", "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: QPROJ_JOBS must be a positive integer")
+
+    def test_internal_fault_is_one_error_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_normalize", broken)
+        code, out, err = run_cli(capsys, "normalize", "P[1,2]", "--n", "2")
+        assert code == 1 and out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
 
 
 class TestVerifiers:

@@ -29,13 +29,10 @@ from qproj.groupoid import (
     _stratum_spec,
     canonicalize,
     compose,
-    degree,
     enumerate_stratum,
     gamma_iso,
     gamma_iso_inv,
-    source,
     t_iso,
-    target,
     theta_neg,
     theta_peel,
     theta_shift,
@@ -162,10 +159,10 @@ class TestMembership:
 
     def test_source_and_target(self):
         g = canonicalize(2, 0, (2, -1), (1, 3))
-        assert source(g) == (1, 3)
-        assert target(g) == (3, 2)
+        assert g.source() == (1, 3)
+        assert g.target() == (3, 2)
         h = canonicalize(2, 3, (-3, 0), (INF, INF))
-        assert source(h) == target(h) == (INF, INF)
+        assert h.source() == h.target() == (INF, INF)
 
     def test_json_round_trip(self):
         for g in [canonicalize(2, 1, (0, -1), (3, INF)),
@@ -179,19 +176,19 @@ class TestCompose:
     def test_frozen_example(self):
         g = canonicalize(1, 1, (2,), (3,))
         h = canonicalize(1, 0, (1,), (2,))
-        assert target(h) == (3,) == source(g)
+        assert h.target() == (3,) == g.source()
         assert compose(g, h) == canonicalize(1, 1, (3,), (2,))
 
     def test_units_idempotent(self):
         for w in [(0, 4), (2, INF), (INF, INF)]:
             u = canonicalize(2, 0, (0, 0), w)
-            assert source(u) == target(u) == u.w
+            assert u.source() == u.target() == u.w
             assert compose(u, u) == u
 
     def test_units_are_neutral(self):
         g = canonicalize(2, 1, (-1, 0), (3, INF))
-        left = canonicalize(2, 0, (0, 0), target(g))
-        right = canonicalize(2, 0, (0, 0), source(g))
+        left = canonicalize(2, 0, (0, 0), g.target())
+        right = canonicalize(2, 0, (0, 0), g.source())
         assert compose(left, g) == g
         assert compose(g, right) == g
 
@@ -213,11 +210,11 @@ class TestCompose:
         for z in (-1, 0, 1):
             elements.extend(enumerate_stratum(n, z, window=window))
         for g in elements:
-            by_target.setdefault(target(g), []).append(g)
+            by_target.setdefault(g.target(), []).append(g)
         chains = []
         for g in elements:
-            for h in by_target.get(source(g), ())[:3]:
-                for f in by_target.get(source(h), ())[:2]:
+            for h in by_target.get(g.source(), ())[:3]:
+                for f in by_target.get(h.source(), ())[:2]:
                     chains.append((g, h, f))
                     if len(chains) >= 300:
                         return chains
@@ -229,9 +226,9 @@ class TestCompose:
         for g, h, f in chains:
             gh = compose(g, h)
             # degrees add, source/target laws
-            assert degree(gh) == degree(g) + degree(h)
-            assert source(gh) == source(h)
-            assert target(gh) == target(g)
+            assert gh.z == g.z + h.z
+            assert gh.source() == h.source()
+            assert gh.target() == g.target()
             # associativity
             assert compose(gh, f) == compose(g, compose(h, f))
 
@@ -252,8 +249,8 @@ class TestIsomorphisms:
                 image = gamma_iso(g)
                 assert image.primed
                 assert image.z == g.z + g.x[0]
-                assert source(image) == source(g)
-                assert target(image) == target(g)
+                assert image.source() == g.source()
+                assert image.target() == g.target()
                 assert gamma_iso_inv(image) == g
 
     def test_gamma_wrong_variant(self):
@@ -269,8 +266,8 @@ class TestIsomorphisms:
         image = t_iso(g)
         assert isinstance(image, TElement)
         assert image.x == (1, -1) and image.w == (0, INF)
-        assert image.source() == source(g)
-        assert image.target() == target(g)
+        assert image.source() == g.source()
+        assert image.target() == g.target()
 
     def test_t_needs_degree_zero(self):
         with pytest.raises(DegreeNonZero):
@@ -286,7 +283,7 @@ class TestThetaMaps:
         g = canonicalize(1, -1, (3,), (2,))
         image = theta_neg(g, -1)
         assert image == canonicalize(1, 0, (2,), (3,))
-        assert target(image) == target(g) == (5,)
+        assert image.target() == g.target() == (5,)
 
     def test_neg_with_infinite_source(self):
         g = canonicalize(1, -2, (2,), (INF,))
@@ -297,27 +294,27 @@ class TestThetaMaps:
         g = canonicalize(2, 2, (1, -3), (0, 5))
         image = theta_shift(g, 2, 1)
         assert image == canonicalize(2, 0, (1, -1), (0, 3))
-        assert target(image) == target(g)
+        assert image.target() == g.target()
 
     def test_peel_frozen(self):
         g = canonicalize(2, 2, (0, 1), (1, 3))
         image = theta_peel(g, 2, 0, 1)
         assert image == canonicalize(2, 1, (1, 1), (0, 3))
-        assert target(image) == target(g)
+        assert image.target() == g.target()
 
     def test_terminal_frozen(self):
         g = canonicalize(2, 3, (1, 2), (0, 0))
         image = theta_terminal(g, 3)
         assert image == canonicalize(2, 0, (1, 2), (0, 0))
-        assert target(image) == target(g)
+        assert image.target() == g.target()
 
     def test_targets_preserved_across_window(self):
         for g in enumerate_stratum(2, 2, j=0, window=3):
             if g.w[0] is INF or g.w[0] >= 2:
-                assert target(theta_shift(g, 2, 0)) == target(g)
+                assert theta_shift(g, 2, 0).target() == g.target()
             else:
                 image = theta_peel(g, 2, 0, g.w[0])
-                assert target(image) == target(g)
+                assert image.target() == g.target()
                 assert image.z == 2 - g.w[0]
 
     def test_wrong_stratum(self):
