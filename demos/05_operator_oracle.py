@@ -7,8 +7,8 @@ any algebra: realize the class as a diagonal pattern on a lattice of
 basis states, truncate to finitely many states per axis, and watch how
 the rank grows as the truncation widens.  Entries that stabilize give
 finite invariant values; entries that keep growing signal an infinite
-one.  This script shows the encoding, the rank counts, and how the
-cutoff guard protects the conclusions.
+one.  This script shows the encoding, the rank counts, and how cutoffs
+too small for a pattern are refused.
 """
 
 from qproj import CutoffTooSmall, ProjClass, encode, rho, rho_numeric
@@ -58,22 +58,26 @@ print("stacked rho:", rho_numeric(stack))
 print()
 print("face of", pat, "is", face(pat))
 
-# 5. When the cutoffs lie, and how the guard catches it
-# -----------------------------------------------------
-# The method is honest only above the scale of the pattern.  A depth-20
-# complement factor looks like rank 0 at cutoffs 8 and 16; the guard
-# cutoff notices the rank moving and refuses to answer.
+# 5. When the cutoffs are too small, and how they are refused
+# ------------------------------------------------------------
+# The method is honest only above the scale of the pattern: once every
+# cutoff reaches the depth of every factor, a truncated rank is either
+# constant or strictly growing, so comparing two cutoffs is exact.  A
+# depth-20 complement factor would look like rank 0 at cutoffs 8 and 16;
+# rho_numeric refuses to answer instead.
 wide = DiagonalPattern(1, (complement(20),))
 try:
     rho_numeric(wide, 8, 16)
 except CutoffTooSmall as err:
-    print("guard refuses:", err)
+    print("refused:", err)
 print("with room to breathe:", rho_numeric(wide, 32, 64, guard=128))
 
-# The guard only certifies finite conclusions.  A multiplicity larger
-# than the first cutoff is misread as growth, so cutoffs should always
-# dominate the multiplicities in play.
+# A multiplicity larger than the first cutoff would be misread as growth,
+# so it is refused the same way; cutoffs above it give the exact answer.
 deep = encode(ProjClass(1, 1, 10))
 print("true rho:", rho(ProjClass(1, 1, 10)))
-print("cutoffs ( 8, 16):", rho_numeric(deep, 8, 16), " <- fooled")
+try:
+    rho_numeric(deep, 8, 16)
+except CutoffTooSmall as err:
+    print("cutoffs ( 8, 16): refused:", err)
 print("cutoffs (16, 32):", rho_numeric(deep, 16, 32))

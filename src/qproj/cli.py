@@ -217,8 +217,6 @@ def _emit_reports(args, reports):
 
 
 def _cmd_groupoid_verify(args):
-    if args.window < 1:
-        raise _UsageError("--window must be >= 1")
     if args.map_id == "all":
         reports = suite.groupoid_checks(n_max=args.n, window=args.window)
     elif args.map_id == "partition":

@@ -52,4 +52,4 @@ class WrongStratum(QprojError, ValueError):
 
 
 class CutoffTooSmall(QprojError, ArithmeticError):
-    """Two truncation cutoffs agreed but the guard cutoff disagreed."""
+    """Truncation cutoffs too small to read a pattern's ranks exactly."""

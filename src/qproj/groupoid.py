@@ -37,14 +37,13 @@ so it is applied to the tables; looking the image pairs up in the
 codomain's tables and summing over the product gives the codomain
 position of every image at once.  The map is a bijection when the image
 positions, counted, equal the codomain's membership indicator.  No row
-is packed, sorted or limited by a field width.  A plain element-level
-enumerator with identical semantics backs the fast path as an oracle in
-the tests.
+is packed, sorted or limited by a field width.  The element-level
+enumeration unranks the flagged positions of the same blocks, so the
+window rules are written once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -118,27 +117,18 @@ def _first_inf(w):
 def _validate_member(n, z, x, w, primed):
     """Membership of a canonical triple; raises NotInGroupoid on failure."""
     p = _first_inf(w)
-    if primed:
-        if p == 0:
-            if z != 0:
-                raise NotInGroupoid("an everywhere-infinite source forces degree 0")
-            if any(x[1:]):
-                raise NotInGroupoid("offsets past the first coordinate must vanish")
-        elif p < n:
-            if x[p] != -z - sum(x[1:p]):
-                raise NotInGroupoid(
-                    f"offset {p} must close the degree: expected {-z - sum(x[1:p])}"
-                )
-            if any(x[p + 1:]):
-                raise NotInGroupoid("offsets past the first infinite coordinate must vanish")
-    else:
-        if p < n:
-            if x[p] != -z - sum(x[:p]):
-                raise NotInGroupoid(
-                    f"offset {p} must close the degree: expected {-z - sum(x[:p])}"
-                )
-            if any(x[p + 1:]):
-                raise NotInGroupoid("offsets past the first infinite coordinate must vanish")
+    if primed and p == 0:
+        if z != 0:
+            raise NotInGroupoid("an everywhere-infinite source forces degree 0")
+        if any(x[1:]):
+            raise NotInGroupoid("offsets past the first coordinate must vanish")
+    elif p < n:
+        # the primed kind leaves x[0] out of the sum
+        forced = -z - sum(x[int(primed):p])
+        if x[p] != forced:
+            raise NotInGroupoid(f"offset {p} must close the degree: expected {forced}")
+        if any(x[p + 1:]):
+            raise NotInGroupoid("offsets past the first infinite coordinate must vanish")
     for i in range(p):
         if x[i] + w[i] < 0:
             raise NotInGroupoid(
@@ -425,56 +415,10 @@ def _stratum_spec(n, z, W, pins=0, w_over=None, x_over=None, variant="plain", sh
 
 
 def _iter_raw(spec):
-    """Element-level enumeration of a window: raw (z, x, w) tuples.
-
-    The reference semantics for the array engine below; one block per
-    position of the first infinite source coordinate.
-    """
-    n = spec.n
-
-    def pairs(i):
-        out = []
-        for w in range(spec.w_lo[i], spec.w_hi[i] + 1):
-            for x in range(max(spec.x_lo[i], -w), spec.x_hi[i] + 1):
-                out.append((x, w))
-        return out
-
-    for p in range(n + 1):
-        if p < n and not spec.w_inf[p]:
-            continue
-        # forced zero offsets past position p must be admissible
-        if any(spec.x_lo[q] > 0 or spec.x_hi[q] < 0 for q in range(p + 1, n)):
-            continue
-        inf_tail = (INF,) * (n - p)
-
-        if spec.variant == "primed" and p == 0:
-            if spec.shear:
-                x0 = -spec.z  # row degree z + x0 must vanish
-                if spec.x_lo[0] <= x0 <= spec.x_hi[0]:
-                    yield (0, (x0,) + (0,) * (n - 1), inf_tail)
-            elif spec.z == 0:
-                for x0 in range(spec.x_lo[0], spec.x_hi[0] + 1):
-                    yield (0, (x0,) + (0,) * (n - 1), inf_tail)
-            continue
-
-        free = [pairs(i) for i in range(p)]
-        if any(not ch for ch in free):
-            continue
-        for combo in itertools.product(*free):
-            xs = [c[0] for c in combo]
-            ws = [c[1] for c in combo]
-            z_row = spec.z + xs[0] if spec.shear else spec.z
-            if p < n:
-                if spec.variant == "primed":
-                    forced = -z_row - sum(xs[1:p])
-                else:
-                    forced = -z_row - sum(xs)
-                if not spec.x_lo[p] <= forced <= spec.x_hi[p]:
-                    continue
-                yield (z_row, tuple(xs) + (forced,) + (0,) * (n - p - 1),
-                       tuple(ws) + inf_tail)
-            else:
-                yield (z_row, tuple(xs), tuple(ws))
+    """Element-level enumeration of a window: raw (z, x, w) tuples, block by
+    block, each block in position order."""
+    for block in _blocks(spec).values():
+        yield from block.rows(np.flatnonzero(block.indicator()))
 
 
 def _element_from_raw(raw, variant):
@@ -508,7 +452,7 @@ class _Axis:
     """Pair table of one finite source coordinate.
 
     Every (x, w) with w_lo <= w <= w_hi and max(x_lo, -w) <= x <= x_hi,
-    ordered by w, then x: the order in which ``_iter_raw`` lists them.
+    ordered by w, then x.
     """
 
     def __init__(self, x_lo, x_hi, w_lo, w_hi):
@@ -585,19 +529,31 @@ class _Block:
         forced = -s.z - _outer(c * a.x for c, a in zip(_forced_coefs(s, p), self.axes))
         return (forced >= s.x_lo[p]) & (forced <= s.x_hi[p])
 
-    def unrank(self, r):
-        """The raw (z, x, w) row at position r; its forced offset may lie
-        outside the window where ``indicator`` is false."""
+    def rows(self, positions):
+        """The raw (z, x, w) rows at ``positions``, in Python ints; a row's
+        forced offset may lie outside the window where ``indicator`` is
+        false."""
         s, p, n = self.spec, self.p, self.spec.n
+        x = np.zeros((len(positions), n), dtype=np.int64)
+        w = np.zeros((len(positions), p), dtype=np.int64)
         if self.by_x0:
-            return (0, (int(self.x0[r]),) + (0,) * (n - 1), (INF,) * n)
-        digits = np.unravel_index(r, self.shape) if self.axes else ()
-        xs = [int(a.x[d]) for a, d in zip(self.axes, digits)]
-        ws = [int(a.w[d]) for a, d in zip(self.axes, digits)]
-        z_row = s.z + xs[0] if s.shear else s.z
-        if p < n:
-            xs.append(-s.z - sum(c * x for c, x in zip(_forced_coefs(s, p), xs)))
-        return (z_row, tuple(xs) + (0,) * (n - p - 1), tuple(ws) + (INF,) * (n - p))
+            x[:, 0] = self.x0[positions]
+            z = np.zeros(len(positions), dtype=np.int64)
+        else:
+            digits = np.unravel_index(positions, self.shape) if self.axes else ()
+            for i, (a, d) in enumerate(zip(self.axes, digits)):
+                x[:, i], w[:, i] = a.x[d], a.w[d]
+            z = s.z + x[:, 0] if s.shear else np.full(len(positions), s.z, dtype=np.int64)
+            if p < n:
+                coefs = np.array(_forced_coefs(s, p), dtype=np.int64)
+                x[:, p] = -s.z - x[:, :p] @ coefs
+        tail = (INF,) * (n - p)
+        return [(zr, tuple(xr), tuple(wr) + tail)
+                for zr, xr, wr in zip(z.tolist(), x.tolist(), w.tolist())]
+
+    def unrank(self, r):
+        """The raw row at position r."""
+        return self.rows([r])[0]
 
     def rank(self, raw):
         """Position of a raw row in this block, or None when no position
@@ -624,8 +580,9 @@ class _Block:
 
 
 def _blocks(spec):
-    """The blocks of a window by p, in ``_iter_raw`` order; pair tables are
-    built once per coordinate and shared by every block."""
+    """The blocks of a window by increasing p, leaving out each p whose
+    infinite source or zero tail offsets the window excludes; pair tables
+    are built once per coordinate and shared by every block."""
     n = spec.n
     values = (spec.z,) + spec.x_lo + spec.x_hi + spec.w_lo + spec.w_hi
     if max(abs(v) for v in values) > _VALUE_LIMIT:
@@ -685,7 +642,7 @@ def _image_ranks(db, a, cb):
     if cb is None or not cb.size or not db.size:
         return none()
     if not db.axes:  # p = 0: at most one row, or the primed first-offset block
-        ranks = [cb.rank(a.row(db.unrank(r))) for r in range(db.size)]
+        ranks = [cb.rank(a.row(raw)) for raw in db.rows(np.arange(db.size))]
         return np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
     s, t, p, c = db.spec, cb.spec, db.p, a.coord
     if (c > p and a.dx) or (c >= p and a.pin):

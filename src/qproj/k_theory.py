@@ -18,6 +18,8 @@ here because the odd groups vanish.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass
 from .reports import VerifyReport
 
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class K0Vector:
     """Element of the even K-group of the projective n-space, in coordinates.
 
@@ -39,12 +42,15 @@ class K0Vector:
     K0Vector(n=2, coords=(1, 0, 3))
     """
 
-    __slots__ = ("n", "coords")
+    n: int
+    coords: tuple
 
-    def __init__(self, n, coords):
+    def __post_init__(self):
+        n = self.n
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise InvalidClass(f"ambient index must be an integer >= 0, got {n!r}")
-        coords = tuple(coords)
+        coords = tuple(self.coords)
+        object.__setattr__(self, "coords", coords)
         if len(coords) != n + 1:
             raise DimensionMismatch(
                 f"need {n + 1} coordinates over n={n}, got {len(coords)}"
@@ -52,19 +58,6 @@ class K0Vector:
         for c in coords:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise InvalidClass(f"coordinates must be integers, got {c!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("K0Vector is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, K0Vector):
-            return NotImplemented
-        return self.n == other.n and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.n, self.coords))
 
     def __add__(self, other):
         if not isinstance(other, K0Vector):
@@ -84,9 +77,6 @@ class K0Vector:
     @property
     def is_zero(self):
         return all(c == 0 for c in self.coords)
-
-    def __repr__(self):
-        return f"K0Vector(n={self.n}, coords={self.coords})"
 
     def to_json(self):
         return {"n": self.n, "coords": list(self.coords)}

@@ -16,8 +16,9 @@ The face restriction evaluates the last axis at the boundary point at
 infinity: identity and complement axes survive (the axis is dropped),
 a finite cutoff axis annihilates the whole pattern.  Comparing truncated
 ranks at two growing cutoffs separates finite limit ranks from infinite
-ones, and a third guard cutoff protects the comparison; iterating faces
-then reproduces the symbolic counting vector level by level.
+ones once the cutoffs reach every factor's depth (a deeper factor is
+refused), and a third guard cutoff re-checks the comparison; iterating
+faces then reproduces the symbolic counting vector level by level.
 
 >>> from .projections import ProjClass
 >>> p = encode(ProjClass(2, 1, 2))
@@ -249,10 +250,12 @@ def rho_numeric(pattern_or_stack, n1=8, n2=16, guard=None):
 
     Level l uses n - l face restrictions, then compares ranks at the two
     cutoffs: agreement means the finite limit rank, growth means
-    infinity.  The guard cutoff (default 2 * n2) re-checks every finite
-    verdict and raises if the agreement was an accident of the window.
-    Finite blocks larger than n1 are not detectable; keep n1 above the
-    largest multiplicity in play.
+    infinity.  Once every cutoff is at least the depth m of every factor
+    of a live layer, each layer's truncated rank is a constant or grows
+    strictly with N, so the comparison is exact; a deeper factor raises
+    CutoffTooSmall instead of being misread.  Faces only drop factors, so
+    checking the pattern once covers every level.  The guard cutoff
+    (default 2 * n2) re-checks every finite verdict as well.
     """
     n1 = _cutoff_value(n1)
     n2 = _cutoff_value(n2)
@@ -262,7 +265,14 @@ def rho_numeric(pattern_or_stack, n1=8, n2=16, guard=None):
     if guard <= n2:
         raise OutOfRange(f"guard cutoff must exceed {n2}, got {guard}")
 
-    n = _layers(pattern_or_stack)[0].n
+    layers = _layers(pattern_or_stack)
+    depth = max((f[1] for layer in layers if layer.copies
+                 for f in layer.factors if f != IDENTITY), default=0)
+    if depth > n1:
+        raise CutoffTooSmall(
+            f"a factor of depth {depth} exceeds the first cutoff {n1}; raise the cutoffs"
+        )
+    n = layers[0].n
     entries = [None] * (n + 1)
     current = pattern_or_stack
     for level in range(n, -1, -1):

@@ -37,6 +37,7 @@ True
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass
 from .extnat import INF, ext_from_json, ext_to_json, is_finite
@@ -63,6 +64,7 @@ def _as_index(value, what):
     return value
 
 
+@dataclass(frozen=True)
 class ProjClass:
     """Normal form of a projection class: ambient n, level j, multiplicity k.
 
@@ -79,12 +81,14 @@ class ProjClass:
     qproj.errors.InvalidClass: level j=3 outside 0..2
     """
 
-    __slots__ = ("n", "j", "k")
+    n: int
+    j: int
+    k: int
 
-    def __init__(self, n, j, k):
-        n = _as_index(n, "ambient index n")
-        j = _as_index(j, "level j")
-        k = _as_index(k, "multiplicity k")
+    def __post_init__(self):
+        n = _as_index(self.n, "ambient index n")
+        j = _as_index(self.j, "level j")
+        k = _as_index(self.k, "multiplicity k")
         if n < 0:
             raise InvalidClass(f"ambient index must be >= 0, got {n}")
         if not 0 <= j <= n:
@@ -95,27 +99,10 @@ class ProjClass:
             raise InvalidClass(
                 f"P[{j},0] is not a normal form; the zero class is P[0,0]"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjClass is immutable")
 
     @property
     def is_zero(self):
         return self.k == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjClass):
-            return NotImplemented
-        return (self.n, self.j, self.k) == (other.n, other.j, other.k)
-
-    def __hash__(self):
-        return hash((self.n, self.j, self.k))
-
-    def __repr__(self):
-        return f"ProjClass(n={self.n}, j={self.j}, k={self.k})"
 
     def __str__(self):
         return f"P[{self.j},{self.k}]"
@@ -131,6 +118,7 @@ class ProjClass:
             raise InvalidClass(f"malformed class record: {obj!r}") from exc
 
 
+@dataclass(frozen=True)
 class RhoVector:
     """Counting vector indexed by levels 0..n, entries in Z>=0 or inf.
 
@@ -141,10 +129,11 @@ class RhoVector:
     RhoVector((0, 2, inf))
     """
 
-    __slots__ = ("entries",)
+    entries: tuple
 
-    def __init__(self, entries):
-        entries = tuple(entries)
+    def __post_init__(self):
+        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", entries)
         if not entries:
             raise DimensionMismatch("a counting vector needs at least one level")
         for e in entries:
@@ -153,10 +142,6 @@ class RhoVector:
                     raise InvalidClass(f"counting entries are ints or inf, got {e!r}")
                 if e < 0:
                     raise InvalidClass(f"counting entries are >= 0, got {e}")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RhoVector is immutable")
 
     @property
     def n(self):
@@ -180,14 +165,6 @@ class RhoVector:
                 f"{len(self.entries)} and {len(other.entries)}"
             )
         return RhoVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __eq__(self, other):
-        if not isinstance(other, RhoVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"RhoVector(({', '.join(repr(e) for e in self.entries)}))"

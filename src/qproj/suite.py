@@ -261,6 +261,9 @@ def k0_checks(n_max=5, k_max=25, exact_n_max=6):
 
 def groupoid_checks(n_max=3, k_abs_max=4, window=8):
     """Partitions and all structural bijections on windowed strata."""
+    if n_max < 1:
+        raise OutOfRange(f"groupoid checks need n_max >= 1, got {n_max}")
+    window = groupoid._window_value(window)
     reports = []
     for n in range(1, n_max + 1):
         for k in range(1, k_abs_max + 1):
@@ -289,6 +292,9 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=8):
 
 def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
     """Numeric counting vectors from truncated ranks match the symbolic ones."""
+    if n_max < 1 or k_max < 0:
+        raise OutOfRange(f"oracle checks need n_max >= 1 and k_max >= 0, "
+                         f"got n_max={n_max}, k_max={k_max}")
     n1, n2, guard = cutoffs
     bad = None
     count = 0

@@ -96,6 +96,12 @@ class TestValidationExitCode:
         ("groupoid-verify", "--n", "2", "--map", "partition"),
         ("groupoid-verify", "--n", "2", "--map", "theta-neg", "--k", "1"),
         ("groupoid-verify", "--n", "2", "--window", "0"),
+        ("groupoid-verify", "--n", "0"),
+        ("groupoid-verify", "--n", "-3"),
+        ("oracle-verify", "--n-max", "0"),
+        ("oracle-verify", "--n-max", "-2", "--k-max", "0"),
+        ("oracle-verify", "--n-max", "1", "--k-max", "-1"),
+        ("oracle-verify", "--n-max", "1", "--k-max", "10"),  # depth past cutoff
         ("rho", "P[1,2]", "--n", "2", "--format", "xml"),
         ("verify-all", "--jobs", "0"),
         ("verify-all", "--jobs", "-2"),
@@ -155,6 +161,13 @@ class TestVerifiers:
         blob = json.loads(out)
         assert blob["check"] == "oracle-agreement" and blob["pass"]
 
+    def test_oracle_refuses_cutoff_below_multiplicity(self, capsys):
+        # multiplicity 9 exceeds the first cutoff 8: a refusal, not a FAIL
+        code, out, err = run_cli(capsys, "oracle-verify", "--n-max", "1",
+                                 "--k-max", "10", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a factor of depth 9 exceeds the first cutoff 8")
+
     def test_verify_all_ndjson_and_exit(self, capsys, monkeypatch):
         fake = [
             VerifyReport("alpha", {"n": 1}, True, 3, 3),
@@ -191,7 +204,9 @@ class TestVerifiers:
         assert seen["seed"] == suite.DEFAULT_SEED and seen["jobs"] is None
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+REPO = Path(__file__).resolve().parents[1]
+PYPROJECT = REPO / "pyproject.toml"
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 RHO_ARGS = ("rho", "P[1,2]", "--n", "2", "--format", "json")
 
 # What pip writes as the `qproj` script for a [project.scripts] entry
@@ -268,3 +283,26 @@ class TestConsoleScript:
         assert plain.stdout == optimized.stdout
         record = json.loads(plain.stdout)
         assert record["pass"] and record["domain_size"] == record["image_size"] == 153
+
+
+class TestDocumentedExamples:
+    def test_six_demos(self):
+        assert len(DEMOS) == 6
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+    def test_demo_runs(self, demo):
+        proc = run_child(sys.executable, str(demo))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
+
+    def test_readme_quick_start(self):
+        """The quick-start block prints what its comments say."""
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("## Quick start", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        expected = [line.split("#", 1)[1].strip().split("  ")[0]
+                    for line in block.splitlines() if line.startswith("print(")]
+        assert len(expected) == 3
+        proc = run_child(sys.executable, "-c", block)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == expected

@@ -1,5 +1,7 @@
 """Groupoid elements, structural maps, and the windowed verification engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,16 +71,40 @@ ELEMENT_MAPS = {
 }
 
 
+def box_rows(spec):
+    """The rows of a window by brute force, independent of the rank engine:
+    every offset vector and source in the window's box, the source
+    collapsed after its first inf, kept when it is a groupoid element."""
+    n, primed = spec.n, spec.variant == "primed"
+    sources = {}
+    for w in itertools.product(*(list(range(lo, hi + 1)) + [INF] * inf_ok
+                                 for lo, hi, inf_ok
+                                 in zip(spec.w_lo, spec.w_hi, spec.w_inf))):
+        p = w.index(INF) if INF in w else n
+        sources[w[:p] + (INF,) * (n - p)] = None
+    rows = []
+    for x in itertools.product(*(range(lo, hi + 1)
+                                 for lo, hi in zip(spec.x_lo, spec.x_hi))):
+        z = spec.z + x[0] if spec.shear else spec.z
+        for w in sources:
+            try:
+                GroupoidElement(n, z, x, w, primed=primed)
+            except NotInGroupoid:
+                continue
+            rows.append((z, x, w))
+    return rows
+
+
 def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
     """(domain size, codomain size, verdict) from elements alone: the map
     applied element by element to the domain window must be injective,
     keep every target and give exactly the codomain window."""
     dom, cod, _ = _bijection_setup(map_id, n, k, j, l, window)
-    domain = [_element_from_raw(raw, dom.variant) for raw in _iter_raw(dom)]
+    domain = [_element_from_raw(raw, dom.variant) for raw in box_rows(dom)]
     if map_id == "t":
-        codomain = {TElement(n, x, w) for _, x, w in _iter_raw(cod)}
+        codomain = {TElement(n, x, w) for _, x, w in box_rows(cod)}
     else:
-        codomain = {_element_from_raw(raw, cod.variant) for raw in _iter_raw(cod)}
+        codomain = {_element_from_raw(raw, cod.variant) for raw in box_rows(cod)}
     image = [ELEMENT_MAPS[map_id](g, k, j, l) for g in domain]
     ok = (len(set(image)) == len(image) and set(image) == codomain
           and all(g.target() == h.target() for g, h in zip(domain, image)))
@@ -88,10 +114,14 @@ def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
 def reference_partition(n, k, j, window):
     """(full size, summed piece sizes, verdict) from the raw rows alone."""
     full, pieces = _partition_setup(n, k, j, window)
-    full_rows = {raw_key(r) for r in _iter_raw(full)}
-    piece_rows = [raw_key(r) for piece in pieces for r in _iter_raw(piece)]
+    full_rows = {raw_key(r) for r in box_rows(full)}
+    piece_rows = [raw_key(r) for piece in pieces for r in box_rows(piece)]
     ok = len(set(piece_rows)) == len(piece_rows) and set(piece_rows) == full_rows
     return len(full_rows), len(piece_rows), ok
+
+
+def box_keys(spec):
+    return {raw_key(r) for r in box_rows(spec)}
 
 
 def window_positions(spec):
@@ -372,28 +402,38 @@ class TestEnumeration:
         (2, 2, {"w_over": {0: (2, 5, True)}}),
         (2, 2, {"w_over": {0: (1, 1, False)}, "pins": 0}),
         (2, 0, {"x_over": {1: (-1, 4)}}),
+        # an offset range without 0 skips every block whose tail forces it to 0
+        (3, 1, {"x_over": {2: (-3, -1)}}),
+        (3, 0, {"x_over": {1: (1, 2)}, "variant": "primed"}),
     ]
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
     def test_array_engine_matches_reference(self, n, z, kw):
         spec = _stratum_spec(n, z, 3, **kw)
-        reference = list(_iter_raw(spec))
+        reference = box_rows(spec)
         blocks = _blocks(spec)
         offsets, indicator = window_positions(spec)
-        positions = []
+        ranked = []
         for raw in reference:
             p = _first_inf(raw[2])
-            positions.append(offsets[p] + blocks[p].rank(raw))
-        # distinct positions, in _iter_raw order, all flagged, and nothing else
-        assert positions == sorted(set(positions))
+            r = blocks[p].rank(raw)
+            assert r is not None, raw
+            ranked.append((offsets[p] + r, raw))
+        ranked.sort()
+        positions = [pos for pos, _ in ranked]
+        # distinct positions, all flagged, and nothing else
+        assert len(set(positions)) == len(positions)
         assert indicator[positions].all()
         assert int(indicator.sum()) == len(reference)
-        # unranking every flagged position gives back the reference rows
+        # unranking every flagged position gives back the rows in rank
+        # order, and the element-level enumeration lists them in that order
         unranked = []
         for p, block in blocks.items():
             for r in np.flatnonzero(block.indicator()):
                 unranked.append(block.unrank(int(r)))
-        assert [raw_key(r) for r in unranked] == [raw_key(r) for r in reference]
+        in_rank_order = [raw_key(raw) for _, raw in ranked]
+        assert [raw_key(r) for r in unranked] == in_rank_order
+        assert [raw_key(r) for r in _iter_raw(spec)] == in_rank_order
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
     def test_table_ranks_match_row_ranks(self, n, z, kw):
@@ -471,8 +511,8 @@ class TestVerifiers:
         assert not report.passed
         assert report.counterexample["kind"] == "image-outside-codomain"
         element = element_key(report.counterexample["element"])
-        assert element in {raw_key(r) for r in _iter_raw(dom)}
-        assert element not in {raw_key(r) for r in _iter_raw(cod)}
+        assert element in box_keys(dom)
+        assert element not in box_keys(cod)
 
 
 class TestWindowEdges:
@@ -512,7 +552,7 @@ class TestMutations:
 
     @staticmethod
     def images(dom, action):
-        return [raw_key(action.row(raw)) for raw in _iter_raw(dom)]
+        return [raw_key(action.row(raw)) for raw in box_rows(dom)]
 
     def break_map(self, monkeypatch, map_id, n, k=None, j=None, l=None, window=2,
                   dom=None, cod=None, action=None):
@@ -531,7 +571,7 @@ class TestMutations:
             action=_Action(z=0, coord=1, dx=3, dw=-2))
         assert found["kind"] == "target-moved"
         element = element_key(found["element"])
-        [raw] = [r for r in _iter_raw(dom) if raw_key(r) == element]
+        [raw] = [r for r in box_rows(dom) if raw_key(r) == element]
         assert raw_target(action.row(raw)) != raw_target(raw)
         g = _element_from_raw(raw, "plain")
         assert theta_shift(g, 2, 1).target() == g.target()  # unlike the map
@@ -546,7 +586,7 @@ class TestMutations:
         _, _, kinds = _image_check([(dom, action)], cod)
         collision = raw_key(kinds["collision"])
         assert self.images(dom, action).count(collision) >= 2
-        assert collision in {raw_key(r) for r in _iter_raw(cod)}
+        assert collision in box_keys(cod)
 
     def test_pinning_an_infinite_source_moves_its_target(self, monkeypatch):
         # w[0] is k or inf; pinning is harmless on the finite rows only
@@ -556,7 +596,7 @@ class TestMutations:
             action=_Action(z=0, coord=0, dx=1, pin=True))
         assert found["kind"] == "target-moved"
         element = element_key(found["element"])
-        assert element in {raw_key(r) for r in _iter_raw(dom)}
+        assert element in box_keys(dom)
         assert element[2][0] == "inf"
 
     @pytest.mark.parametrize("map_id,kwargs,cod,action", [
@@ -578,14 +618,14 @@ class TestMutations:
         assert found["kind"] == "image-outside-codomain"
         element = element_key(found["element"])
         assert element in self.images(dom, action)
-        assert element not in {raw_key(r) for r in _iter_raw(cod)}
+        assert element not in box_keys(cod)
 
     def test_narrow_domain_leaves_codomain_uncovered(self, monkeypatch):
         dom, cod, action, found = self.break_map(
             monkeypatch, "t", 2, dom=_stratum_spec(2, 0, 1))
         assert found["kind"] == "codomain-not-covered"
         element = element_key(found["element"])
-        assert element in {raw_key(r) for r in _iter_raw(cod)}
+        assert element in box_keys(cod)
         assert element not in self.images(dom, action)
 
     @pytest.mark.parametrize("kind,piece", [
@@ -602,8 +642,8 @@ class TestMutations:
         assert not report.passed
         assert report.counterexample["kind"] == kind
         element = element_key(report.counterexample["element"])
-        hits = sum(element in {raw_key(r) for r in _iter_raw(p)} for p in pieces)
-        in_full = element in {raw_key(r) for r in _iter_raw(full)}
+        hits = sum(element in box_keys(p) for p in pieces)
+        in_full = element in box_keys(full)
         assert (hits, in_full) == ((2, True) if kind == "overlap" else (1, False))
 
     def test_missing_piece_leaves_gap(self, monkeypatch):
@@ -614,8 +654,8 @@ class TestMutations:
         report = G.verify_partition(2, 2, 0, window=3)
         assert report.counterexample["kind"] == "gap"
         element = element_key(report.counterexample["element"])
-        assert element in {raw_key(r) for r in _iter_raw(full)}
-        assert element in {raw_key(r) for r in _iter_raw(pieces[-1])}
+        assert element in box_keys(full)
+        assert element in box_keys(pieces[-1])
 
 
 class TestTerminalTally:

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qproj.errors import (
     CutoffTooSmall,
@@ -184,7 +185,8 @@ class TestRhoNumeric:
 
     def test_guard_catches_accidental_agreement(self):
         # N - 20 is 0 at both cutoffs 8 and 16, but 12 at the guard 32:
-        # without the guard this would report a finite rank of 0
+        # read naively this would report a finite rank of 0; the depth 20
+        # above the first cutoff refuses it
         pat = DiagonalPattern(1, (complement(20),))
         with pytest.raises(CutoffTooSmall):
             rho_numeric(pat, 8, 16, 32)
@@ -193,11 +195,36 @@ class TestRhoNumeric:
 
     def test_multiplicity_above_cutoff_needs_bigger_window(self):
         # the level multiplicity 10 exceeds the first cutoff 8, so the
-        # rank still moves between the cutoffs and reads as infinite;
-        # with honest cutoffs the verdict is finite
+        # rank still moves between the cutoffs: refused, not misread as
+        # infinite; with honest cutoffs the verdict is finite
         p = ProjClass(1, 1, 10)
-        assert rho_numeric(encode(p), 8, 16, 32) != rho(p)
+        with pytest.raises(CutoffTooSmall):
+            rho_numeric(encode(p), 8, 16, 32)
         assert rho_numeric(encode(p), 16, 32, 64) == rho(p)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_answered_exactly_or_refused(self, data):
+        # multiplicities below, at and above each cutoff, alone or stacked
+        n1 = data.draw(st.sampled_from((1, 2, 4, 8)))
+        n2 = data.draw(st.integers(n1 + 1, 3 * n1 + 1))
+        guard = data.draw(st.integers(n2 + 1, 3 * n2))
+        n = data.draw(st.integers(1, 3))
+        near = st.tuples(st.sampled_from((n1, n2, guard)), st.integers(-2, 2))
+        classes = [ProjClass(n, data.draw(st.integers(0, n)), max(1, c + d))
+                   for c, d in data.draw(st.lists(near, min_size=1, max_size=2))]
+        pattern = encode(classes[0])
+        for p in classes[1:]:
+            pattern = boxplus_patterns(pattern, encode(p))
+        # only a level j >= 1 puts its multiplicity into a factor's depth
+        if max(p.k if p.j else 0 for p in classes) > n1:
+            with pytest.raises(CutoffTooSmall):
+                rho_numeric(pattern, n1, n2, guard)
+        else:
+            expected = rho(classes[0])
+            for p in classes[1:]:
+                expected = expected + rho(p)
+            assert rho_numeric(pattern, n1, n2, guard) == expected
 
 
 class TestSerialization:
