@@ -37,7 +37,7 @@ print("level-0 class, N=10:", rank_at(full, 10))
 
 # 3. Reading the invariant off the ranks
 # --------------------------------------
-# rho_numeric compares ranks at two cutoffs (and a guard): stable counts
+# rho_numeric compares ranks at two cutoffs: stable counts
 # become finite entries, growth becomes inf.  It must agree with the
 # algebraic invariant, and the verification suite sweeps that agreement
 # over a grid of classes.

@@ -45,8 +45,7 @@ window rules are written once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,6 +85,13 @@ def _as_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidClass(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _coordinate_count(n):
+    n = _as_int(n, "coordinate count")
+    if n < 1:
+        raise InvalidClass(f"coordinate count must be >= 1, got {n}")
+    return n
 
 
 def _collapse(w):
@@ -150,9 +156,7 @@ class GroupoidElement:
     primed: bool = False
 
     def __post_init__(self):
-        n = _as_int(self.n, "coordinate count")
-        if n < 1:
-            raise InvalidClass(f"coordinate count must be >= 1, got {n}")
+        n = _coordinate_count(self.n)
         z = _as_int(self.z, "degree")
         x = tuple(_as_int(v, "offset") for v in self.x)
         w = tuple(self.w)
@@ -252,11 +256,28 @@ def compose(g, h):
     )
 
 
+def _map_element(map_id, g, k=None, j=None, l=None, wrong=WrongStratum, miss=None):
+    """Apply one map's row of ``_bijection_setup`` to a single element.
+
+    The window is the smallest that holds g, so g is in the domain window
+    exactly when it is in the map's domain.  A wrong variant or parameter
+    raises ``wrong``, a domain miss ``miss`` (default ``wrong``).
+    """
+    if not isinstance(g, GroupoidElement) or g.primed:
+        raise wrong(f"{map_id} is defined on plain elements")
+    W = max([1] + [abs(v) for v in g.x] + [v for v in g.w if is_finite(v)])
+    dom, cod, action = _bijection_setup(map_id, g.n, k, j, l, W, refuse=wrong)
+    raw = (g.z, g.x, g.w)
+    if not _in_box(dom, raw):
+        raise (miss or wrong)(f"{g} is outside the domain of {map_id}")
+    z, x, w = action.row(raw)
+    return GroupoidElement(n=g.n, z=z, x=x, w=w, primed=cod.variant == "primed")
+
+
 def gamma_iso(g):
     """Shear the degree by the first offset; lands in the primed groupoid."""
-    if not isinstance(g, GroupoidElement) or g.primed:
-        raise InvalidClass("gamma_iso is defined on plain elements")
-    return GroupoidElement(n=g.n, z=g.z + g.x[0], x=g.x, w=g.w, primed=True)
+    # gamma is defined at every degree: take the one g has
+    return _map_element("gamma", g, k=getattr(g, "z", None), wrong=InvalidClass)
 
 
 def gamma_iso_inv(g):
@@ -268,88 +289,28 @@ def gamma_iso_inv(g):
 
 def t_iso(g):
     """Forget the degree on the degree-zero part."""
-    if not isinstance(g, GroupoidElement) or g.primed:
-        raise InvalidClass("t_iso is defined on plain elements")
-    if g.z != 0:
-        raise DegreeNonZero(f"t_iso needs degree 0, got {g.z}")
-    return TElement(n=g.n, x=g.x, w=g.w)
-
-
-def _w_shift(entry, t):
-    return entry if not is_finite(entry) else entry + t
+    h = _map_element("t", g, wrong=InvalidClass, miss=DegreeNonZero)
+    return TElement(n=h.n, x=h.x, w=h.w)
 
 
 def theta_neg(g, k):
     """Trade non-positive degree k for depth in the first source coordinate."""
-    k = _as_int(k, "degree")
-    if k > 0:
-        raise WrongStratum(f"theta_neg handles degrees <= 0, got {k}")
-    if not isinstance(g, GroupoidElement) or g.primed:
-        raise WrongStratum("theta_neg is defined on plain elements")
-    if g.z != k:
-        raise WrongStratum(f"element has degree {g.z}, expected {k}")
-    x = (g.x[0] + k,) + g.x[1:]
-    w = (_w_shift(g.w[0], -k),) + g.w[1:]
-    return GroupoidElement(n=g.n, z=0, x=x, w=w)
+    return _map_element("theta-neg", g, k=k)
 
 
 def theta_shift(g, k, j):
     """Remove all k units of degree against source coordinate j."""
-    k = _as_int(k, "degree")
-    j = _as_int(j, "level")
-    if not isinstance(g, GroupoidElement) or g.primed:
-        raise WrongStratum("theta_shift is defined on plain elements")
-    if k < 1:
-        raise WrongStratum(f"theta_shift handles degrees >= 1, got {k}")
-    if not 0 <= j <= g.n - 1:
-        raise WrongStratum(f"level j={j} outside 0..{g.n - 1}")
-    if g.z != k:
-        raise WrongStratum(f"element has degree {g.z}, expected {k}")
-    if any(g.w[:j]):
-        raise WrongStratum(f"the first {j} source coordinates must be 0")
-    if not g.w[j] >= k:
-        raise WrongStratum(f"source coordinate {j} must be >= {k}, got {g.w[j]}")
-    x = g.x[:j] + (g.x[j] + k,) + g.x[j + 1:]
-    w = g.w[:j] + (_w_shift(g.w[j], -k),) + g.w[j + 1:]
-    return GroupoidElement(n=g.n, z=0, x=x, w=w)
+    return _map_element("theta-shift", g, k=k, j=j)
 
 
 def theta_peel(g, k, j, l):
     """Pay out l < k units of degree and pin source coordinate j to zero."""
-    k = _as_int(k, "degree")
-    j = _as_int(j, "level")
-    l = _as_int(l, "payout")
-    if not isinstance(g, GroupoidElement) or g.primed:
-        raise WrongStratum("theta_peel is defined on plain elements")
-    if k < 1:
-        raise WrongStratum(f"theta_peel handles degrees >= 1, got {k}")
-    if not 0 <= j <= g.n - 1:
-        raise WrongStratum(f"level j={j} outside 0..{g.n - 1}")
-    if not 0 <= l <= k - 1:
-        raise WrongStratum(f"payout l={l} outside 0..{k - 1}")
-    if g.z != k:
-        raise WrongStratum(f"element has degree {g.z}, expected {k}")
-    if any(g.w[:j]):
-        raise WrongStratum(f"the first {j} source coordinates must be 0")
-    if g.w[j] != l:
-        raise WrongStratum(f"source coordinate {j} must equal {l}, got {g.w[j]}")
-    x = g.x[:j] + (g.x[j] + l,) + g.x[j + 1:]
-    w = g.w[:j] + (0,) + g.w[j + 1:]
-    return GroupoidElement(n=g.n, z=k - l, x=x, w=w)
+    return _map_element("theta-peel", g, k=k, j=j, l=l)
 
 
 def theta_terminal(g, l):
     """Forget a positive degree once every source coordinate is pinned to 0."""
-    l = _as_int(l, "degree")
-    if not isinstance(g, GroupoidElement) or g.primed:
-        raise WrongStratum("theta_terminal is defined on plain elements")
-    if l < 1:
-        raise WrongStratum(f"theta_terminal handles degrees >= 1, got {l}")
-    if g.z != l:
-        raise WrongStratum(f"element has degree {g.z}, expected {l}")
-    if g.w != (0,) * g.n:
-        raise WrongStratum("every source coordinate must be 0")
-    return GroupoidElement(n=g.n, z=0, x=g.x, w=g.w)
+    return _map_element("theta-terminal", g, l=l)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +375,31 @@ def _stratum_spec(n, z, W, pins=0, w_over=None, x_over=None, variant="plain", sh
     )
 
 
+def _in_box(spec, raw):
+    """Whether a member row lies in the window's degree, offset and source
+    ranges; pure Python, one row."""
+    z, x, w = raw
+    return (z == (spec.z + x[0] if spec.shear else spec.z)
+            and all(lo <= v <= hi for v, lo, hi in zip(x, spec.x_lo, spec.x_hi))
+            and all(lo <= v <= hi if is_finite(v) else inf_ok
+                    for v, lo, hi, inf_ok in zip(w, spec.w_lo, spec.w_hi, spec.w_inf)))
+
+
+def _put(values, c, value):
+    return values[:c] + (value,) + values[c + 1:]
+
+
+def _recoord(spec, c, z, dx, w_range):
+    """``spec`` at degree z, with coordinate c's offset range shifted by dx
+    and its source range replaced by ``w_range`` = (lo, hi, inf_ok)."""
+    lo, hi, inf_ok = w_range
+    return replace(spec, z=z,
+                   x_lo=_put(spec.x_lo, c, spec.x_lo[c] + dx),
+                   x_hi=_put(spec.x_hi, c, spec.x_hi[c] + dx),
+                   w_lo=_put(spec.w_lo, c, lo), w_hi=_put(spec.w_hi, c, hi),
+                   w_inf=_put(spec.w_inf, c, inf_ok))
+
+
 def _iter_raw(spec):
     """Element-level enumeration of a window: raw (z, x, w) tuples, block by
     block, each block in position order."""
@@ -429,9 +415,7 @@ def _element_from_raw(raw, variant):
 def enumerate_stratum(n, k, j=0, window=8):
     """All canonical degree-k elements with the first j source coordinates 0,
     finite source entries at most W and offsets at most W in magnitude."""
-    n = _as_int(n, "coordinate count")
-    if n < 1:
-        raise InvalidClass(f"coordinate count must be >= 1, got {n}")
+    n = _coordinate_count(n)
     k = _as_int(k, "degree")
     j = _as_int(j, "level")
     if not 0 <= j <= n:
@@ -622,9 +606,18 @@ class _Action:
         """The image of one raw row."""
         z, x, w = raw
         c = self.coord
-        x = x[:c] + (x[c] + self.dx,) + x[c + 1:]
-        w = w[:c] + (0 if self.pin else _w_shift(w[c], self.dw),) + w[c + 1:]
+        x = _put(x, c, x[c] + self.dx)
+        w = _put(w, c, 0 if self.pin else w[c] + self.dw)
         return (self.z + raw[1][0] if self.shear else self.z, x, w)
+
+    def box(self, spec):
+        """The window this action carries ``spec`` to: coordinate c's offset
+        range shifted by dx, its source range shifted by dw or pinned to 0
+        (an empty range stays empty), and the action's degree."""
+        c = self.coord
+        lo, hi = spec.w_lo[c] + self.dw, spec.w_hi[c] + self.dw
+        w_range = (0, 0 if lo <= hi else -1, False) if self.pin else (lo, hi, spec.w_inf[c])
+        return _recoord(spec, c, self.z, self.dx, w_range)
 
 
 def _image_ranks(db, a, cb):
@@ -759,16 +752,28 @@ def _counterexample(found, kinds):
 MAP_IDS = ("theta-neg", "theta-shift", "theta-peel", "theta-terminal", "gamma", "t")
 
 
-def _bijection_setup(map_id, n, k, j, l, W):
-    """Domain and codomain windows plus the per-coordinate action of the map.
+def _bijection_setup(map_id, n, k, j, l, W, refuse=OutOfRange):
+    """The one description of each structural map: its parameter domain,
+    domain window, codomain window and per-coordinate action.
 
-    Windows are paired so the map carries the domain box exactly onto the
-    codomain box: whatever shift the map applies to a coordinate is also
-    applied to that coordinate's range.
+    The element maps (``theta_*``, ``gamma_iso``, ``t_iso``), the bijection
+    checks and the terminal tally all read it.  Windows are paired so the
+    map carries the domain box exactly onto the codomain box: whatever
+    shift the map applies to a coordinate is also applied to that
+    coordinate's range.  A parameter outside the map's domain raises
+    ``refuse`` naming the parameter.
+
+    The t row joins the degree-0 window to itself by the identity action,
+    because ``TElement`` rows are exactly the plain degree-0 rows; its
+    check can fail only if the engine is broken.
     """
+    def param(name, value, lo=-math.inf, hi=math.inf):
+        if not lo <= _as_int(value, name) <= hi:
+            raise refuse(f"{map_id} needs {lo} <= {name} <= {hi}, got {name}={value}")
+        return value
+
     if map_id == "theta-neg":
-        if k is None or k > 0:
-            raise OutOfRange("theta-neg needs a degree k <= 0")
+        k = param("k", k, hi=0)
         dom = _stratum_spec(n, k, W)
         cod = _stratum_spec(
             n, 0, W,
@@ -778,39 +783,33 @@ def _bijection_setup(map_id, n, k, j, l, W):
         return dom, cod, _Action(z=0, coord=0, dx=k, dw=-k)
 
     if map_id == "theta-shift":
-        if k is None or k < 1 or j is None or not 0 <= j <= n - 1:
-            raise OutOfRange("theta-shift needs k >= 1 and a level 0 <= j <= n-1")
+        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
         dom = _stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)})
         cod = _stratum_spec(n, 0, W, pins=j, x_over={j: (-W + k, W + k)})
         return dom, cod, _Action(z=0, coord=j, dx=k, dw=-k)
 
     if map_id == "theta-peel":
-        if k is None or k < 1 or j is None or not 0 <= j <= n - 1:
-            raise OutOfRange("theta-peel needs k >= 1 and a level 0 <= j <= n-1")
-        if l is None or not 0 <= l <= k - 1:
-            raise OutOfRange(f"theta-peel needs a payout 0 <= l <= {k - 1}")
+        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
+        l = param("l", l, lo=0, hi=k - 1)
         dom = _stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)})
         cod = _stratum_spec(n, k - l, W, pins=j + 1, x_over={j: (-W + l, W + l)})
         return dom, cod, _Action(z=k - l, coord=j, dx=l, pin=True)
 
     if map_id == "theta-terminal":
-        if l is None or l < 1:
-            raise OutOfRange("theta-terminal needs a degree l >= 1")
+        l = param("l", l, lo=1)
         dom = _stratum_spec(n, l, W, pins=n)
         cod = _stratum_spec(n, 0, W, pins=n)
         return dom, cod, _Action(z=0)
 
     if map_id == "gamma":
-        if k is None:
-            raise OutOfRange("gamma needs a degree k")
+        k = param("k", k)
         dom = _stratum_spec(n, k, W)
         cod = _stratum_spec(n, k, W, variant="primed", shear=True)
         return dom, cod, _Action(z=k, shear=True)
 
     if map_id == "t":
         dom = _stratum_spec(n, 0, W)
-        cod = _stratum_spec(n, 0, W)
-        return dom, cod, _Action(z=0)
+        return dom, dom, _Action(z=0)
 
     raise OutOfRange(f"unknown map id {map_id!r}; expected one of {MAP_IDS}")
 
@@ -821,9 +820,7 @@ def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
     The image must hit the independently described codomain window exactly
     once each, and every element must keep its target.
     """
-    n = _as_int(n, "coordinate count")
-    if n < 1:
-        raise InvalidClass(f"coordinate count must be >= 1, got {n}")
+    n = _coordinate_count(n)
     W = _window_value(window)
     dom_spec, cod_spec, action = _bijection_setup(map_id, n, k, j, l, W)
     domain_size, image_size, found = _image_check([(dom_spec, action)], cod_spec)
@@ -843,13 +840,19 @@ def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
     )
 
 
+def _cut(spec, j, k):
+    """The k + 1 pieces of a degree-k window cut along source coordinate j:
+    the piece with at least k to give (inf included), then each shortfall
+    l = 0..k-1, by narrowing coordinate j's source range."""
+    hi = spec.w_hi[j]
+    return [_recoord(spec, j, k, 0, (k, hi, spec.w_inf[j]))] + [
+        _recoord(spec, j, k, 0, (l, min(l, hi), False)) for l in range(k)]
+
+
 def _partition_setup(n, k, j, W):
     """The full degree-k, level-j window and its k + 1 pieces."""
     full = _stratum_spec(n, k, W, pins=j, w_over={j: (0, k + W, True)})
-    pieces = [_stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)})]
-    pieces += [_stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)})
-               for l in range(k)]
-    return full, pieces
+    return full, _cut(full, j, k)
 
 
 def verify_partition(n, k, j, window=8):
@@ -860,9 +863,7 @@ def verify_partition(n, k, j, window=8):
     per shortfall l = 0..k-1.  Pieces are ranked into the full window and
     must cover it with no overlap and no gap.
     """
-    n = _as_int(n, "coordinate count")
-    if n < 1:
-        raise InvalidClass(f"coordinate count must be >= 1, got {n}")
+    n = _coordinate_count(n)
     k = _as_int(k, "degree")
     j = _as_int(j, "level")
     if k < 1:
@@ -891,57 +892,60 @@ def verify_partition(n, k, j, window=8):
 def windowed_terminal_counts(n, k, window=6):
     """Peel a windowed degree-k start stratum down to terminal pieces.
 
-    Splits the concrete element set along the partition, pushes each piece
-    through its bijection, and recurses; returns the number of terminal
-    degree-zero copies reached at every level together with a conservation
-    report (no element lost or duplicated along the way).  The copy counts
-    are structural and do not depend on the window bound.
+    Each node of the peeling tree, a window of degree kk at level jj, is
+    cut along source coordinate jj into the piece with at least kk to give
+    and one piece per shortfall l; each piece is pushed by its map's action
+    into the box the action carries it to (a theta-peel box is the next
+    node).  Every cut and push is one exact image check.  Returns the
+    number of terminal degree-zero copies reached at every level together
+    with a conservation report (no element lost or duplicated along the
+    way).  The copy counts are structural and do not depend on the window.
     """
-    n = _as_int(n, "coordinate count")
-    if n < 1:
-        raise InvalidClass(f"coordinate count must be >= 1, got {n}")
+    n = _coordinate_count(n)
     k = _as_int(k, "degree")
     if k < 1:
         raise OutOfRange(f"the peeling starts at degree >= 1, got {k}")
     W = _window_value(window)
-
-    start = set(enumerate_stratum(n, k, j=0, window=W))
     counts = [0] * (n + 1)
-    terminal_total = 0
-    losses = []
+    image_size = 0
+    drift = False
 
-    def push(elems, fn):
-        image = {fn(g) for g in elems}
-        if len(image) != len(elems):
-            losses.append(len(elems) - len(image))
-        return image
+    def check(sources, box):
+        nonlocal drift
+        rows, size, found = _image_check(sources, box)
+        drift = drift or bool(found) or rows != size
+        return size
 
-    def expand(elems, kk, jj):
-        nonlocal terminal_total
+    def push(piece, map_id, kk=None, jj=None, l=None):
+        """The box the map's action carries ``piece`` to, and its size."""
+        action = _bijection_setup(map_id, n, kk, jj, l, W)[2]
+        box = action.box(piece)
+        return box, check([(piece, action)], box)
+
+    def expand(node, jj):
+        """Cut and push one node and its subtree; returns the node's size."""
+        nonlocal image_size
+        kk = node.z
         if jj == n:
             counts[n] += 1
-            terminal_total += len(push(elems, lambda g: theta_terminal(g, kk)))
-            return
-        above = {g for g in elems if g.w[jj] >= kk}
-        shortfalls = {l: set() for l in range(kk)}
-        for g in elems - above:
-            shortfalls[g.w[jj]].add(g)
-        if len(above) + sum(len(s) for s in shortfalls.values()) != len(elems):
-            losses.append(-1)
+            image_size += push(node, "theta-terminal", l=kk)[1]
+            return None
         counts[jj] += 1
-        terminal_total += len(push(above, lambda g: theta_shift(g, kk, jj)))
-        for l in range(kk):
-            expand(push(shortfalls[l], lambda g, _l=l: theta_peel(g, kk, jj, _l)),
-                   kk - l, jj + 1)
+        above, *shortfalls = pieces = _cut(node, jj, kk)
+        size = check([(piece, _Action(z=kk)) for piece in pieces], node)
+        image_size += push(above, "theta-shift", kk, jj)[1]
+        for l, piece in enumerate(shortfalls):
+            expand(push(piece, "theta-peel", kk, jj, l)[0], jj + 1)
+        return size
 
-    expand(start, k, 0)
-    conserved = not losses and terminal_total == len(start)
+    domain_size = expand(_stratum_spec(n, k, W), 0)
+    conserved = not drift and image_size == domain_size
     report = VerifyReport(
         check="terminal-tally",
         params={"n": n, "k": k, "W": W, "counts": counts},
         passed=conserved,
-        domain_size=len(start),
-        image_size=terminal_total,
+        domain_size=domain_size,
+        image_size=image_size,
         counterexample=None if conserved else {"kind": "element-count-drift"},
     )
     return tuple(counts), report

@@ -17,8 +17,8 @@ infinity: identity and complement axes survive (the axis is dropped),
 a finite cutoff axis annihilates the whole pattern.  Comparing truncated
 ranks at two growing cutoffs separates finite limit ranks from infinite
 ones once the cutoffs reach every factor's depth (a deeper factor is
-refused), and a third guard cutoff re-checks the comparison; iterating
-faces then reproduces the symbolic counting vector level by level.
+refused); iterating faces then reproduces the symbolic counting vector
+level by level.
 
 >>> from .projections import ProjClass
 >>> p = encode(ProjClass(2, 1, 2))
@@ -254,8 +254,10 @@ def rho_numeric(pattern_or_stack, n1=8, n2=16, guard=None):
     of a live layer, each layer's truncated rank is a constant or grows
     strictly with N, so the comparison is exact; a deeper factor raises
     CutoffTooSmall instead of being misread.  Faces only drop factors, so
-    checking the pattern once covers every level.  The guard cutoff
-    (default 2 * n2) re-checks every finite verdict as well.
+    checking the pattern once covers every level.  A rank that agrees at
+    the two cutoffs is then the same at every larger one, so no further
+    cutoff is consulted; the guard (default 2 * n2) is still validated and
+    must exceed n2.
     """
     n1 = _cutoff_value(n1)
     n2 = _cutoff_value(n2)
@@ -277,16 +279,7 @@ def rho_numeric(pattern_or_stack, n1=8, n2=16, guard=None):
     current = pattern_or_stack
     for level in range(n, -1, -1):
         r1 = rank_at(current, n1)
-        r2 = rank_at(current, n2)
-        if r1 == r2:
-            if rank_at(current, guard) != r1:
-                raise CutoffTooSmall(
-                    f"ranks agreed at ({n1}, {n2}) but moved at {guard}; "
-                    f"raise the cutoffs"
-                )
-            entries[level] = r1
-        else:
-            entries[level] = INF
+        entries[level] = r1 if r1 == rank_at(current, n2) else INF
         if level > 0:
             current = face(current)
     return RhoVector(entries)

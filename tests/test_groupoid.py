@@ -61,14 +61,123 @@ def element_key(record):
     return (record["z"], tuple(record["x"]), tuple(record["w"]))
 
 
-ELEMENT_MAPS = {
-    "theta-neg": lambda g, k, j, l: theta_neg(g, k),
-    "theta-shift": lambda g, k, j, l: theta_shift(g, k, j),
-    "theta-peel": lambda g, k, j, l: theta_peel(g, k, j, l),
-    "theta-terminal": lambda g, k, j, l: theta_terminal(g, l),
-    "gamma": lambda g, k, j, l: gamma_iso(g),
-    "t": lambda g, k, j, l: t_iso(g),
-}
+# Hand-written element maps, kept as the reference for the public maps,
+# which apply the actions of ``_bijection_setup``.
+
+def _w_shift(entry, t):
+    return entry if entry is INF else entry + t
+
+
+def _plain(g, what):
+    if not isinstance(g, GroupoidElement) or g.primed:
+        raise WrongStratum(f"{what} is defined on plain elements")
+
+
+def ref_theta_neg(g, k):
+    if k > 0:
+        raise WrongStratum(f"theta_neg handles degrees <= 0, got {k}")
+    _plain(g, "theta_neg")
+    if g.z != k:
+        raise WrongStratum(f"element has degree {g.z}, expected {k}")
+    x = (g.x[0] + k,) + g.x[1:]
+    w = (_w_shift(g.w[0], -k),) + g.w[1:]
+    return GroupoidElement(n=g.n, z=0, x=x, w=w)
+
+
+def ref_theta_shift(g, k, j):
+    _plain(g, "theta_shift")
+    if k < 1 or not 0 <= j <= g.n - 1 or g.z != k:
+        raise WrongStratum(f"theta_shift: k={k}, j={j} do not fit {g}")
+    if any(g.w[:j]) or not g.w[j] >= k:
+        raise WrongStratum(f"theta_shift: source of {g} outside the stratum")
+    x = g.x[:j] + (g.x[j] + k,) + g.x[j + 1:]
+    w = g.w[:j] + (_w_shift(g.w[j], -k),) + g.w[j + 1:]
+    return GroupoidElement(n=g.n, z=0, x=x, w=w)
+
+
+def ref_theta_peel(g, k, j, l):
+    _plain(g, "theta_peel")
+    if k < 1 or not 0 <= j <= g.n - 1 or not 0 <= l <= k - 1 or g.z != k:
+        raise WrongStratum(f"theta_peel: k={k}, j={j}, l={l} do not fit {g}")
+    if any(g.w[:j]) or g.w[j] != l:
+        raise WrongStratum(f"theta_peel: source of {g} outside the stratum")
+    x = g.x[:j] + (g.x[j] + l,) + g.x[j + 1:]
+    w = g.w[:j] + (0,) + g.w[j + 1:]
+    return GroupoidElement(n=g.n, z=k - l, x=x, w=w)
+
+
+def ref_theta_terminal(g, l):
+    _plain(g, "theta_terminal")
+    if l < 1 or g.z != l or g.w != (0,) * g.n:
+        raise WrongStratum(f"theta_terminal: l={l} does not fit {g}")
+    return GroupoidElement(n=g.n, z=0, x=g.x, w=g.w)
+
+
+def ref_gamma_iso(g):
+    if not isinstance(g, GroupoidElement) or g.primed:
+        raise InvalidClass("gamma_iso is defined on plain elements")
+    return GroupoidElement(n=g.n, z=g.z + g.x[0], x=g.x, w=g.w, primed=True)
+
+
+def ref_t_iso(g):
+    if not isinstance(g, GroupoidElement) or g.primed:
+        raise InvalidClass("t_iso is defined on plain elements")
+    if g.z != 0:
+        raise DegreeNonZero(f"t_iso needs degree 0, got {g.z}")
+    return TElement(n=g.n, x=g.x, w=g.w)
+
+
+def map_table(neg, shift, peel, terminal, gamma, t):
+    """Every map called as f(g, k, j, l), keyed by map id."""
+    return {
+        "theta-neg": lambda g, k, j, l: neg(g, k),
+        "theta-shift": lambda g, k, j, l: shift(g, k, j),
+        "theta-peel": lambda g, k, j, l: peel(g, k, j, l),
+        "theta-terminal": lambda g, k, j, l: terminal(g, l),
+        "gamma": lambda g, k, j, l: gamma(g),
+        "t": lambda g, k, j, l: t(g),
+    }
+
+
+REFERENCE_MAPS = map_table(ref_theta_neg, ref_theta_shift, ref_theta_peel,
+                           ref_theta_terminal, ref_gamma_iso, ref_t_iso)
+PUBLIC_MAPS = map_table(theta_neg, theta_shift, theta_peel, theta_terminal,
+                        gamma_iso, t_iso)
+
+
+def reference_tally(n, k, window):
+    """(counts, domain size, image size, verdict) of the peeling tree on
+    concrete element sets, pushed through the reference maps."""
+    start = set(enumerate_stratum(n, k, j=0, window=window))
+    counts = [0] * (n + 1)
+    terminal_total = 0
+    losses = []
+
+    def push(elems, fn):
+        image = {fn(g) for g in elems}
+        if len(image) != len(elems):
+            losses.append(len(elems) - len(image))
+        return image
+
+    def expand(elems, kk, jj):
+        nonlocal terminal_total
+        if jj == n:
+            counts[n] += 1
+            terminal_total += len(push(elems, lambda g: ref_theta_terminal(g, kk)))
+            return
+        above = {g for g in elems if g.w[jj] >= kk}
+        shortfalls = {l: set() for l in range(kk)}
+        for g in elems - above:
+            shortfalls[g.w[jj]].add(g)
+        counts[jj] += 1
+        terminal_total += len(push(above, lambda g: ref_theta_shift(g, kk, jj)))
+        for l in range(kk):
+            expand(push(shortfalls[l], lambda g, _l=l: ref_theta_peel(g, kk, jj, _l)),
+                   kk - l, jj + 1)
+
+    expand(start, k, 0)
+    passed = not losses and terminal_total == len(start)
+    return tuple(counts), len(start), terminal_total, passed
 
 
 def box_rows(spec):
@@ -105,7 +214,7 @@ def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
         codomain = {TElement(n, x, w) for _, x, w in box_rows(cod)}
     else:
         codomain = {_element_from_raw(raw, cod.variant) for raw in box_rows(cod)}
-    image = [ELEMENT_MAPS[map_id](g, k, j, l) for g in domain]
+    image = [REFERENCE_MAPS[map_id](g, k, j, l) for g in domain]
     ok = (len(set(image)) == len(image) and set(image) == codomain
           and all(g.target() == h.target() for g, h in zip(domain, image)))
     return len(domain), len(codomain), ok
@@ -369,6 +478,55 @@ class TestThetaMaps:
         with pytest.raises(WrongStratum):
             theta_shift(g, 1, 1)  # only level 0 exists at n = 1
 
+    def test_parameter_errors_name_the_parameter(self):
+        g = canonicalize(2, 2, (0, 1), (1, 3))
+        for call, name in ((lambda: theta_neg(g, 1), "k"),
+                           (lambda: theta_shift(g, 0, 0), "k"),
+                           (lambda: theta_shift(g, 2, 2), "j"),
+                           (lambda: theta_peel(g, 2, -1, 0), "j"),
+                           (lambda: theta_peel(g, 2, 0, 2), "l"),
+                           (lambda: theta_terminal(g, 0), "l")):
+            with pytest.raises(WrongStratum, match=f" {name}="):
+                call()
+        with pytest.raises(InvalidClass, match="k must be an integer"):
+            theta_neg(g, 0.5)
+
+    def test_domain_miss_names_map_and_element(self):
+        g = canonicalize(2, 2, (0, 1), (1, 3))
+        with pytest.raises(WrongStratum, match=r"\(2, \(0, 1\), \(1, 3\)\).*theta-peel"):
+            theta_peel(g, 2, 0, 0)
+        with pytest.raises(DegreeNonZero, match="domain of t"):
+            t_iso(g)
+
+    WINDOWS = [(n, z, variant) for n in (1, 2) for z in range(-2, 3)
+               for variant in ("plain", "primed")]
+
+    @pytest.mark.parametrize("n,z,variant", WINDOWS)
+    def test_public_maps_equal_references(self, n, z, variant):
+        # every element of a small window, every map, and parameters on
+        # both sides of each map's domain: the same value or error type
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except (WrongStratum, InvalidClass, DegreeNonZero, NotInGroupoid) as err:
+                return type(err)
+
+        params = ([("theta-neg", k, None, None) for k in range(-2, 2)]
+                  + [("theta-shift", k, j, None) for k in range(0, 3)
+                     for j in range(-1, n + 1)]
+                  + [("theta-peel", k, j, l) for k in range(0, 3)
+                     for j in range(-1, n + 1) for l in range(-1, 3)]
+                  + [("theta-terminal", None, None, l) for l in range(0, 3)]
+                  + [("gamma", None, None, None), ("t", None, None, None)])
+        if variant == "primed":  # each map refuses the variant before all else
+            params = params[::7]
+        spec = _stratum_spec(n, z, 2, variant=variant)
+        for g in (_element_from_raw(raw, variant) for raw in box_rows(spec)):
+            for map_id, k, j, l in params:
+                public = outcome(PUBLIC_MAPS[map_id], g, k, j, l)
+                assert public == outcome(REFERENCE_MAPS[map_id], g, k, j, l), (
+                    map_id, g, k, j, l)
+
 
 class TestEnumeration:
     def test_frozen_count(self):
@@ -481,11 +639,13 @@ class TestVerifiers:
                                 "theta-terminal", "gamma", "t"}
 
     def test_bad_parameters(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=" k="):
             verify_bijection("theta-neg", 2, k=1, window=3)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=" k="):
             verify_bijection("theta-shift", 2, k=0, j=0, window=3)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidClass, match="j must be an integer"):
+            verify_bijection("theta-shift", 2, k=1, window=3)
+        with pytest.raises(OutOfRange, match=" l="):
             verify_bijection("theta-peel", 2, k=2, j=0, l=2, window=3)
         with pytest.raises(OutOfRange):
             verify_bijection("no-such-map", 2, window=3)
@@ -560,7 +720,7 @@ class TestMutations:
 
         real = _bijection_setup(map_id, n, k, j, l, window)
         dom, cod, action = dom or real[0], cod or real[1], action or real[2]
-        monkeypatch.setattr(G, "_bijection_setup", lambda *args: (dom, cod, action))
+        monkeypatch.setattr(G, "_bijection_setup", lambda *a, **kw: (dom, cod, action))
         report = G.verify_bijection(map_id, n, k=k, j=j, l=l, window=window)
         assert not report.passed
         return dom, cod, action, report.counterexample
@@ -574,7 +734,7 @@ class TestMutations:
         [raw] = [r for r in box_rows(dom) if raw_key(r) == element]
         assert raw_target(action.row(raw)) != raw_target(raw)
         g = _element_from_raw(raw, "plain")
-        assert theta_shift(g, 2, 1).target() == g.target()  # unlike the map
+        assert ref_theta_shift(g, 2, 1).target() == g.target()  # unlike the map
 
     def test_pinned_source_collides(self, monkeypatch):
         # pinning the source instead of shifting it forgets w[j]: rows that
@@ -675,6 +835,41 @@ class TestTerminalTally:
         for window in (3, 5, 7):
             counts, _ = windowed_terminal_counts(2, 2, window=window)
             assert counts == (1, 2, 3)
+
+    @pytest.mark.parametrize("n,k,window", [(n, k, window) for n in (1, 2)
+                                            for k in (1, 2, 3) for window in (3, 5, 6)]
+                             + [(3, 2, 3)])
+    def test_engine_tally_matches_element_tally(self, n, k, window):
+        counts, report = windowed_terminal_counts(n, k, window=window)
+        assert (counts, report.domain_size, report.image_size, report.passed) == (
+            reference_tally(n, k, window))
+
+    def test_n3_k3_on_the_engine(self):
+        counts, report = windowed_terminal_counts(3, 3, window=5)
+        assert counts == (1, 3, 6, 10)
+        assert report.passed
+        assert report.domain_size == report.image_size
+
+    def test_small_window_keeps_the_structural_counts(self):
+        # W < k leaves shortfall pieces empty; the tree still has every node
+        counts, report = windowed_terminal_counts(2, 3, window=1)
+        assert counts == (1, 3, 6) and report.passed
+        assert (report.domain_size, report.image_size) == reference_tally(2, 3, 1)[1:3]
+
+    def test_a_failed_check_alone_is_drift(self, monkeypatch):
+        # a push that keeps every count but moves a target still fails
+        import qproj.groupoid as G
+
+        real = G._image_check
+
+        def moved(sources, box):
+            rows, size, found = real(sources, box)
+            return rows, size, {**found, "moved": None}
+
+        monkeypatch.setattr(G, "_image_check", moved)
+        _, report = G.windowed_terminal_counts(1, 1, window=2)
+        assert report.domain_size == report.image_size
+        assert report.counterexample == {"kind": "element-count-drift"}
 
     def test_verify_wrapper(self):
         report = verify_terminal_counts(2, 3, window=5)

@@ -227,6 +227,31 @@ class TestRhoNumeric:
             assert rho_numeric(pattern, n1, n2, guard) == expected
 
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_two_cutoffs_decide_every_larger_one(self, data):
+        # what rho_numeric relies on to consult no third cutoff: when every
+        # live factor is at most n1 deep, agreement at n1 and n2 means the
+        # rank is the same at every N from n1 on (checked up to 3 * n2)
+        n1 = data.draw(st.integers(1, 8))
+        n2 = data.draw(st.integers(n1 + 1, 3 * n1 + 1))
+        n = data.draw(st.integers(1, 3))
+        shallow = st.integers(1, n1)
+        factor = st.one_of(st.just(IDENTITY), shallow.map(cutoff),
+                           shallow.map(complement))
+        live = st.builds(DiagonalPattern, st.just(n),
+                         st.lists(factor, min_size=n, max_size=n).map(tuple),
+                         st.integers(1, 3))
+        # a layer with no copies may be deeper: it counts for nothing
+        dead = st.builds(DiagonalPattern, st.just(n),
+                         st.lists(st.integers(1, 4 * n2).map(complement),
+                                  min_size=n, max_size=n).map(tuple), st.just(0))
+        stack = PatternStack(tuple(data.draw(
+            st.lists(st.one_of(live, dead), min_size=1, max_size=3))))
+        same = {rank_at(stack, N) for N in range(n1, 3 * n2 + 1)}
+        assert (rank_at(stack, n1) == rank_at(stack, n2)) == (len(same) == 1)
+
+
 class TestSerialization:
     def test_pattern_round_trip(self):
         pat = DiagonalPattern(3, (cutoff(2), IDENTITY, complement(4)), copies=2)

@@ -1,6 +1,8 @@
 """The bundled check families and their report plumbing."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from qproj.reports import VerifyReport
 
 BOXPLUS = projections.boxplus
 IS_EQUIVALENT = projections.is_equivalent
+
+EXPECTED_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 
 REPORT_KEYS = {"check", "params", "domain_size", "image_size", "pass",
                "counterexample"}
@@ -127,6 +131,13 @@ class TestRunAll:
         parallel = [r.to_json() for r in suite.run_all(jobs=2)]
         assert len(serial) == 191
         assert parallel == serial
+        # byte for byte the committed `verify-all --format json` output
+        expected = EXPECTED_DIR / "verify_all.jsonl"
+        digest, name = (EXPECTED_DIR / "verify_all.sha256").read_text().split()
+        assert name == expected.name
+        blob = expected.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert "".join(json.dumps(r) + "\n" for r in serial).encode() == blob
 
 
 # The table-driven monoid and cancellation sweeps against the nested loops
