@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from qproj import projections, suite
+from qproj import k_theory, line_bundles, projections, suite
 from qproj.errors import OutOfRange
 from qproj.projections import ProjClass
 from qproj.reports import VerifyReport
 
 BOXPLUS = projections.boxplus
 IS_EQUIVALENT = projections.is_equivalent
+RHO = projections.rho
 
 EXPECTED_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 
@@ -144,8 +145,13 @@ class TestRunAll:
 # they replace: the same reports, field for field, also when the diagonal
 # sum or the equivalence test is broken in one place.
 
-ORACLE_CHECKS = ("monoid-law", "rho-additivity",
-                 "cancellation-failure-witnesses", "cancellation-at-positive-rank")
+ORACLE_CHECKS = ("monoid-law", "monoid-commutativity", "monoid-associativity",
+                 "rho-additivity", "cancellation-failure-witnesses",
+                 "cancellation-at-positive-rank")
+
+# commutativity and associativity compare sums as classes; the references
+# are stated for sums that stay over the ambient index of their operands
+LAW_CHECKS = ("monoid-commutativity", "monoid-associativity")
 
 
 def _stock(n, k_max):
@@ -182,6 +188,28 @@ def reference_monoid(n_max, k_max):
                          domain_size=pairs, counterexample=law_bad),
             VerifyReport("rho-additivity", params, add_bad is None,
                          domain_size=pairs, counterexample=add_bad)]
+
+
+def reference_laws(n_max, k_max):
+    """Commutativity, one boxplus per ordered pair, and associativity, two
+    boxplus calls per side of each triple."""
+    boxplus = projections.boxplus
+    comm_ok = assoc_ok = True
+    pairs = triples = 0
+    for n in range(n_max + 1):
+        base = _stock(n, k_max)
+        for a in base:
+            for b in base:
+                comm_ok = comm_ok and boxplus(a, b) == boxplus(b, a)
+                pairs += 1
+                ab = boxplus(a, b)  # the inner sum of the left side, for every c
+                for c in base:
+                    assoc_ok = assoc_ok and boxplus(ab, c) == boxplus(a, boxplus(b, c))
+        triples += len(base) ** 3
+    params = {"n_max": n_max, "k_max": k_max}
+    return [VerifyReport("monoid-commutativity", params, comm_ok, domain_size=pairs),
+            VerifyReport("monoid-associativity", params, assoc_ok,
+                         domain_size=triples)]
 
 
 def reference_cancellation(n_max, k_max):
@@ -232,18 +260,19 @@ def reference_cancellation(n_max, k_max):
                          counterexample=cancel_bad)]
 
 
-def _records(reports):
-    return {r.check: r.to_json() for r in reports if r.check in ORACLE_CHECKS}
+def _records(reports, laws=True):
+    checks = ORACLE_CHECKS if laws else set(ORACLE_CHECKS) - set(LAW_CHECKS)
+    return {r.check: r.to_json() for r in reports if r.check in checks}
 
 
-def reference_records(n_max, k_max):
-    return _records(reference_monoid(n_max, k_max)
-                    + reference_cancellation(n_max, k_max))
+def reference_records(n_max, k_max, laws=True):
+    reports = reference_monoid(n_max, k_max) + reference_cancellation(n_max, k_max)
+    return _records(reports + (reference_laws(n_max, k_max) if laws else []), laws)
 
 
-def table_records(n_max, k_max):
+def table_records(n_max, k_max, laws=True):
     return _records(suite.monoid_checks(n_max, k_max)
-                    + suite.cancellation_checks(n_max, k_max))
+                    + suite.cancellation_checks(n_max, k_max), laws)
 
 
 def _absorb_upward(lo, hi):
@@ -273,6 +302,23 @@ def _wrong_ambient(j, k):
     return broken
 
 
+def _keep_left(a, b):
+    """An associative sum that is not commutative: the left operand wins."""
+    if a.is_zero or b.is_zero:
+        return BOXPLUS(a, b)
+    return a
+
+
+def _larger_plus_one(j):
+    """A commutative sum that is not associative: at level j, the larger
+    multiplicity plus one."""
+    def broken(a, b):
+        if not (a.is_zero or b.is_zero) and a.j == b.j == j:
+            return ProjClass(a.n, j, max(a.k, b.k) + 1)
+        return BOXPLUS(a, b)
+    return broken
+
+
 def _equivalent_k1_k2(a, b):
     """Equivalence that also identifies P[j, 1] with P[j, 2]."""
     if a.j == b.j and {a.k, b.k} == {1, 2}:
@@ -287,8 +333,13 @@ BROKEN = {
     "multiplicity-0-3": ("boxplus", _multiplicity_off_by_one(0, 3)),
     "multiplicity-2-2": ("boxplus", _multiplicity_off_by_one(2, 2)),
     "ambient-1-2": ("boxplus", _wrong_ambient(1, 2)),
+    "keep-left": ("boxplus", _keep_left),
+    "larger-plus-one-1": ("boxplus", _larger_plus_one(1)),
     "equivalent-k1-k2": ("is_equivalent", _equivalent_k1_k2),
 }
+
+# broken sums that leave the ambient index of their operands
+OTHER_AMBIENT = {"ambient-1-2"}
 
 
 class TestTablesAgainstNestedLoops:
@@ -301,16 +352,183 @@ class TestTablesAgainstNestedLoops:
     @pytest.mark.parametrize("name", sorted(BROKEN))
     def test_broken_operation(self, monkeypatch, name):
         monkeypatch.setattr(projections, *BROKEN[name])
-        want = reference_records(3, 4)
-        assert set(want) == set(ORACLE_CHECKS)
+        laws = name not in OTHER_AMBIENT
+        want = reference_records(3, 4, laws)
+        assert len(want) == (6 if laws else 4)
         assert not all(r["pass"] for r in want.values())
-        assert table_records(3, 4) == want
+        assert table_records(3, 4, laws) == want
 
     def test_each_check_fails_under_some_broken_operation(self, monkeypatch):
         failed = set()
-        for attr, broken in BROKEN.values():
+        for name, (attr, broken) in BROKEN.items():
             with monkeypatch.context() as m:
                 m.setattr(projections, attr, broken)
-                failed |= {c for c, r in reference_records(3, 4).items()
-                           if not r["pass"]}
+                records = reference_records(3, 4, name not in OTHER_AMBIENT)
+                failed |= {c for c, r in records.items() if not r["pass"]}
         assert failed == set(ORACLE_CHECKS)
+
+    @pytest.mark.parametrize("name, fails", [
+        ("keep-left", "monoid-commutativity"),
+        ("larger-plus-one-1", "monoid-associativity"),
+    ])
+    def test_one_law_without_the_other(self, monkeypatch, name, fails):
+        monkeypatch.setattr(projections, *BROKEN[name])
+        records = reference_records(3, 4)
+        assert [c for c in LAW_CHECKS if not records[c]["pass"]] == [fails]
+
+
+# The evaluate-once tables: each family's calls of the hot operations at its
+# default ranges, capped at the counts of the tables as first written.
+CALL_BUDGETS = {
+    "monoid": {"boxplus": 185378, "rho": 1272},
+    "cancellation": {"boxplus": 8820, "is_equivalent": 13250},
+    "rho-injectivity": {"rho": 1056},
+}
+
+
+@pytest.mark.parametrize("family", sorted(CALL_BUDGETS))
+def test_evaluate_once_call_counts(monkeypatch, family):
+    calls = dict.fromkeys(("boxplus", "rho", "is_equivalent"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(projections, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(projections, name, counted)
+    assert all(r.passed for r in suite.run_group(family))
+    for name, budget in CALL_BUDGETS[family].items():
+        assert 0 < calls[name] <= budget, name
+
+
+# Each family that stops at its first counterexample, broken in at least two
+# of its cases: its record must name the first of them and count only the
+# cases before it.  Each entry patches the operations and returns the check,
+# its report and the expected (domain_size, counterexample).
+
+def _patch(monkeypatch, module, name, wrong_at, wrong):
+    """``module.name`` answering ``wrong(*args)`` on the arguments in
+    ``wrong_at`` (a predicate); returns the arguments of every call."""
+    calls = []
+    real = getattr(module, name)
+
+    def patched(*args):
+        calls.append(args)
+        return wrong(*args) if wrong_at(*args) else real(*args)
+    monkeypatch.setattr(module, name, patched)
+    return calls
+
+
+def _first_rho_collision(monkeypatch):
+    # rho glues P[0,2] to P[0,1] at every n: the first collision is at n=0,
+    # after the zero class and P[0,1]
+    _patch(monkeypatch, projections, "rho", lambda p: (p.j, p.k) == (0, 2),
+           lambda p: RHO(ProjClass(p.n, 0, 1)))
+    first, second = ProjClass(0, 0, 1), ProjClass(0, 0, 2)
+    return "rho-injectivity", suite.rho_injectivity_checks(), (2, {
+        "n": 0, "first": first.to_json(), "second": second.to_json()})
+
+
+def _first_false_witness(monkeypatch):
+    # P[j,3] ~ P[j,4] at every level: at n=1 the pairs of P[1,1] (19) and
+    # P[1,2] (18) come first
+    _patch(monkeypatch, projections, "is_equivalent",
+           lambda a, b: a.j == b.j and {a.k, b.k} == {3, 4}, lambda a, b: True)
+    a, b = ProjClass(1, 1, 3), ProjClass(1, 1, 4)
+    return "cancellation-failure-witnesses", suite.cancellation_checks(), (37, {
+        "n": 1, "a": a.to_json(), "b": b.to_json()})
+
+
+def _first_recursion_mismatch(monkeypatch):
+    # n=1 has 25 degrees, then n=2, k=1..2 pass
+    _patch(monkeypatch, line_bundles, "closed_form",
+           lambda n, k: (n, k) in {(2, 3), (4, 7)},
+           lambda n, k: line_bundles.recursion_expand(n, k + 1))
+    return "bundle-recursion", suite.bundle_recursion_checks(), (27, {"n": 2, "k": 3})
+
+
+def _first_hockey_failure(monkeypatch):
+    # l=2 has 40 degrees, then l=3, k=1..4 pass
+    real = line_bundles.hockey_stick
+    _patch(monkeypatch, line_bundles, "hockey_stick",
+           lambda l, k: (l, k) in {(3, 5), (6, 1)},
+           lambda l, k: real(l, k)._replace(equal=False))
+    lhs, rhs, _ = real(3, 5)
+    return "hockey-stick", suite.hockey_stick_checks(), (44, {
+        "l": 3, "k": 5, "lhs": lhs, "rhs": rhs})
+
+
+def _first_restriction_mismatch(monkeypatch):
+    # the class of degree 4 over n=3 reads that of degree 5: it is restricted
+    # at n=3, k=4 (after the 26 degrees at n=2 and 4 more) and direct at n=4
+    real = line_bundles.k0_class
+    _patch(monkeypatch, line_bundles, "k0_class", lambda n, k: (n, k) == (3, 4),
+           lambda n, k: real(3, 5))
+    return "k0-restriction-consistency", suite.k0_checks(exact_n_max=1), (30, {
+        "n": 3, "k": 4, "restricted": real(2, 5).to_json(),
+        "direct": real(2, 4).to_json()})
+
+
+def _first_oracle_disagreement(monkeypatch):
+    # n=1 has 13 classes; at n=2 the zero class, P[0,1..6] and P[1,1..2]
+    wrong = {ProjClass(2, 1, 3), ProjClass(3, 0, 1)}
+    _patch(monkeypatch, projections, "rho", lambda p: p in wrong,
+           lambda p: RHO(ProjClass(p.n, p.j, p.k + 1)))
+    p = ProjClass(2, 1, 3)
+    return "oracle-agreement", suite.oracle_agreement_checks(), (22, {
+        "class": p.to_json(), "numeric": RHO(p).to_json(),
+        "symbolic": RHO(ProjClass(2, 1, 4)).to_json()})
+
+
+FIRST_FAILURES = {
+    "rho-injectivity": _first_rho_collision,
+    "cancellation-failure-witnesses": _first_false_witness,
+    "bundle-recursion": _first_recursion_mismatch,
+    "hockey-stick": _first_hockey_failure,
+    "k0-restriction-consistency": _first_restriction_mismatch,
+    "oracle-agreement": _first_oracle_disagreement,
+}
+
+
+class TestFirstCounterexample:
+    @pytest.mark.parametrize("name", sorted(FIRST_FAILURES))
+    def test_first_failing_case_and_count(self, monkeypatch, name):
+        check, reports, (domain_size, counterexample) = FIRST_FAILURES[name](monkeypatch)
+        [r] = [r for r in reports if r.check == check]
+        assert not r.passed
+        assert r.counterexample == counterexample
+        assert r.domain_size == domain_size
+
+    def _random(self, check):
+        [r] = [r for r in suite.random_checks() if r.check == check]
+        assert not r.passed and r.domain_size is None
+        return r.counterexample
+
+    @pytest.mark.parametrize("check, module, name, wrong", [
+        ("random-bundle-recursion", line_bundles, "closed_form",
+         lambda n, k: line_bundles.recursion_expand(n, k + 1)),
+        ("random-hockey-stick", line_bundles, "hockey_stick",
+         lambda l, k: line_bundles.HockeyStickResult(0, 0, False)),
+    ])
+    def test_random_pair_families_stop_at_the_first(self, monkeypatch, check,
+                                                    module, name, wrong):
+        # every drawn degree above 40 fails: the record names the first such
+        # draw, and no later draw is tested
+        calls = _patch(monkeypatch, module, name, lambda a, k: k > 40, wrong)
+        bad = self._random(check)
+        first = next(i for i, (_, k) in enumerate(calls) if k > 40)
+        assert first == len(calls) - 1
+        assert tuple(bad.values()) == calls[first]
+
+    def test_random_monoid_stops_at_the_first(self, monkeypatch):
+        # every sum of two nonzero classes over n >= 10 is the zero class, so
+        # each sample over n >= 10 fails additivity: the record names the
+        # first, and no other sample over n >= 10 is summed
+        calls = _patch(
+            monkeypatch, projections, "boxplus",
+            lambda a, b: a.n >= 10 and not (a.is_zero or b.is_zero),
+            lambda a, b: projections.zero_class(a.n))
+        bad = self._random("random-monoid")
+        picks = {ProjClass.from_json(bad[x]) for x in "abc"}
+        n = next(iter(picks)).n
+        assert n >= 10
+        assert {p for args in calls if args[0].n >= 10 for p in args} <= picks | {
+            projections.zero_class(n)}
