@@ -19,7 +19,14 @@ classification:
   vector;
 * ``suite``        -- every check family bundled behind one entry point;
 * ``cli``          -- the ``qproj`` command line front end.
+
+Only ``groupoid`` and ``suite`` need numpy or a process pool, so the
+groupoid names and ``run_all`` are resolved on first use: ``import
+qproj`` and the calculators load neither, while ``qproj.<name>``,
+``__all__`` and ``from qproj import *`` work as for any other name.
 """
+
+import importlib
 
 from .errors import (
     CutoffTooSmall,
@@ -37,24 +44,6 @@ from .errors import (
     WrongStratum,
 )
 from .extnat import INF, Infinity, is_finite
-from .groupoid import (
-    GroupoidElement,
-    TElement,
-    Window,
-    canonicalize,
-    compose,
-    enumerate_stratum,
-    gamma_iso,
-    gamma_iso_inv,
-    t_iso,
-    theta_neg,
-    theta_peel,
-    theta_shift,
-    theta_terminal,
-    verify_bijection,
-    verify_partition,
-    verify_terminal_counts,
-)
 from .k_theory import K0Vector, check_exactness, generator, iota_star, nu_star
 from .line_bundles import (
     BundleDescriptor,
@@ -81,7 +70,17 @@ from .projections import (
     zero_class,
 )
 from .reports import VerifyReport
-from .suite import run_all
+
+# Name -> submodule for the names resolved on first use (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        ("GroupoidElement", "TElement", "Window", "canonicalize", "compose",
+         "enumerate_stratum", "gamma_iso", "gamma_iso_inv", "t_iso", "theta_neg",
+         "theta_peel", "theta_shift", "theta_terminal", "verify_bijection",
+         "verify_partition", "verify_terminal_counts"),
+        "groupoid"),
+    "run_all": "suite",
+}
 
 __version__ = "0.1.0"
 
@@ -151,3 +150,19 @@ __all__ = [
     "run_all",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _LAZY.values():
+        # `qproj.groupoid` and `qproj.suite`, which `import qproj` no longer loads
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

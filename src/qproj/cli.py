@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from . import groupoid, k_theory, line_bundles, suite
+from . import k_theory, line_bundles
 from .errors import QprojError
 from .projections import normalize_expression, rho
 
@@ -98,8 +98,7 @@ def build_parser():
                         help="windowed partition and bijection checks")
     sp.add_argument("--n", type=int, required=True, help="ambient index")
     sp.add_argument("--map", dest="map_id", default="all",
-                    choices=("all", "partition") + groupoid.MAP_IDS,
-                    help="which check to run (default: all)")
+                    help="'all' (default), 'partition', or one map id")
     sp.add_argument("--k", type=int, default=None, help="degree parameter")
     sp.add_argument("--j", type=int, default=None, help="coordinate index")
     sp.add_argument("--l", type=int, default=None, help="shortfall / level")
@@ -116,9 +115,9 @@ def build_parser():
     sp.set_defaults(func=_cmd_oracle_verify)
 
     sp = sub.add_parser("verify-all", help="run every check family")
-    sp.add_argument("--seed", type=int, default=suite.DEFAULT_SEED,
-                    help=f"seed for randomized checks (default: "
-                         f"{suite.DEFAULT_SEED})")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed for randomized checks (default: "
+                         "qproj.suite.DEFAULT_SEED)")
     sp.add_argument("--jobs", type=int, default=None,
                     help="worker processes (default: cpu count, capped by "
                          "QPROJ_JOBS)")
@@ -216,7 +215,11 @@ def _emit_reports(args, reports):
     return 0 if all(r.passed for r in reports) else 2
 
 
+# Only the verifiers import groupoid (and with it numpy) and suite, so the
+# calculators start without them.
+
 def _cmd_groupoid_verify(args):
+    from . import groupoid, suite
     if args.map_id == "all":
         reports = suite.groupoid_checks(n_max=args.n, window=args.window)
     elif args.map_id == "partition":
@@ -232,12 +235,15 @@ def _cmd_groupoid_verify(args):
 
 
 def _cmd_oracle_verify(args):
+    from . import suite
     reports = suite.oracle_agreement_checks(n_max=args.n_max, k_max=args.k_max)
     return _emit_reports(args, reports)
 
 
 def _cmd_verify_all(args):
-    reports = suite.run_all(seed=args.seed, jobs=args.jobs)
+    from . import suite
+    seed = suite.DEFAULT_SEED if args.seed is None else args.seed
+    reports = suite.run_all(seed=seed, jobs=args.jobs)
     status = _emit_reports(args, reports)
     passed = sum(r.passed for r in reports)
     print(f"{passed}/{len(reports)} checks passed", file=sys.stderr)

@@ -222,15 +222,14 @@ def hockey_stick(l, k):
         raise OutOfRange(f"the identity needs l >= 2, got {l!r}")
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise OutOfRange(f"the identity needs k >= 1, got {k!r}")
-    lhs = sum(binomial(k - m + l - 2, l - 2) for m in range(1, k + 1))
-    rhs = binomial(k + l - 2, l - 1)
-    equal = lhs == rhs
-    for i in range(1, k + 1):
-        tail = sum(binomial(k - m + l - 2, l - 2) for m in range(i, k + 1))
-        if tail != binomial(k - i + l - 1, l - 1):
-            equal = False
-            break
-    return HockeyStickResult(lhs, rhs, equal)
+    # one running sum from m = k down: after adding term i it is the tail
+    # from i, and the tail from 1 is the base sum
+    tail, equal = 0, True
+    for i in range(k, 0, -1):
+        tail += binomial(k - i + l - 2, l - 2)
+        closed = binomial(k - i + l - 1, l - 1)
+        equal = equal and tail == closed
+    return HockeyStickResult(tail, closed, equal)
 
 
 def k0_class(n, k):

@@ -11,11 +11,8 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
-from . import groupoid, k_theory, line_bundles, oracle, projections
+from . import k_theory, line_bundles, oracle, projections
 from .errors import OutOfRange
 from .reports import VerifyReport
 
@@ -66,6 +63,8 @@ def monoid_checks(n_max=5, k_max=20):
     """Diagonal-sum law, commutativity, associativity, and rho additivity,
     exhaustively over every ambient index up to n_max and multiplicity up
     to k_max."""
+    import numpy as np
+
     law_bad = add_bad = None
     comm_ok = assoc_ok = True
     pairs = triples = 0
@@ -153,6 +152,8 @@ def cancellation_checks(n_max=5, k_max=20):
     both absorb into the rank-one free class.  For classes of rank >= 1,
     equal sums with any common summand force equality.
     """
+    import numpy as np
+
     def witness_cases():
         for n in range(1, n_max + 1):
             unit = projections.ProjClass(n, 0, 1)
@@ -253,6 +254,8 @@ def k0_checks(n_max=5, k_max=25, exact_n_max=6):
 
 def groupoid_checks(n_max=3, k_abs_max=4, window=8):
     """Partitions and all structural bijections on windowed strata."""
+    from . import groupoid
+
     if n_max < 1:
         raise OutOfRange(f"groupoid checks need n_max >= 1, got {n_max}")
     window = groupoid._window_value(window)
@@ -305,6 +308,8 @@ def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
 
 def terminal_count_checks(n_max=2, k_max=3, window=6):
     """Windowed terminal tallies reproduce the symbolic multiplicities."""
+    from . import groupoid
+
     reports = []
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
@@ -407,6 +412,11 @@ def run_all(seed=DEFAULT_SEED, jobs=None):
     jobs = effective_jobs(jobs)
     if jobs <= 1:
         return [r for name in GROUP_NAMES for r in run_group(name, seed)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # import these once here, so that the forked workers inherit them
+    import numpy  # noqa: F401
+    from . import groupoid  # noqa: F401
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_group, name, seed) for name in GROUP_NAMES]
         return [r for fut in futures for r in fut.result()]

@@ -1,7 +1,9 @@
 """The qproj command line: outputs, formats, and exit code contract."""
 
+import hashlib
 import importlib.metadata
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qproj
-from qproj import cli, suite
+from qproj import cli, groupoid, suite
 from qproj.reports import VerifyReport
 
 REPORT_KEYS = {"check", "params", "domain_size", "image_size", "pass",
@@ -129,6 +131,14 @@ class TestValidationExitCode:
         assert code == 1 and out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
 
+    def test_unknown_map_is_one_error_naming_every_id(self, capsys):
+        code, out, err = run_cli(capsys, "groupoid-verify", "--n", "1",
+                                 "--map", "bogus")
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert all(repr(map_id) in lines[0] for map_id in groupoid.MAP_IDS)
+
 
 class TestVerifiers:
     def test_single_map_table(self, capsys):
@@ -190,7 +200,8 @@ class TestVerifiers:
         assert out.strip().startswith("PASS alpha")
         assert "1/1 checks passed" in err
 
-    def test_verify_all_passes_seed_and_jobs(self, capsys, monkeypatch):
+    @staticmethod
+    def spy_run_all(monkeypatch):
         seen = {}
 
         def spy(seed, jobs):
@@ -198,15 +209,25 @@ class TestVerifiers:
             return [VerifyReport("alpha", {}, True)]
 
         monkeypatch.setattr(suite, "run_all", spy)
+        return seen
+
+    def test_verify_all_passes_seed_and_jobs(self, capsys, monkeypatch):
+        seen = self.spy_run_all(monkeypatch)
         run_cli(capsys, "verify-all", "--seed", "99", "--jobs", "2")
         assert seen == {"seed": 99, "jobs": 2}
+
+    def test_verify_all_default_seed(self, capsys, monkeypatch):
+        seen = self.spy_run_all(monkeypatch)
         run_cli(capsys, "verify-all")
-        assert seen["seed"] == suite.DEFAULT_SEED and seen["jobs"] is None
+        assert seen == {"seed": suite.DEFAULT_SEED, "jobs": None}
 
 
 REPO = Path(__file__).resolve().parents[1]
 PYPROJECT = REPO / "pyproject.toml"
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+CALCULATOR_DEMOS = ("01_projection_calculator.py", "02_k_theory_maps.py",
+                    "03_line_bundles.py")
+EXPECTED = REPO / "perfbench" / "expected"
 RHO_ARGS = ("rho", "P[1,2]", "--n", "2", "--format", "json")
 
 # What pip writes as the `qproj` script for a [project.scripts] entry
@@ -285,6 +306,98 @@ class TestConsoleScript:
         assert record["pass"] and record["domain_size"] == record["image_size"] == 153
 
 
+# Child-interpreter prefixes that make numpy unimportable, then run
+# `python -m qproj.cli ARGS` or `python SCRIPT` from the rest of argv: a
+# command that reached numpy would fail instead of printing its result.
+BLOCK_NUMPY = "import runpy, sys; sys.modules['numpy'] = None; "
+CLI_WITHOUT_NUMPY = BLOCK_NUMPY + (
+    "runpy.run_module('qproj.cli', run_name='__main__', alter_sys=True)")
+SCRIPT_WITHOUT_NUMPY = BLOCK_NUMPY + (
+    "sys.argv.pop(0); runpy.run_path(sys.argv[0], run_name='__main__')")
+
+# A family that reports which heavy modules its worker already holds,
+# run twice through the process pool from a fresh interpreter.
+FORK_PROBE = """\
+import os, sys
+from qproj import suite
+from qproj.reports import VerifyReport
+
+def probe():
+    loaded = [m for m in ("numpy", "qproj.groupoid") if m in sys.modules]
+    return [VerifyReport("probe", {"loaded": loaded}, True)]
+
+os.environ.pop("QPROJ_JOBS", None)
+suite._FAMILIES["probe"] = probe
+suite.GROUP_NAMES = ("probe", "probe")
+for report in suite.run_all(jobs=2):
+    print(report.params["loaded"])
+"""
+
+CALCULATOR_COMMANDS = [
+    ("normalize", "P[1,2] (+) P[0,3]", "--n", "2"),
+    ("rho", "P[1,2]", "--n", "2", "--format", "json"),
+    ("boxplus", "P[1,2]", "P[2,5]", "--n", "3"),
+    ("k0", "P[0,2] (+) P[1,1]", "--n", "2"),
+    ("k0", "--n", "3", "--bundle", "2"),
+    ("k0", "--n", "3", "--generator", "1"),
+    ("k0", "--n", "3", "--iota", "2"),
+    ("k0", "--n", "3", "--nu", "1,2,3,4", "--format", "json"),
+    ("k0", "--n", "3", "--exactness"),
+    ("linebundle", "--n", "2", "--k", "3"),
+    ("oracle-verify", "--n-max", "2", "--k-max", "4"),
+    ("--help",),
+]
+
+
+class TestCalculatorsWithoutNumpy:
+    """The calculators, oracle-verify and the package import never load
+    numpy, the groupoid engine or the process pool."""
+
+    @pytest.mark.parametrize("argv", CALCULATOR_COMMANDS, ids=" ".join)
+    def test_same_output_with_numpy_blocked(self, argv):
+        plain = run_child(sys.executable, "-m", "qproj.cli", *argv)
+        blocked = run_child(sys.executable, "-c", CLI_WITHOUT_NUMPY, *argv)
+        assert plain.returncode == 0 and plain.stdout, plain.stderr
+        assert (blocked.returncode, blocked.stdout) == (0, plain.stdout), blocked.stderr
+
+    def test_import_loads_no_numpy(self):
+        heavy = ("numpy", "qproj.groupoid", "concurrent.futures.process")
+        proc = run_child(sys.executable, "-c",
+                         f"import sys, qproj, qproj.cli; "
+                         f"print([m for m in {heavy!r} if m in sys.modules])")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_lazy_names_resolve(self):
+        probe = ("from qproj import *; import qproj; "
+                 "print([n for n in qproj.__all__ if n not in globals()]); "
+                 "print(qproj.verify_bijection is qproj.groupoid.verify_bijection, "
+                 "qproj.run_all is qproj.suite.run_all)")
+        proc = run_child(sys.executable, "-c", probe)
+        assert (proc.returncode, proc.stdout) == (0, "[]\nTrue True\n"), proc.stderr
+        assert set(qproj.__all__) <= set(dir(qproj))
+        with pytest.raises(AttributeError):
+            getattr(qproj, "no_such_name")
+
+
+class TestForkedWorkers:
+    def test_records_match_committed_output(self):
+        """`verify-all --jobs 2` from a fresh interpreter prints the committed
+        records."""
+        proc = run_child(sys.executable, "-m", "qproj.cli", "verify-all",
+                         "--jobs", "2", "--format", "json")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digest, _ = (EXPECTED / "verify_all.sha256").read_text().split()
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the parent's imports")
+    def test_workers_inherit_numpy_and_groupoid(self):
+        """A task in a `run_all` worker finds numpy and groupoid imported."""
+        proc = run_child(sys.executable, "-c", FORK_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['numpy', 'qproj.groupoid']\n" * 2
+
+
 class TestDocumentedExamples:
     def test_six_demos(self):
         assert len(DEMOS) == 6
@@ -294,6 +407,11 @@ class TestDocumentedExamples:
         proc = run_child(sys.executable, str(demo))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
+        if demo.name in CALCULATOR_DEMOS:
+            # the calculator layer is numpy-free as a library, not only
+            # through the command line
+            blocked = run_child(sys.executable, "-c", SCRIPT_WITHOUT_NUMPY, str(demo))
+            assert (blocked.returncode, blocked.stdout) == (0, proc.stdout), blocked.stderr
 
     def test_readme_quick_start(self):
         """The quick-start block prints what its comments say."""

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qproj import line_bundles
 from qproj.errors import InvalidClass, OutOfRange, UnsupportedDegree
 from qproj.k_theory import K0Vector, nu_star
 from qproj.line_bundles import (
@@ -145,6 +146,54 @@ class TestHockeyStick:
         for l in range(2, 13):
             for k in range(1, 41):
                 assert hockey_stick(l, k).equal
+
+    # binomial as given, off by one at j == 1, and wrong at C(12, 3) only,
+    # which for l = 4 is the base closed form at k = 10 and a shifted tail's
+    # at every larger k
+    BINOMIALS = {
+        "exact": lambda real: real,
+        "off-at-1": lambda real: lambda k, j: real(k, j) + (j == 1),
+        "off-at-12-3": lambda real: lambda k, j: real(k, j) + ((k, j) == (12, 3)),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(BINOMIALS))
+    def test_matches_double_loop(self, monkeypatch, variant):
+        """The running sum gives the result of recomputing every tail."""
+        binom = self.BINOMIALS[variant](line_bundles.binomial)
+        monkeypatch.setattr(line_bundles, "binomial", binom)
+
+        def reference(l, k):
+            lhs = sum(binom(k - m + l - 2, l - 2) for m in range(1, k + 1))
+            rhs = binom(k + l - 2, l - 1)
+            equal = lhs == rhs
+            for i in range(1, k + 1):
+                tail = sum(binom(k - m + l - 2, l - 2) for m in range(i, k + 1))
+                if tail != binom(k - i + l - 1, l - 1):
+                    equal = False
+                    break
+            return HockeyStickResult(lhs, rhs, equal)
+
+        verdicts = set()
+        for l in range(2, 13):
+            for k in range(1, 41):
+                assert hockey_stick(l, k) == reference(l, k), (l, k)
+                verdicts.add(reference(l, k).equal)
+        assert verdicts == ({True} if variant == "exact" else {True, False})
+
+    def test_binomial_calls_linear_in_k(self, monkeypatch):
+        calls = []
+        real = line_bundles.binomial
+
+        def counted(k, j):
+            calls.append((k, j))
+            return real(k, j)
+
+        monkeypatch.setattr(line_bundles, "binomial", counted)
+        for l in range(2, 13):
+            for k in range(1, 41):
+                calls.clear()
+                hockey_stick(l, k)
+                assert len(calls) <= 2 * k + 1, (l, k, len(calls))
 
     def test_rejects_degenerate(self):
         with pytest.raises(OutOfRange):

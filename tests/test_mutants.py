@@ -147,6 +147,8 @@ OPERATION_MUTANTS = {
     "rho": (projections, "rho", _rho_without_infinity, "monoid", "rho-additivity"),
     "binomial": (line_bundles, "binomial", _binomial_off_at_1, "bundle-recursion",
                  "bundle-recursion"),
+    "binomial-tail": (line_bundles, "binomial", _binomial_off_at_1, "hockey-stick",
+                      "hockey-stick"),
     "window-bound": (G, "_cut", _cut_above_from_k_plus_1, "groupoid", "partition"),
     "oracle-depth": (oracle, "encode", _level_factor_one_deeper, "oracle",
                      "oracle-agreement"),
