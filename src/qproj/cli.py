@@ -221,10 +221,16 @@ def _emit_reports(args, reports):
 def _cmd_groupoid_verify(args):
     from . import groupoid, suite
     if args.map_id == "all":
+        given = [f"--{name}" for name in "kjl" if getattr(args, name) is not None]
+        if given:
+            raise _UsageError(f"--map all sweeps every parameter; it takes no "
+                              f"{', '.join(given)}")
         reports = suite.groupoid_checks(n_max=args.n, window=args.window)
     elif args.map_id == "partition":
         if args.k is None or args.j is None:
             raise _UsageError("--map partition needs --k and --j")
+        if args.l is not None:
+            raise _UsageError("--map partition takes no --l")
         reports = [groupoid.verify_partition(args.n, args.k, args.j,
                                              args.window)]
     else:

@@ -36,10 +36,12 @@ number of its table indices.  A structural map acts on one coordinate,
 so it is applied to the tables; looking the image pairs up in the
 codomain's tables and summing over the product gives the codomain
 position of every image at once.  The map is a bijection when the image
-positions, counted, equal the codomain's membership indicator.  No row
-is packed, sorted or limited by a field width.  The element-level
-enumeration unranks the flagged positions of the same blocks, so the
-window rules are written once.
+positions, marked in a one-byte hit map, equal the codomain's membership
+indicator and the number of images placed equals the number of codomain
+rows, so that no position is hit twice.  No row is packed, sorted or
+limited by a field width.  The element-level enumeration unranks the
+flagged positions of the same blocks, so the window rules are written
+once.
 """
 
 from __future__ import annotations
@@ -690,13 +692,16 @@ def _image_check(sources, cod):
     """Map every (window, action) source into the window ``cod``.
 
     Blocks are compared one p at a time, which bounds memory by the
-    largest block.  The codomain rows are hit exactly once each when
-    ``np.bincount`` of the valid image ranks equals cod's indicator and
-    no kept source row has an invalid image.  Returns the number of source
-    rows, the number of codomain rows, and the first raw row found of each
-    failure kind: "moved" (a source row whose target the action changes),
-    "collision", "outside" (an image that is not a codomain row) and
-    "uncovered".
+    largest block.  Each valid image rank marks its position in a one-byte
+    hit map, and ``placed`` counts the ranks marked.  The codomain rows are
+    hit exactly once each when the hit map equals cod's indicator, no two
+    ranks shared a position (``placed`` equals the codomain's row count)
+    and no kept source row has an invalid image.  Only a block that fails
+    counts its images with ``np.bincount`` to name the failure.  Returns
+    the number of source rows, the number of codomain rows, and the first
+    raw row found of each failure kind: "moved" (a source row whose target
+    the action changes), "collision", "outside" (an image that is not a
+    codomain row) and "uncovered".
     """
     cod_blocks = _blocks(cod)
     sources = [(_blocks(spec), a) for spec, a in sources]
@@ -705,14 +710,18 @@ def _image_check(sources, cod):
     for p in range(cod.n + 1):
         cb = cod_blocks.get(p)
         member = cb.indicator() if cb else np.zeros(0, dtype=bool)
-        size += int(np.count_nonzero(member))
-        counts = np.zeros(len(member), dtype=np.int64)
+        members = int(np.count_nonzero(member))
+        size += members
+        hit = np.zeros(len(member), dtype=bool)
+        images = []
         for blocks, a in sources:
             db = blocks.get(p)
             if db is None:
                 continue
             keep = db.indicator()
-            ranks = _image_ranks(db, a, cb)[keep]
+            ranks = _image_ranks(db, a, cb)
+            if not keep.all():
+                ranks = ranks[keep]
             rows += len(ranks)
             if "moved" not in found:
                 r = _first_moved(db, a, keep)
@@ -724,13 +733,17 @@ def _image_check(sources, cod):
                     r = int(np.flatnonzero(keep)[np.argmax(bad)])
                     found["outside"] = a.row(db.unrank(r))
                 ranks = ranks[~bad]
-            counts += np.bincount(ranks, minlength=len(member))
-        if not np.array_equal(counts, member):
-            for kind, hit in (("collision", (counts > 1) & member),
-                              ("outside", (counts > 0) & ~member),
-                              ("uncovered", (counts == 0) & member)):
-                if kind not in found and hit.any():
-                    found[kind] = cb.unrank(int(np.argmax(hit)))
+            hit[ranks] = True
+            images.append(ranks)
+        placed = sum(map(len, images))
+        if placed != members or not np.array_equal(hit, member):
+            counts = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64), *images]),
+                                 minlength=len(member))
+            for kind, where in (("collision", (counts > 1) & member),
+                                ("outside", (counts > 0) & ~member),
+                                ("uncovered", (counts == 0) & member)):
+                if kind not in found and where.any():
+                    found[kind] = cb.unrank(int(np.argmax(where)))
     return rows, size, found
 
 
@@ -749,7 +762,16 @@ def _counterexample(found, kinds):
 
 # --- bijection checks -------------------------------------------------------
 
-MAP_IDS = ("theta-neg", "theta-shift", "theta-peel", "theta-terminal", "gamma", "t")
+# The parameters each map takes, of k, j and l.
+_MAP_PARAMETERS = {
+    "theta-neg": "k",
+    "theta-shift": "kj",
+    "theta-peel": "kjl",
+    "theta-terminal": "l",
+    "gamma": "k",
+    "t": "",
+}
+MAP_IDS = tuple(_MAP_PARAMETERS)
 
 
 def _bijection_setup(map_id, n, k, j, l, W, refuse=OutOfRange):
@@ -760,8 +782,9 @@ def _bijection_setup(map_id, n, k, j, l, W, refuse=OutOfRange):
     checks and the terminal tally all read it.  Windows are paired so the
     map carries the domain box exactly onto the codomain box: whatever
     shift the map applies to a coordinate is also applied to that
-    coordinate's range.  A parameter outside the map's domain raises
-    ``refuse`` naming the parameter.
+    coordinate's range.  A parameter outside the map's domain, or one the
+    map does not take given as anything but None, raises ``refuse``
+    naming the map and the parameter.
 
     The t row joins the degree-0 window to itself by the identity action,
     because ``TElement`` rows are exactly the plain degree-0 rows; its
@@ -771,6 +794,12 @@ def _bijection_setup(map_id, n, k, j, l, W, refuse=OutOfRange):
         if not lo <= _as_int(value, name) <= hi:
             raise refuse(f"{map_id} needs {lo} <= {name} <= {hi}, got {name}={value}")
         return value
+
+    if map_id not in _MAP_PARAMETERS:
+        raise OutOfRange(f"unknown map id {map_id!r}; expected one of {MAP_IDS}")
+    for name, value in zip("kjl", (k, j, l)):
+        if value is not None and name not in _MAP_PARAMETERS[map_id]:
+            raise refuse(f"{map_id} takes no parameter {name}, got {name}={value}")
 
     if map_id == "theta-neg":
         k = param("k", k, hi=0)
@@ -807,11 +836,8 @@ def _bijection_setup(map_id, n, k, j, l, W, refuse=OutOfRange):
         cod = _stratum_spec(n, k, W, variant="primed", shear=True)
         return dom, cod, _Action(z=k, shear=True)
 
-    if map_id == "t":
-        dom = _stratum_spec(n, 0, W)
-        return dom, dom, _Action(z=0)
-
-    raise OutOfRange(f"unknown map id {map_id!r}; expected one of {MAP_IDS}")
+    dom = _stratum_spec(n, 0, W)  # t
+    return dom, dom, _Action(z=0)
 
 
 def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):

@@ -139,6 +139,24 @@ class TestValidationExitCode:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert all(repr(map_id) in lines[0] for map_id in groupoid.MAP_IDS)
 
+    @pytest.mark.parametrize("argv,message", [
+        # the record used to echo k and j although no check read them
+        (("--map", "t", "--k", "3", "--j", "9"), "t takes no parameter k, got k=3"),
+        (("--map", "theta-terminal", "--l", "1", "--k", "2"),
+         "theta-terminal takes no parameter k"),
+        (("--map", "gamma", "--k", "1", "--l", "0"), "gamma takes no parameter l"),
+        (("--map", "all", "--k", "7"), "--map all sweeps every parameter; it takes no --k"),
+        (("--map", "all", "--j", "0", "--l", "1"),
+         "--map all sweeps every parameter; it takes no --j, --l"),
+        (("--map", "partition", "--k", "1", "--j", "0", "--l", "5"),
+         "--map partition takes no --l"),
+    ])
+    def test_parameter_a_map_does_not_take_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "groupoid-verify", "--n", "1",
+                                 "--window", "2", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
 
 class TestVerifiers:
     def test_single_map_table(self, capsys):

@@ -24,6 +24,7 @@ from qproj.groupoid import (
     _blocks,
     _element_from_raw,
     _first_inf,
+    _first_moved,
     _image_check,
     _image_ranks,
     _iter_raw,
@@ -227,6 +228,64 @@ def reference_partition(n, k, j, window):
     piece_rows = [raw_key(r) for piece in pieces for r in box_rows(piece)]
     ok = len(set(piece_rows)) == len(piece_rows) and set(piece_rows) == full_rows
     return len(full_rows), len(piece_rows), ok
+
+
+def reference_image_check(sources, cod):
+    """The image check as it counted images before the hit map: int64
+    ``np.bincount`` counts of the valid image ranks, compared with the
+    codomain's indicator.  Returns the same (rows, size, found) triple."""
+    cod_blocks = _blocks(cod)
+    sources = [(_blocks(spec), a) for spec, a in sources]
+    rows = size = 0
+    found = {}
+    for p in range(cod.n + 1):
+        cb = cod_blocks.get(p)
+        member = cb.indicator() if cb else np.zeros(0, dtype=bool)
+        size += int(np.count_nonzero(member))
+        counts = np.zeros(len(member), dtype=np.int64)
+        for blocks, a in sources:
+            db = blocks.get(p)
+            if db is None:
+                continue
+            keep = db.indicator()
+            ranks = _image_ranks(db, a, cb)[keep]
+            rows += len(ranks)
+            if "moved" not in found:
+                r = _first_moved(db, a, keep)
+                if r is not None:
+                    found["moved"] = db.unrank(r)
+            bad = ranks < 0
+            if bad.any():
+                if "outside" not in found:
+                    r = int(np.flatnonzero(keep)[np.argmax(bad)])
+                    found["outside"] = a.row(db.unrank(r))
+                ranks = ranks[~bad]
+            counts += np.bincount(ranks, minlength=len(member))
+        if not np.array_equal(counts, member):
+            for kind, hit in (("collision", (counts > 1) & member),
+                              ("outside", (counts > 0) & ~member),
+                              ("uncovered", (counts == 0) & member)):
+                if kind not in found and hit.any():
+                    found[kind] = cb.unrank(int(np.argmax(hit)))
+    return rows, size, found
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Check every ``_image_check`` call against ``reference_image_check``;
+    yields the list of checked calls."""
+    import qproj.groupoid as G
+
+    real, calls = G._image_check, []
+
+    def checked(sources, cod):
+        got = real(sources, cod)
+        calls.append(got)
+        assert got == reference_image_check(sources, cod), (sources, cod)
+        return got
+
+    monkeypatch.setattr(G, "_image_check", checked)
+    yield calls
 
 
 def box_keys(spec):
@@ -654,6 +713,36 @@ class TestVerifiers:
         with pytest.raises(OutOfRange):
             verify_partition(2, 1, 2, window=3)
 
+    # a valid value of every parameter each map takes
+    TAKES = {"theta-neg": {"k": -1}, "theta-shift": {"k": 1, "j": 0},
+             "theta-peel": {"k": 2, "j": 0, "l": 1}, "theta-terminal": {"l": 1},
+             "gamma": {"k": 0}, "t": {}}
+
+    @pytest.mark.parametrize("map_id", sorted(TAKES))
+    def test_parameter_a_map_does_not_take_is_refused(self, map_id):
+        # before, such a value was echoed in the record but read by no check
+        takes = self.TAKES[map_id]
+        assert verify_bijection(map_id, 2, window=2, **takes).passed
+        for name in {"k", "j", "l"} - set(takes):
+            with pytest.raises(OutOfRange, match=f"^{map_id} takes no parameter "
+                                                 f"{name}, got {name}=0$"):
+                verify_bijection(map_id, 2, window=2, **takes, **{name: 0})
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_engine_matches_counting_reference(self, engine_calls, window):
+        from qproj import suite
+
+        reports = suite.groupoid_checks(n_max=2, window=window)
+        assert all(r.passed for r in reports)
+        assert len(engine_calls) == len(reports)
+
+    def test_engine_matches_counting_reference_at_n3(self, engine_calls):
+        reports = ([verify_bijection("gamma", 3, k=k, window=3) for k in range(-4, 5)]
+                   + [verify_bijection("theta-shift", 3, k=k, j=j, window=3)
+                      for k in range(1, 5) for j in range(3)])
+        assert all(r.passed for r in reports)
+        assert len(engine_calls) == len(reports)
+
     def test_huge_values_are_refused(self):
         # offsets near 2**62 would wrap int64 sums; refused, never ranked
         with pytest.raises(OutOfRange):
@@ -709,6 +798,12 @@ class TestWindowEdges:
 
 class TestMutations:
     """Broken actions and windows are caught, each with a concrete element."""
+
+    @pytest.fixture(autouse=True)
+    def against_reference(self, engine_calls):
+        # every broken case also gives the counting engine's triple
+        yield
+        assert engine_calls
 
     @staticmethod
     def images(dom, action):
@@ -816,6 +911,30 @@ class TestMutations:
         element = element_key(report.counterexample["element"])
         assert element in box_keys(full)
         assert element in box_keys(pieces[-1])
+
+    def test_collision_only_the_count_catches(self, monkeypatch):
+        # the overlapping piece hits every row of the full window, one of
+        # them twice: the hit map equals the indicator, and only the number
+        # of images placed shows the overlap
+        import qproj.groupoid as G
+
+        full, pieces = _partition_setup(2, 2, 0, 3)
+        pieces[0] = _stratum_spec(2, 2, 3, w_over={0: (1, 5, True)})
+        surplus = 0
+        for p, cb in _blocks(full).items():
+            member, hit = cb.indicator(), np.zeros(cb.size, dtype=bool)
+            for piece in pieces:
+                db = _blocks(piece).get(p)
+                if db is not None:
+                    ranks = _image_ranks(db, _Action(z=2), cb)[db.indicator()]
+                    hit[ranks[ranks >= 0]] = True
+                    surplus += np.count_nonzero(ranks >= 0)
+            surplus -= np.count_nonzero(member)
+            assert np.array_equal(hit, member)
+        assert surplus > 0
+        monkeypatch.setattr(G, "_partition_setup", lambda *args: (full, pieces))
+        report = G.verify_partition(2, 2, 0, window=3)
+        assert report.counterexample["kind"] == "overlap"
 
 
 class TestTerminalTally:

@@ -10,9 +10,14 @@ that map and the public element map's output changes on some element.
 Each operation mutant replaces one module function; it counts as caught
 when the family that should catch it, run by ``suite.run_group`` at its
 default ranges, gives a failing record of the expected check.
+
+Each engine mutant edits one line of ``groupoid._image_check``; it counts
+as caught when the records of a small groupoid sweep, or the triple of an
+image check with a known overlap, change.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -174,3 +179,39 @@ def test_operation_mutant_is_caught(monkeypatch, name):
     monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     failed = {r.check for r in suite.run_group(family) if not r.passed}
     assert check in failed
+
+
+# --- engine -------------------------------------------------------------------
+
+# mutant -> (text of ``_image_check`` it replaces, replacement)
+ENGINE_MUTANTS = {
+    # decide by the hit map alone: a row hit twice, with every row hit, passes
+    "no-placed-count": ("placed != members or ", ""),
+    # rank every position of a source block, rows of its window or not
+    "no-compress": ("if not keep.all():", "if False:"),
+}
+
+
+def engine_probe():
+    """Records of a small groupoid sweep, and the image check of a partition
+    whose first piece overlaps the next one; or the type of the exception
+    raised."""
+    full, pieces = G._partition_setup(2, 2, 0, 3)
+    pieces[0] = G._stratum_spec(2, 2, 3, w_over={0: (1, 5, True)})
+    try:
+        overlap = G._image_check([(piece, G._Action(z=2)) for piece in pieces], full)
+        return [r.to_json() for r in suite.groupoid_checks(n_max=2, window=3)], overlap
+    except Exception as err:  # a crash is caught too: verify-all exits 1
+        return type(err)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_MUTANTS))
+def test_engine_mutant_is_caught(monkeypatch, name):
+    old, new = ENGINE_MUTANTS[name]
+    source = inspect.getsource(G._image_check)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), f"<{name}>", "exec"), vars(G), namespace)
+    before = engine_probe()
+    monkeypatch.setattr(G, "_image_check", namespace["_image_check"])
+    assert engine_probe() != before
