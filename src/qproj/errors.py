@@ -53,3 +53,21 @@ class WrongStratum(QprojError, ValueError):
 
 class CutoffTooSmall(QprojError, ArithmeticError):
     """Truncation cutoffs too small to read a pattern's ranks exactly."""
+
+
+def integer(value, what, lo=None, hi=None, error=InvalidClass):
+    """``value`` if it is an int, not a bool, within lo..hi; else raise ``error``.
+
+    >>> integer(3, "level", 0, 2)
+    Traceback (most recent call last):
+        ...
+    qproj.errors.InvalidClass: level must be an integer in 0..2, got 3
+    """
+    if ((type(value) is int or isinstance(value, int) and not isinstance(value, bool))
+            and (lo is None or lo <= value) and (hi is None or value <= hi)):
+        return value
+    if lo is None:
+        bounds = "" if hi is None else f" <= {hi}"
+    else:
+        bounds = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise error(f"{what} must be an integer{bounds}, got {value!r}")

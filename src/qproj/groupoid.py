@@ -58,6 +58,7 @@ from .errors import (
     NotInGroupoid,
     OutOfRange,
     WrongStratum,
+    integer,
 )
 from .extnat import INF, ext_from_json, ext_to_json, is_finite
 from .reports import VerifyReport
@@ -83,19 +84,6 @@ __all__ = [
 ]
 
 
-def _as_int(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidClass(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _coordinate_count(n):
-    n = _as_int(n, "coordinate count")
-    if n < 1:
-        raise InvalidClass(f"coordinate count must be >= 1, got {n}")
-    return n
-
-
 def _collapse(w):
     """Propagate the first inf rightwards; reject negative finite entries."""
     out = []
@@ -108,8 +96,7 @@ def _collapse(w):
             seen_inf = True
             out.append(INF)
             continue
-        entry = _as_int(entry, "source coordinate")
-        if entry < 0:
+        if integer(entry, "source coordinate") < 0:
             raise NotInGroupoid(f"source coordinates are >= 0 or inf, got {entry}")
         out.append(entry)
     return tuple(out)
@@ -158,9 +145,9 @@ class GroupoidElement:
     primed: bool = False
 
     def __post_init__(self):
-        n = _coordinate_count(self.n)
-        z = _as_int(self.z, "degree")
-        x = tuple(_as_int(v, "offset") for v in self.x)
+        n = integer(self.n, "coordinate count", 1)
+        z = integer(self.z, "degree")
+        x = tuple(integer(v, "offset") for v in self.x)
         w = tuple(self.w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "w", w)
@@ -168,8 +155,7 @@ class GroupoidElement:
             raise InvalidClass(f"need {n} offsets and {n} source coordinates")
         for entry in w:
             if is_finite(entry):
-                _as_int(entry, "source coordinate")
-                if entry < 0:
+                if integer(entry, "source coordinate") < 0:
                     raise NotInGroupoid(f"source coordinates are >= 0 or inf, got {entry}")
         if w != _collapse(w):
             raise NotInGroupoid("source is not in canonical form; use canonicalize")
@@ -326,15 +312,11 @@ class Window:
     W: int
 
     def __post_init__(self):
-        if isinstance(self.W, bool) or not isinstance(self.W, int) or self.W < 1:
-            raise OutOfRange(f"window bound must be an integer >= 1, got {self.W!r}")
+        integer(self.W, "window bound", 1, error=OutOfRange)
 
 
 def _window_value(window):
-    if isinstance(window, Window):
-        return window.W
-    Window(window)
-    return window
+    return window.W if isinstance(window, Window) else Window(window).W
 
 
 @dataclass(frozen=True)
@@ -417,9 +399,9 @@ def _element_from_raw(raw, variant):
 def enumerate_stratum(n, k, j=0, window=8):
     """All canonical degree-k elements with the first j source coordinates 0,
     finite source entries at most W and offsets at most W in magnitude."""
-    n = _coordinate_count(n)
-    k = _as_int(k, "degree")
-    j = _as_int(j, "level")
+    n = integer(n, "coordinate count", 1)
+    k = integer(k, "degree")
+    j = integer(j, "level")
     if not 0 <= j <= n:
         raise OutOfRange(f"level j={j} outside 0..{n}")
     W = _window_value(window)
@@ -432,6 +414,11 @@ def enumerate_stratum(n, k, j=0, window=8):
 # Largest |offset|, source or degree a window may hold.  Sums over a block's
 # free coordinates then stay far inside int64, so no rank or offset wraps.
 _VALUE_LIMIT = 2 ** 40
+
+# Most positions one block may have.  A check holds a few int64 arrays of a
+# block's size, about 13 bytes per position at its peak, so this keeps one
+# check under about 1.7 GB.
+_BLOCK_LIMIT = 2 ** 27
 
 
 class _Axis:
@@ -584,6 +571,9 @@ def _blocks(spec):
             i = len(axes)
             axes.append(_Axis(spec.x_lo[i], spec.x_hi[i], spec.w_lo[i], spec.w_hi[i]))
         blocks[p] = _Block(spec, p, axes)
+        if blocks[p].size > _BLOCK_LIMIT:
+            raise OutOfRange(f"a window block of {blocks[p].size} positions exceeds "
+                             f"the limit of {_BLOCK_LIMIT} (2**27); use a smaller window")
     return blocks
 
 
@@ -791,7 +781,7 @@ def _bijection_setup(map_id, n, k, j, l, W, refuse=OutOfRange):
     check can fail only if the engine is broken.
     """
     def param(name, value, lo=-math.inf, hi=math.inf):
-        if not lo <= _as_int(value, name) <= hi:
+        if not lo <= integer(value, name) <= hi:
             raise refuse(f"{map_id} needs {lo} <= {name} <= {hi}, got {name}={value}")
         return value
 
@@ -846,7 +836,7 @@ def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
     The image must hit the independently described codomain window exactly
     once each, and every element must keep its target.
     """
-    n = _coordinate_count(n)
+    n = integer(n, "coordinate count", 1)
     W = _window_value(window)
     dom_spec, cod_spec, action = _bijection_setup(map_id, n, k, j, l, W)
     domain_size, image_size, found = _image_check([(dom_spec, action)], cod_spec)
@@ -889,9 +879,9 @@ def verify_partition(n, k, j, window=8):
     per shortfall l = 0..k-1.  Pieces are ranked into the full window and
     must cover it with no overlap and no gap.
     """
-    n = _coordinate_count(n)
-    k = _as_int(k, "degree")
-    j = _as_int(j, "level")
+    n = integer(n, "coordinate count", 1)
+    k = integer(k, "degree")
+    j = integer(j, "level")
     if k < 1:
         raise OutOfRange(f"partitions exist for degrees >= 1, got {k}")
     if not 0 <= j <= n - 1:
@@ -927,8 +917,8 @@ def windowed_terminal_counts(n, k, window=6):
     with a conservation report (no element lost or duplicated along the
     way).  The copy counts are structural and do not depend on the window.
     """
-    n = _coordinate_count(n)
-    k = _as_int(k, "degree")
+    n = integer(n, "coordinate count", 1)
+    k = integer(k, "degree")
     if k < 1:
         raise OutOfRange(f"the peeling starts at degree >= 1, got {k}")
     W = _window_value(window)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass
+from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass, integer
 from .reports import VerifyReport
 
 __all__ = [
@@ -46,9 +46,7 @@ class K0Vector:
     coords: tuple
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise InvalidClass(f"ambient index must be an integer >= 0, got {n!r}")
+        n = integer(self.n, "ambient index", 0)
         coords = tuple(self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) != n + 1:
@@ -56,8 +54,7 @@ class K0Vector:
                 f"need {n + 1} coordinates over n={n}, got {len(coords)}"
             )
         for c in coords:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise InvalidClass(f"coordinates must be integers, got {c!r}")
+            integer(c, "coordinate")
 
     def __add__(self, other):
         if not isinstance(other, K0Vector):
@@ -91,10 +88,8 @@ class K0Vector:
 
 def generator(n, j):
     """The level-j basis class of the even K-group over n."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidClass(f"ambient index must be an integer >= 0, got {n!r}")
-    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j <= n:
-        raise IndexOutOfRange(f"level j={j!r} outside 0..{n}")
+    integer(n, "ambient index", 0)
+    integer(j, "level j", 0, n, IndexOutOfRange)
     return K0Vector(n, tuple(1 if i == j else 0 for i in range(n + 1)))
 
 
@@ -109,10 +104,8 @@ def nu_star(v):
 
 def iota_star(n, m):
     """Image of m under the inclusion of the deepest-stratum ideal: m on level n."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DimensionTooSmall(f"the ideal inclusion needs n >= 1, got {n!r}")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise InvalidClass(f"the K-class of the ideal side is an integer, got {m!r}")
+    integer(n, "the ideal inclusion's ambient index", 1, error=DimensionTooSmall)
+    integer(m, "the K-class of the ideal side")
     return K0Vector(n, (0,) * n + (m,))
 
 
@@ -228,9 +221,7 @@ def check_exactness(n):
     containment, plus surjectivity of nu_star by solving for every target
     generator.  n = 0 has nothing to restrict to and passes vacuously.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidClass(f"ambient index must be an integer >= 0, got {n!r}")
-    if n == 0:
+    if integer(n, "ambient index", 0) == 0:
         return VerifyReport(
             check="k0-exactness",
             params={"n": 0, "applicable": False},

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import InvalidClass, OutOfRange, UnsupportedDegree
+from .errors import InvalidClass, OutOfRange, UnsupportedDegree, integer
 from .k_theory import K0Vector
 
 __all__ = [
@@ -48,13 +48,8 @@ __all__ = [
 
 def binomial(k, j):
     """Exact binomial coefficient C(k, j) = k! / (j! (k-j)!), arbitrary size."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise OutOfRange(f"binomial needs integers, got {k!r}")
-    if isinstance(j, bool) or not isinstance(j, int):
-        raise OutOfRange(f"binomial needs integers, got {j!r}")
-    if j < 0 or j > k:
-        raise OutOfRange(f"binomial index j={j} outside 0..{k}")
-    return math.comb(k, j)
+    k = integer(k, "binomial k", error=OutOfRange)
+    return math.comb(k, integer(j, "binomial index j", 0, k, OutOfRange))
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,8 @@ class BundleDescriptor:
     k: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise InvalidClass(f"ambient index must be an integer >= 1, got {self.n!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise InvalidClass(f"degree must be an integer, got {self.k!r}")
+        integer(self.n, "ambient index", 1)
+        integer(self.k, "degree")
 
     def closed_form(self):
         return closed_form(self.n, self.k)
@@ -99,8 +92,7 @@ class LineBundleDecomposition:
         if self.kind == "corner":
             if self.m is None or self.mult is not None:
                 raise InvalidClass("corner decompositions carry a depth m only")
-            if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 0:
-                raise InvalidClass(f"corner depth must be an integer >= 0, got {self.m!r}")
+            integer(self.m, "corner depth", 0)
         elif self.kind == "multiset":
             if self.mult is None or self.m is not None:
                 raise InvalidClass("multiset decompositions carry multiplicities only")
@@ -110,8 +102,7 @@ class LineBundleDecomposition:
                     f"got {len(self.mult)}"
                 )
             for c in self.mult:
-                if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                    raise InvalidClass(f"multiplicities are integers >= 0, got {c!r}")
+                integer(c, "multiplicity", 0)
         else:
             raise InvalidClass(f"unknown decomposition kind {self.kind!r}")
 
@@ -146,10 +137,8 @@ class LineBundleDecomposition:
 
 
 def _check_bundle_args(n, k):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise OutOfRange(f"ambient index must be an integer >= 1, got {n!r}")
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise OutOfRange(f"degree must be an integer, got {k!r}")
+    integer(n, "ambient index", 1, error=OutOfRange)
+    integer(k, "degree", error=OutOfRange)
 
 
 def closed_form(n, k):
@@ -218,10 +207,8 @@ def hockey_stick(l, k):
     >>> hockey_stick(3, 4)
     HockeyStickResult(lhs=10, rhs=10, equal=True)
     """
-    if isinstance(l, bool) or not isinstance(l, int) or l < 2:
-        raise OutOfRange(f"the identity needs l >= 2, got {l!r}")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise OutOfRange(f"the identity needs k >= 1, got {k!r}")
+    integer(l, "hockey-stick l", 2, error=OutOfRange)
+    integer(k, "hockey-stick k", 1, error=OutOfRange)
     # one running sum from m = k down: after adding term i it is the tail
     # from i, and the tail from 1 is the base sum
     tail, equal = 0, True

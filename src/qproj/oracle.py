@@ -31,9 +31,9 @@ RhoVector((0, 2, inf))
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
-from .errors import CutoffTooSmall, DimensionMismatch, DimensionTooSmall, InvalidClass, OutOfRange
+from .errors import (CutoffTooSmall, DimensionMismatch, DimensionTooSmall, InvalidClass,
+                     OutOfRange, integer)
 from .extnat import INF
 from .projections import ProjClass, RhoVector
 
@@ -57,31 +57,20 @@ IDENTITY = ("I",)
 
 def cutoff(m):
     """The rank-m diagonal cutoff factor P(m)."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise InvalidClass(f"cutoff rank must be an integer >= 1, got {m!r}")
-    return ("P", m)
+    return ("P", integer(m, "cutoff rank", 1))
 
 
 def complement(m):
     """The complement factor 1 - P(m)."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise InvalidClass(f"complement depth must be an integer >= 1, got {m!r}")
-    return ("Pc", m)
+    return ("Pc", integer(m, "complement depth", 1))
 
 
 def _check_factor(f):
     if f == IDENTITY:
         return
-    if (
-        isinstance(f, tuple)
-        and len(f) == 2
-        and f[0] in ("P", "Pc")
-        and isinstance(f[1], int)
-        and not isinstance(f[1], bool)
-        and f[1] >= 1
-    ):
-        return
-    raise InvalidClass(f"bad axis factor {f!r}")
+    if not (isinstance(f, tuple) and len(f) == 2 and f[0] in ("P", "Pc")):
+        raise InvalidClass(f"bad axis factor {f!r}")
+    integer(f[1], "factor depth", 1)
 
 
 @dataclass(frozen=True)
@@ -91,8 +80,7 @@ class Truncation:
     N: int
 
     def __post_init__(self):
-        if isinstance(self.N, bool) or not isinstance(self.N, int) or self.N < 1:
-            raise OutOfRange(f"truncation cutoff must be an integer >= 1, got {self.N!r}")
+        integer(self.N, "truncation cutoff", 1, error=OutOfRange)
 
 
 @dataclass(frozen=True)
@@ -109,8 +97,7 @@ class DiagonalPattern:
     copies: int = 1
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
-            raise InvalidClass(f"axis count must be an integer >= 0, got {self.n!r}")
+        integer(self.n, "axis count", 0)
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
         if len(factors) != self.n:
@@ -119,8 +106,7 @@ class DiagonalPattern:
             )
         for f in factors:
             _check_factor(f)
-        if isinstance(self.copies, bool) or not isinstance(self.copies, int) or self.copies < 0:
-            raise InvalidClass(f"copies must be an integer >= 0, got {self.copies!r}")
+        integer(self.copies, "copies", 0)
 
     @property
     def is_annihilated(self):
@@ -197,10 +183,7 @@ def _layers(pattern_or_stack):
 
 
 def _cutoff_value(N):
-    if isinstance(N, Truncation):
-        return N.N
-    Truncation(N)  # validates
-    return N
+    return N.N if isinstance(N, Truncation) else Truncation(N).N
 
 
 def rank_at(pattern_or_stack, N):

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass
+from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass, integer
 from .extnat import INF, ext_from_json, ext_to_json, is_finite
 
 __all__ = [
@@ -56,12 +56,6 @@ __all__ = [
     "parse_expression",
     "normalize_expression",
 ]
-
-
-def _as_index(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidClass(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -86,16 +80,11 @@ class ProjClass:
     k: int
 
     def __post_init__(self):
-        n = _as_index(self.n, "ambient index n")
-        j = _as_index(self.j, "level j")
-        k = _as_index(self.k, "multiplicity k")
-        if n < 0:
-            raise InvalidClass(f"ambient index must be >= 0, got {n}")
+        n = integer(self.n, "ambient index n", 0)
+        j = integer(self.j, "level j")
         if not 0 <= j <= n:
             raise InvalidClass(f"level j={j} outside 0..{n}")
-        if k < 0:
-            raise InvalidClass(f"multiplicity must be >= 0, got {k}")
-        if k == 0 and j != 0:
+        if integer(self.k, "multiplicity k", 0) == 0 and j != 0:
             raise InvalidClass(
                 f"P[{j},0] is not a normal form; the zero class is P[0,0]"
             )
@@ -138,10 +127,7 @@ class RhoVector:
             raise DimensionMismatch("a counting vector needs at least one level")
         for e in entries:
             if is_finite(e):
-                if isinstance(e, bool) or not isinstance(e, int):
-                    raise InvalidClass(f"counting entries are ints or inf, got {e!r}")
-                if e < 0:
-                    raise InvalidClass(f"counting entries are >= 0, got {e}")
+                integer(e, "finite counting entry", 0)
 
     @property
     def n(self):

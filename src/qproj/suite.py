@@ -13,7 +13,7 @@ import os
 import random
 
 from . import k_theory, line_bundles, oracle, projections
-from .errors import OutOfRange
+from .errors import OutOfRange, integer
 from .reports import VerifyReport
 
 __all__ = [
@@ -256,8 +256,8 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=8):
     """Partitions and all structural bijections on windowed strata."""
     from . import groupoid
 
-    if n_max < 1:
-        raise OutOfRange(f"groupoid checks need n_max >= 1, got {n_max}")
+    integer(n_max, "groupoid n_max", 1, error=OutOfRange)
+    integer(k_abs_max, "groupoid k_abs_max", 0, error=OutOfRange)
     window = groupoid._window_value(window)
     reports = []
     for n in range(1, n_max + 1):
@@ -287,9 +287,8 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=8):
 
 def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
     """Numeric counting vectors from truncated ranks match the symbolic ones."""
-    if n_max < 1 or k_max < 0:
-        raise OutOfRange(f"oracle checks need n_max >= 1 and k_max >= 0, "
-                         f"got n_max={n_max}, k_max={k_max}")
+    integer(n_max, "oracle n_max", 1, error=OutOfRange)
+    integer(k_max, "oracle k_max", 0, error=OutOfRange)
     n1, n2, guard = cutoffs
 
     def test(p):
@@ -310,6 +309,8 @@ def terminal_count_checks(n_max=2, k_max=3, window=6):
     """Windowed terminal tallies reproduce the symbolic multiplicities."""
     from . import groupoid
 
+    integer(n_max, "terminal n_max", 1, error=OutOfRange)
+    integer(k_max, "terminal k_max", 1, error=OutOfRange)
     reports = []
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
@@ -393,8 +394,7 @@ def effective_jobs(requested=None):
     """
     if requested is None:
         requested = os.cpu_count() or 1
-    elif requested < 1:
-        raise OutOfRange(f"job count must be >= 1, got {requested}")
+    integer(requested, "job count", 1, error=OutOfRange)
     cap = os.environ.get("QPROJ_JOBS")
     if cap is not None:
         try:

@@ -157,6 +157,15 @@ class TestValidationExitCode:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [("--n", "4"), ("--n", "5", "--map", "gamma", "--k", "1")],
+                             ids=" ".join)
+    def test_oversized_window_is_refused(self, capsys, argv):
+        """The default --window 8 is too large from n = 4 on: one error line."""
+        code, out, err = run_cli(capsys, "groupoid-verify", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a window block of ") and len(err.splitlines()) == 1
+        assert "exceeds the limit of 134217728" in err
+
 
 class TestVerifiers:
     def test_single_map_table(self, capsys):
@@ -384,6 +393,21 @@ class TestCalculatorsWithoutNumpy:
                          f"import sys, qproj, qproj.cli; "
                          f"print([m for m in {heavy!r} if m in sys.modules])")
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_bare_import_loads_no_submodule(self):
+        proc = run_child(sys.executable, "-c", "import sys, qproj; "
+                         "print([m for m in sys.modules if m.startswith('qproj.')])")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    @pytest.mark.parametrize("argv", [c for c in CALCULATOR_COMMANDS if c[0] in (
+        "normalize", "rho", "boxplus", "k0", "linebundle")], ids=" ".join)
+    def test_calculator_loads_no_oracle(self, argv):
+        heavy = ("numpy", "qproj.groupoid", "qproj.suite", "qproj.oracle")
+        proc = run_child(sys.executable, "-c",
+                         f"import sys; from qproj import cli; cli.main(sys.argv[1:]); "
+                         f"print([m for m in {heavy!r} if m in sys.modules])", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_lazy_names_resolve(self):
         probe = ("from qproj import *; import qproj; "

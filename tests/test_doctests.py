@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 from qproj import (
+    errors,
     extnat,
     groupoid,
     k_theory,
@@ -14,7 +15,7 @@ from qproj import (
     reports,
 )
 
-MODULES = [extnat, projections, k_theory, line_bundles, oracle, groupoid, reports]
+MODULES = [errors, extnat, projections, k_theory, line_bundles, oracle, groupoid, reports]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -795,6 +795,28 @@ class TestWindowEdges:
         assert report.passed, report.to_json()
         assert (report.domain_size, report.image_size) == (full_size, piece_size)
 
+    @pytest.mark.parametrize("call", [
+        lambda: verify_partition(4, 4, 0, window=8),  # 296,298,405 positions
+        lambda: verify_bijection("gamma", 5, k=1, window=8),
+        lambda: enumerate_stratum(5, 1, window=8),
+    ], ids=["partition n=4", "gamma n=5", "enumeration n=5"])
+    def test_oversized_block_refused(self, call):
+        """A block too large to check in memory is refused before any array
+        of its size is built."""
+        with pytest.raises(OutOfRange, match=r"block of \d+ positions exceeds "
+                                              r"the limit of 134217728"):
+            call()
+
+    def test_block_limit_admits_a_block_of_its_size(self, monkeypatch):
+        import qproj.groupoid as G
+
+        largest = max(b.size for b in _blocks(_partition_setup(2, 1, 0, 2)[0]).values())
+        monkeypatch.setattr(G, "_BLOCK_LIMIT", largest)
+        assert verify_partition(2, 1, 0, 2).passed
+        monkeypatch.setattr(G, "_BLOCK_LIMIT", largest - 1)
+        with pytest.raises(OutOfRange, match=f"block of {largest} positions"):
+            verify_partition(2, 1, 0, 2)
+
 
 class TestMutations:
     """Broken actions and windows are caught, each with a concrete element."""

@@ -46,6 +46,16 @@ class TestGroups:
             "hockey-stick", "k0", "groupoid", "oracle", "terminal", "random",
         }
 
+    @pytest.mark.parametrize("family, ranges", [
+        (suite.groupoid_checks, {"n_max": 1.5}),
+        (suite.oracle_agreement_checks, {"n_max": 2.0}),
+        (suite.terminal_count_checks, {"n_max": 0}),
+    ], ids=["groupoid", "oracle", "terminal"])
+    def test_bad_range_refused(self, family, ranges):
+        """A non-integer or empty range is refused, not run or swept vacuously."""
+        with pytest.raises(OutOfRange, match="n_max"):
+            family(**ranges)
+
     def test_unknown_group(self):
         with pytest.raises(KeyError):
             suite.run_group("no-such-family")
@@ -101,7 +111,7 @@ class TestJobs:
     def test_nonpositive_request_refused(self, monkeypatch):
         monkeypatch.delenv("QPROJ_JOBS", raising=False)
         assert suite.effective_jobs(1) == 1
-        for requested in (0, -1):
+        for requested in (0, -1, 2.5, True):
             with pytest.raises(OutOfRange, match="job count"):
                 suite.effective_jobs(requested)
             with pytest.raises(OutOfRange, match="job count"):
