@@ -226,17 +226,9 @@ def _cmd_groupoid_verify(args):
             raise _UsageError(f"--map all sweeps every parameter; it takes no "
                               f"{', '.join(given)}")
         reports = suite.groupoid_checks(n_max=args.n, window=args.window)
-    elif args.map_id == "partition":
-        if args.k is None or args.j is None:
-            raise _UsageError("--map partition needs --k and --j")
-        if args.l is not None:
-            raise _UsageError("--map partition takes no --l")
-        reports = [groupoid.verify_partition(args.n, args.k, args.j,
-                                             args.window)]
     else:
-        reports = [groupoid.verify_bijection(args.map_id, args.n, k=args.k,
-                                             j=args.j, l=args.l,
-                                             window=args.window)]
+        reports = [groupoid._verify(args.map_id, args.n, args.k, args.j, args.l,
+                                    args.window)]
     return _emit_reports(args, reports)
 
 

@@ -41,7 +41,10 @@ indicator and the number of images placed equals the number of codomain
 rows, so that no position is hit twice.  No row is packed, sorted or
 limited by a field width.  The element-level enumeration unranks the
 flagged positions of the same blocks, so the window rules are written
-once.
+once.  Block sizes are counted before any table is built, so a window
+too large to rank is refused first.  The partition of a stratum into its
+k + 1 pieces and each structural map are rows of one table of sources
+(windows under actions) and codomain windows, checked by one body.
 """
 
 from __future__ import annotations
@@ -245,7 +248,7 @@ def compose(g, h):
 
 
 def _map_element(map_id, g, k=None, j=None, l=None, wrong=WrongStratum, miss=None):
-    """Apply one map's row of ``_bijection_setup`` to a single element.
+    """Apply one map's row of ``_check_setup`` to a single element.
 
     The window is the smallest that holds g, so g is in the domain window
     exactly when it is in the map's domain.  A wrong variant or parameter
@@ -254,7 +257,7 @@ def _map_element(map_id, g, k=None, j=None, l=None, wrong=WrongStratum, miss=Non
     if not isinstance(g, GroupoidElement) or g.primed:
         raise wrong(f"{map_id} is defined on plain elements")
     W = max([1] + [abs(v) for v in g.x] + [v for v in g.w if is_finite(v)])
-    dom, cod, action = _bijection_setup(map_id, g.n, k, j, l, W, refuse=wrong)
+    [(dom, action)], cod = _check_setup(map_id, g.n, k, j, l, W, refuse=wrong)
     raw = (g.z, g.x, g.w)
     if not _in_box(dom, raw):
         raise (miss or wrong)(f"{g} is outside the domain of {map_id}")
@@ -552,29 +555,48 @@ class _Block:
         return r
 
 
-def _blocks(spec):
-    """The blocks of a window by increasing p, leaving out each p whose
-    infinite source or zero tail offsets the window excludes; pair tables
-    are built once per coordinate and shared by every block."""
+def _axis_size(x_lo, x_hi, w_lo, w_hi):
+    """Pairs in ``_Axis(x_lo, x_hi, w_lo, w_hi)``, counted in closed form:
+    x_hi + w + 1 (where positive) for each w below -x_lo, and
+    x_hi - x_lo + 1 for every other w."""
+    a, b = max(w_lo, -x_hi), min(w_hi, -x_lo - 1)
+    short = (b - a + 1) * (2 * x_hi + 2 + a + b) // 2 if a <= b else 0
+    return short + max(w_hi - max(w_lo, -x_lo) + 1, 0) * max(x_hi - x_lo + 1, 0)
+
+
+def _block_sizes(spec):
+    """The size of each block of a window by increasing p, leaving out each
+    p whose infinite source or zero tail offsets the window excludes.  Sizes
+    are counted, not built, so a window too large to rank is refused before
+    any table of it exists."""
     n = spec.n
     values = (spec.z,) + spec.x_lo + spec.x_hi + spec.w_lo + spec.w_hi
     if max(abs(v) for v in values) > _VALUE_LIMIT:
         raise OutOfRange("window values must stay within +-2**40 to be ranked exactly")
-    axes = []
-    blocks = {}
+    axes = [_axis_size(*r) for r in zip(spec.x_lo, spec.x_hi, spec.w_lo, spec.w_hi)]
+    sizes = {}
     for p in range(n + 1):
         if p < n and not spec.w_inf[p]:
             continue
         if any(spec.x_lo[q] > 0 or spec.x_hi[q] < 0 for q in range(p + 1, n)):
             continue
-        while len(axes) < p:
-            i = len(axes)
-            axes.append(_Axis(spec.x_lo[i], spec.x_hi[i], spec.w_lo[i], spec.w_hi[i]))
-        blocks[p] = _Block(spec, p, axes)
-        if blocks[p].size > _BLOCK_LIMIT:
-            raise OutOfRange(f"a window block of {blocks[p].size} positions exceeds "
+        if spec.variant == "primed" and p == 0:  # indexed by its first offset
+            sizes[p] = max(spec.x_hi[0] - spec.x_lo[0] + 1, 0)
+        else:
+            sizes[p] = math.prod(axes[:p])
+        if sizes[p] > _BLOCK_LIMIT:
+            raise OutOfRange(f"a window block of {sizes[p]} positions exceeds "
                              f"the limit of {_BLOCK_LIMIT} (2**27); use a smaller window")
-    return blocks
+    return sizes
+
+
+def _blocks(spec):
+    """The blocks of ``_block_sizes``; pair tables are built once per
+    coordinate and shared by every block."""
+    sizes = _block_sizes(spec)
+    axes = [_Axis(spec.x_lo[i], spec.x_hi[i], spec.w_lo[i], spec.w_hi[i])
+            for i in range(max(sizes, default=0))]
+    return {p: _Block(spec, p, axes) for p in sizes}
 
 
 @dataclass(frozen=True)
@@ -750,10 +772,12 @@ def _counterexample(found, kinds):
     return None
 
 
-# --- bijection checks -------------------------------------------------------
+# --- partition and bijection checks -----------------------------------------
 
-# The parameters each map takes, of k, j and l.
-_MAP_PARAMETERS = {
+# The parameters each check takes, of k, j and l: the partition, then each
+# structural map.
+_PARAMETERS = {
+    "partition": "kj",
     "theta-neg": "k",
     "theta-shift": "kj",
     "theta-peel": "kjl",
@@ -761,99 +785,7 @@ _MAP_PARAMETERS = {
     "gamma": "k",
     "t": "",
 }
-MAP_IDS = tuple(_MAP_PARAMETERS)
-
-
-def _bijection_setup(map_id, n, k, j, l, W, refuse=OutOfRange):
-    """The one description of each structural map: its parameter domain,
-    domain window, codomain window and per-coordinate action.
-
-    The element maps (``theta_*``, ``gamma_iso``, ``t_iso``), the bijection
-    checks and the terminal tally all read it.  Windows are paired so the
-    map carries the domain box exactly onto the codomain box: whatever
-    shift the map applies to a coordinate is also applied to that
-    coordinate's range.  A parameter outside the map's domain, or one the
-    map does not take given as anything but None, raises ``refuse``
-    naming the map and the parameter.
-
-    The t row joins the degree-0 window to itself by the identity action,
-    because ``TElement`` rows are exactly the plain degree-0 rows; its
-    check can fail only if the engine is broken.
-    """
-    def param(name, value, lo=-math.inf, hi=math.inf):
-        if not lo <= integer(value, name) <= hi:
-            raise refuse(f"{map_id} needs {lo} <= {name} <= {hi}, got {name}={value}")
-        return value
-
-    if map_id not in _MAP_PARAMETERS:
-        raise OutOfRange(f"unknown map id {map_id!r}; expected one of {MAP_IDS}")
-    for name, value in zip("kjl", (k, j, l)):
-        if value is not None and name not in _MAP_PARAMETERS[map_id]:
-            raise refuse(f"{map_id} takes no parameter {name}, got {name}={value}")
-
-    if map_id == "theta-neg":
-        k = param("k", k, hi=0)
-        dom = _stratum_spec(n, k, W)
-        cod = _stratum_spec(
-            n, 0, W,
-            w_over={0: (-k, -k + W, True)},
-            x_over={0: (-W + k, W + k)},
-        )
-        return dom, cod, _Action(z=0, coord=0, dx=k, dw=-k)
-
-    if map_id == "theta-shift":
-        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
-        dom = _stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)})
-        cod = _stratum_spec(n, 0, W, pins=j, x_over={j: (-W + k, W + k)})
-        return dom, cod, _Action(z=0, coord=j, dx=k, dw=-k)
-
-    if map_id == "theta-peel":
-        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
-        l = param("l", l, lo=0, hi=k - 1)
-        dom = _stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)})
-        cod = _stratum_spec(n, k - l, W, pins=j + 1, x_over={j: (-W + l, W + l)})
-        return dom, cod, _Action(z=k - l, coord=j, dx=l, pin=True)
-
-    if map_id == "theta-terminal":
-        l = param("l", l, lo=1)
-        dom = _stratum_spec(n, l, W, pins=n)
-        cod = _stratum_spec(n, 0, W, pins=n)
-        return dom, cod, _Action(z=0)
-
-    if map_id == "gamma":
-        k = param("k", k)
-        dom = _stratum_spec(n, k, W)
-        cod = _stratum_spec(n, k, W, variant="primed", shear=True)
-        return dom, cod, _Action(z=k, shear=True)
-
-    dom = _stratum_spec(n, 0, W)  # t
-    return dom, dom, _Action(z=0)
-
-
-def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
-    """Exhaustively check one structural map on paired windows.
-
-    The image must hit the independently described codomain window exactly
-    once each, and every element must keep its target.
-    """
-    n = integer(n, "coordinate count", 1)
-    W = _window_value(window)
-    dom_spec, cod_spec, action = _bijection_setup(map_id, n, k, j, l, W)
-    domain_size, image_size, found = _image_check([(dom_spec, action)], cod_spec)
-    counterexample = _counterexample(found, (
-        ("moved", "target-moved"),
-        ("collision", "collision"),
-        ("outside", "image-outside-codomain"),
-        ("uncovered", "codomain-not-covered"),
-    ))
-    return VerifyReport(
-        check="bijection",
-        params={"map": map_id, "n": n, "k": k, "j": j, "l": l, "W": W},
-        passed=counterexample is None,
-        domain_size=domain_size,
-        image_size=image_size,
-        counterexample=counterexample,
-    )
+MAP_IDS = tuple(_PARAMETERS)[1:]
 
 
 def _cut(spec, j, k):
@@ -871,6 +803,114 @@ def _partition_setup(n, k, j, W):
     return full, _cut(full, j, k)
 
 
+def _check_setup(kind, n, k, j, l, W, refuse=OutOfRange):
+    """The one description of each check: its parameter domain, its sources
+    as (window, action) pairs, and its codomain window.
+
+    A map's one source is its domain window under its per-coordinate
+    action; the partition's sources are the k + 1 pieces of the full
+    window under the identity, and its codomain is the full window.  The
+    element maps (``theta_*``, ``gamma_iso``, ``t_iso``), the checks and
+    the terminal tally all read it.  Windows are paired so the map carries
+    the domain box exactly onto the codomain box: whatever shift the map
+    applies to a coordinate is also applied to that coordinate's range.  A
+    parameter outside the check's domain, or one the check does not take
+    given as anything but None, raises ``refuse`` naming the check and the
+    parameter.
+
+    The t row joins the degree-0 window to itself by the identity action,
+    because ``TElement`` rows are exactly the plain degree-0 rows; its
+    check can fail only if the engine is broken.
+    """
+    def param(name, value, lo=-math.inf, hi=math.inf):
+        if not lo <= integer(value, name) <= hi:
+            raise refuse(f"{kind} needs {lo} <= {name} <= {hi}, got {name}={value}")
+        return value
+
+    for name, value in zip("kjl", (k, j, l)):
+        if value is not None and name not in _PARAMETERS[kind]:
+            raise refuse(f"{kind} takes no parameter {name}, got {name}={value}")
+
+    if kind == "partition":
+        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
+        full, pieces = _partition_setup(n, k, j, W)
+        return [(piece, _Action(z=k)) for piece in pieces], full
+
+    if kind == "theta-neg":
+        k = param("k", k, hi=0)
+        dom = _stratum_spec(n, k, W)
+        cod = _stratum_spec(
+            n, 0, W,
+            w_over={0: (-k, -k + W, True)},
+            x_over={0: (-W + k, W + k)},
+        )
+        return [(dom, _Action(z=0, coord=0, dx=k, dw=-k))], cod
+
+    if kind == "theta-shift":
+        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
+        dom = _stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)})
+        cod = _stratum_spec(n, 0, W, pins=j, x_over={j: (-W + k, W + k)})
+        return [(dom, _Action(z=0, coord=j, dx=k, dw=-k))], cod
+
+    if kind == "theta-peel":
+        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
+        l = param("l", l, lo=0, hi=k - 1)
+        dom = _stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)})
+        cod = _stratum_spec(n, k - l, W, pins=j + 1, x_over={j: (-W + l, W + l)})
+        return [(dom, _Action(z=k - l, coord=j, dx=l, pin=True))], cod
+
+    if kind == "theta-terminal":
+        l = param("l", l, lo=1)
+        dom = _stratum_spec(n, l, W, pins=n)
+        cod = _stratum_spec(n, 0, W, pins=n)
+        return [(dom, _Action(z=0))], cod
+
+    if kind == "gamma":
+        k = param("k", k)
+        dom = _stratum_spec(n, k, W)
+        cod = _stratum_spec(n, k, W, variant="primed", shear=True)
+        return [(dom, _Action(z=k, shear=True))], cod
+
+    dom = _stratum_spec(n, 0, W)  # t
+    return [(dom, _Action(z=0))], dom
+
+
+# Each record's names of the failure kinds of ``_image_check``, in precedence order.
+_FAILURE_NAMES = {
+    "partition": (("collision", "overlap"), ("uncovered", "gap"), ("outside", "spill")),
+    "bijection": (("moved", "target-moved"), ("collision", "collision"),
+                  ("outside", "image-outside-codomain"),
+                  ("uncovered", "codomain-not-covered")),
+}
+
+
+def _verify(kind, n, k, j, l, window, kinds=_PARAMETERS):
+    """One check of a kind in ``kinds``: its sources ranked into its codomain
+    by one image check.  A partition records the full window as its domain
+    and the pieces as its image."""
+    n = integer(n, "coordinate count", 1)
+    W = _window_value(window)
+    if kind not in kinds:
+        raise OutOfRange(f"unknown map id {kind!r}; expected one of {MAP_IDS}")
+    rows, size, found = _image_check(*_check_setup(kind, n, k, j, l, W))
+    if kind == "partition":  # the full window is the domain, the pieces the image
+        check, params, rows, size = kind, {"n": n, "k": k, "j": j, "W": W}, size, rows
+    else:
+        check, params = "bijection", {"map": kind, "n": n, "k": k, "j": j, "l": l, "W": W}
+    counterexample = _counterexample(found, _FAILURE_NAMES[check])
+    return VerifyReport(check, params, counterexample is None, domain_size=rows,
+                        image_size=size, counterexample=counterexample)
+
+
+def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
+    """Exhaustively check one structural map on paired windows.
+
+    The image must hit the independently described codomain window exactly
+    once each, and every element must keep its target.
+    """
+    return _verify(map_id, n, k, j, l, window, kinds=MAP_IDS)
+
+
 def verify_partition(n, k, j, window=8):
     """Check that a windowed stratum splits exactly into its k + 1 pieces.
 
@@ -879,27 +919,7 @@ def verify_partition(n, k, j, window=8):
     per shortfall l = 0..k-1.  Pieces are ranked into the full window and
     must cover it with no overlap and no gap.
     """
-    n = integer(n, "coordinate count", 1)
-    k = integer(k, "degree")
-    j = integer(j, "level")
-    if k < 1:
-        raise OutOfRange(f"partitions exist for degrees >= 1, got {k}")
-    if not 0 <= j <= n - 1:
-        raise OutOfRange(f"level j={j} outside 0..{n - 1}")
-    W = _window_value(window)
-    full, pieces = _partition_setup(n, k, j, W)
-    piece_rows, full_rows, found = _image_check(
-        [(piece, _Action(z=k)) for piece in pieces], full)
-    counterexample = _counterexample(found, (
-        ("collision", "overlap"), ("uncovered", "gap"), ("outside", "spill")))
-    return VerifyReport(
-        check="partition",
-        params={"n": n, "k": k, "j": j, "W": W},
-        passed=counterexample is None,
-        domain_size=full_rows,
-        image_size=piece_rows,
-        counterexample=counterexample,
-    )
+    return _verify("partition", n, k, j, None, window)
 
 
 # --- terminal tally ---------------------------------------------------------
@@ -934,7 +954,7 @@ def windowed_terminal_counts(n, k, window=6):
 
     def push(piece, map_id, kk=None, jj=None, l=None):
         """The box the map's action carries ``piece`` to, and its size."""
-        action = _bijection_setup(map_id, n, kk, jj, l, W)[2]
+        [(_, action)], _ = _check_setup(map_id, n, kk, jj, l, W)
         box = action.box(piece)
         return box, check([(piece, action)], box)
 

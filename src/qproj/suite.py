@@ -65,6 +65,8 @@ def monoid_checks(n_max=5, k_max=20):
     to k_max."""
     import numpy as np
 
+    integer(n_max, "monoid n_max", 0, error=OutOfRange)
+    integer(k_max, "monoid k_max", 0, error=OutOfRange)
     law_bad = add_bad = None
     comm_ok = assoc_ok = True
     pairs = triples = 0
@@ -131,6 +133,8 @@ def monoid_checks(n_max=5, k_max=20):
 
 def rho_injectivity_checks(n_max=5, k_max=50):
     """Distinct classes have distinct counting vectors, exhaustively."""
+    integer(n_max, "rho-injectivity n_max", 0, error=OutOfRange)
+    integer(k_max, "rho-injectivity k_max", 0, error=OutOfRange)
     seen = {}
 
     def test(n, p):
@@ -153,6 +157,9 @@ def cancellation_checks(n_max=5, k_max=20):
     equal sums with any common summand force equality.
     """
     import numpy as np
+
+    integer(n_max, "cancellation n_max", 1, error=OutOfRange)
+    integer(k_max, "cancellation k_max", 1, error=OutOfRange)
 
     def witness_cases():
         for n in range(1, n_max + 1):
@@ -212,6 +219,8 @@ def _bundle_recursion_test(n, k):
 
 def bundle_recursion_checks(n_max=5, k_max=25):
     """Peeling recursion equals the binomial closed form, exactly."""
+    integer(n_max, "bundle-recursion n_max", 1, error=OutOfRange)
+    integer(k_max, "bundle-recursion k_max", 1, error=OutOfRange)
     count, bad = _first_counterexample(
         itertools.product(range(1, n_max + 1), range(1, k_max + 1)),
         _bundle_recursion_test)
@@ -221,6 +230,8 @@ def bundle_recursion_checks(n_max=5, k_max=25):
 
 def hockey_stick_checks(l_max=12, k_max=40):
     """Tail-sum binomial identities with every shift, exactly."""
+    integer(l_max, "hockey-stick l_max", 2, error=OutOfRange)
+    integer(k_max, "hockey-stick k_max", 1, error=OutOfRange)
     def test(l, k):
         result = line_bundles.hockey_stick(l, k)
         if result.equal:
@@ -235,6 +246,9 @@ def hockey_stick_checks(l_max=12, k_max=40):
 
 def k0_checks(n_max=5, k_max=25, exact_n_max=6):
     """Restriction consistency of bundle classes, plus exactness reports."""
+    integer(n_max, "k0 n_max", 2, error=OutOfRange)
+    integer(k_max, "k0 k_max", 0, error=OutOfRange)
+    integer(exact_n_max, "k0 exact_n_max", 1, error=OutOfRange)
     def test(n, k):
         lhs = k_theory.nu_star(line_bundles.k0_class(n, k))
         rhs = line_bundles.k0_class(n - 1, k)
@@ -259,36 +273,35 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=8):
     integer(n_max, "groupoid n_max", 1, error=OutOfRange)
     integer(k_abs_max, "groupoid k_abs_max", 0, error=OutOfRange)
     window = groupoid._window_value(window)
-    reports = []
+    checks = []  # (kind, n, k, j, l) in record order
     for n in range(1, n_max + 1):
-        for k in range(1, k_abs_max + 1):
-            for j in range(n):
-                reports.append(groupoid.verify_partition(n, k, j, window))
-        for k in range(-k_abs_max, 1):
-            reports.append(groupoid.verify_bijection("theta-neg", n, k=k,
-                                                     window=window))
-        for k in range(1, k_abs_max + 1):
-            for j in range(n):
-                reports.append(groupoid.verify_bijection("theta-shift", n, k=k,
-                                                         j=j, window=window))
-                for l in range(k):
-                    reports.append(groupoid.verify_bijection("theta-peel", n,
-                                                             k=k, j=j, l=l,
-                                                             window=window))
-        for l in range(1, k_abs_max + 1):
-            reports.append(groupoid.verify_bijection("theta-terminal", n, l=l,
-                                                     window=window))
-        for k in range(-k_abs_max, k_abs_max + 1):
-            reports.append(groupoid.verify_bijection("gamma", n, k=k,
-                                                     window=window))
-        reports.append(groupoid.verify_bijection("t", n, window=window))
-    return reports
+        ks, js = range(1, k_abs_max + 1), range(n)
+        checks += [("partition", n, k, j, None) for k in ks for j in js]
+        checks += [("theta-neg", n, k, None, None) for k in range(-k_abs_max, 1)]
+        for k in ks:
+            for j in js:
+                checks.append(("theta-shift", n, k, j, None))
+                checks += [("theta-peel", n, k, j, l) for l in range(k)]
+        checks += [("theta-terminal", n, None, None, l) for l in ks]
+        checks += [("gamma", n, k, None, None) for k in range(-k_abs_max, k_abs_max + 1)]
+        checks.append(("t", n, None, None, None))
+    # size every window first, so that an oversized one is refused before
+    # any check runs
+    for kind, n, k, j, l in checks:
+        sources, cod = groupoid._check_setup(kind, n, k, j, l, window)
+        for spec in [cod, *(spec for spec, _ in sources)]:
+            groupoid._block_sizes(spec)
+    return [groupoid.verify_partition(n, k, j, window) if kind == "partition"
+            else groupoid.verify_bijection(kind, n, k=k, j=j, l=l, window=window)
+            for kind, n, k, j, l in checks]
 
 
 def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
     """Numeric counting vectors from truncated ranks match the symbolic ones."""
     integer(n_max, "oracle n_max", 1, error=OutOfRange)
     integer(k_max, "oracle k_max", 0, error=OutOfRange)
+    if type(cutoffs) is not tuple or len(cutoffs) != 3:
+        raise OutOfRange(f"oracle cutoffs must be a 3-tuple, got {cutoffs!r}")
     n1, n2, guard = cutoffs
 
     def test(p):
@@ -324,6 +337,7 @@ def random_checks(seed=DEFAULT_SEED, samples=400):
     Cases are drawn as they are tested, so the stream a family leaves at its
     first counterexample goes on to the next family.
     """
+    integer(samples, "random samples", 1, error=OutOfRange)
     rng = random.Random(seed)
 
     def triples():

@@ -149,7 +149,7 @@ class TestValidationExitCode:
         (("--map", "all", "--j", "0", "--l", "1"),
          "--map all sweeps every parameter; it takes no --j, --l"),
         (("--map", "partition", "--k", "1", "--j", "0", "--l", "5"),
-         "--map partition takes no --l"),
+         "partition takes no parameter l, got l=5"),
     ])
     def test_parameter_a_map_does_not_take_is_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "groupoid-verify", "--n", "1",
@@ -157,10 +157,12 @@ class TestValidationExitCode:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [("--n", "4"), ("--n", "5", "--map", "gamma", "--k", "1")],
+    @pytest.mark.parametrize("argv", [("--n", "4"), ("--n", "5", "--map", "gamma", "--k", "1"),
+                                      ("--n", "1", "--map", "t", "--window", "1000000")],
                              ids=" ".join)
     def test_oversized_window_is_refused(self, capsys, argv):
-        """The default --window 8 is too large from n = 4 on: one error line."""
+        """The default --window 8 is too large from n = 4 on, and a window of
+        10**6 at n = 1: one error line, before any table is built."""
         code, out, err = run_cli(capsys, "groupoid-verify", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: a window block of ") and len(err.splitlines()) == 1
@@ -422,10 +424,11 @@ class TestCalculatorsWithoutNumpy:
 
 
 class TestForkedWorkers:
-    def test_records_match_committed_output(self):
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
+    def test_records_match_committed_output(self, flags):
         """`verify-all --jobs 2` from a fresh interpreter prints the committed
-        records."""
-        proc = run_child(sys.executable, "-m", "qproj.cli", "verify-all",
+        records, also under -O, which strips every assert."""
+        proc = run_child(sys.executable, *flags, "-m", "qproj.cli", "verify-all",
                          "--jobs", "2", "--format", "json")
         assert proc.returncode == 0, proc.stderr[-2000:]
         digest, _ = (EXPECTED / "verify_all.sha256").read_text().split()

@@ -20,8 +20,10 @@ from qproj.groupoid import (
     TElement,
     Window,
     _Action,
-    _bijection_setup,
+    _Axis,
+    _axis_size,
     _blocks,
+    _check_setup,
     _element_from_raw,
     _first_inf,
     _first_moved,
@@ -63,7 +65,7 @@ def element_key(record):
 
 
 # Hand-written element maps, kept as the reference for the public maps,
-# which apply the actions of ``_bijection_setup``.
+# which apply the actions of ``_check_setup``.
 
 def _w_shift(entry, t):
     return entry if entry is INF else entry + t
@@ -209,7 +211,7 @@ def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
     """(domain size, codomain size, verdict) from elements alone: the map
     applied element by element to the domain window must be injective,
     keep every target and give exactly the codomain window."""
-    dom, cod, _ = _bijection_setup(map_id, n, k, j, l, window)
+    [(dom, _)], cod = _check_setup(map_id, n, k, j, l, window)
     domain = [_element_from_raw(raw, dom.variant) for raw in box_rows(dom)]
     if map_id == "t":
         codomain = {TElement(n, x, w) for _, x, w in box_rows(cod)}
@@ -708,6 +710,9 @@ class TestVerifiers:
             verify_bijection("theta-peel", 2, k=2, j=0, l=2, window=3)
         with pytest.raises(OutOfRange):
             verify_bijection("no-such-map", 2, window=3)
+        # the partition is a row of the maps' table, but not a map
+        with pytest.raises(OutOfRange, match="^unknown map id 'partition'; expected one of "):
+            verify_bijection("partition", 2, k=1, j=0, window=3)
         with pytest.raises(OutOfRange):
             verify_partition(2, 0, 0, window=3)
         with pytest.raises(OutOfRange):
@@ -754,8 +759,8 @@ class TestVerifiers:
         import qproj.groupoid as G
 
         dom, cod = _stratum_spec(1, 0, 2), _stratum_spec(1, 1, 2)
-        monkeypatch.setattr(G, "_bijection_setup",
-                            lambda *args: (dom, cod, _Action(z=0)))
+        monkeypatch.setattr(G, "_check_setup",
+                            lambda *args: ([(dom, _Action(z=0))], cod))
         report = G.verify_bijection("t", 1, window=2)
         assert not report.passed
         assert report.counterexample["kind"] == "image-outside-codomain"
@@ -807,6 +812,24 @@ class TestWindowEdges:
                                               r"the limit of 134217728"):
             call()
 
+    def test_axis_size_counts_the_pair_table(self):
+        """The closed-form count equals the built table's size on every range
+        with bounds in -6..6, empty ranges included."""
+        bounds = range(-6, 7)
+        for ranges in itertools.product(bounds, repeat=4):
+            assert _axis_size(*ranges) == _Axis(*ranges).size, ranges
+
+    def test_oversized_sweep_is_refused_before_any_check_runs(self, monkeypatch):
+        import qproj.groupoid as G
+        from qproj import suite
+
+        calls = []
+        real = G._image_check
+        monkeypatch.setattr(G, "_image_check", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(OutOfRange, match="exceeds the limit of 134217728"):
+            suite.groupoid_checks(n_max=4)
+        assert calls == []
+
     def test_block_limit_admits_a_block_of_its_size(self, monkeypatch):
         import qproj.groupoid as G
 
@@ -835,9 +858,9 @@ class TestMutations:
                   dom=None, cod=None, action=None):
         import qproj.groupoid as G
 
-        real = _bijection_setup(map_id, n, k, j, l, window)
-        dom, cod, action = dom or real[0], cod or real[1], action or real[2]
-        monkeypatch.setattr(G, "_bijection_setup", lambda *a, **kw: (dom, cod, action))
+        [(real_dom, real_action)], real_cod = _check_setup(map_id, n, k, j, l, window)
+        dom, cod, action = dom or real_dom, cod or real_cod, action or real_action
+        monkeypatch.setattr(G, "_check_setup", lambda *a, **kw: ([(dom, action)], cod))
         report = G.verify_bijection(map_id, n, k=k, j=j, l=l, window=window)
         assert not report.passed
         return dom, cod, action, report.counterexample

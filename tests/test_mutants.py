@@ -1,11 +1,12 @@
 """Committed mutants of the structural maps and of the operations the
 other families check.
 
-Each map mutant breaks one map's action in ``_bijection_setup``, the one
-description that the element maps, the bijection checks and the terminal
-tally all read.  A mutant counts as caught when the groupoid sweep of
-``verify-all`` (at a small range) gives a failing bijection record for
-that map and the public element map's output changes on some element.
+Each map mutant breaks one map's action in ``_check_setup``, the one
+description that the element maps, the partition and bijection checks
+and the terminal tally all read.  A mutant counts as caught when the
+groupoid sweep of ``verify-all`` (at a small range) gives a failing
+bijection record for that map and the public element map's output
+changes on some element.
 
 Each operation mutant replaces one module function; it counts as caught
 when the family that should catch it, run by ``suite.run_group`` at its
@@ -58,15 +59,15 @@ PUBLIC = {
 
 def install(monkeypatch, map_id, change, only_n=None):
     """Replace the action of one map, at every n or only at ``only_n``."""
-    real = G._bijection_setup
+    real = G._check_setup
 
-    def broken(mid, n, k, j, l, W, **kw):
-        dom, cod, action = real(mid, n, k, j, l, W, **kw)
-        if mid == map_id and only_n in (None, n):
-            action = dataclasses.replace(action, **change(action))
-        return dom, cod, action
+    def broken(kind, n, k, j, l, W, **kw):
+        sources, cod = real(kind, n, k, j, l, W, **kw)
+        if kind == map_id and only_n in (None, n):
+            sources = [(dom, dataclasses.replace(a, **change(a))) for dom, a in sources]
+        return sources, cod
 
-    monkeypatch.setattr(G, "_bijection_setup", broken)
+    monkeypatch.setattr(G, "_check_setup", broken)
 
 
 def outputs(map_id, probe, params):

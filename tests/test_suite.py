@@ -46,14 +46,26 @@ class TestGroups:
             "hockey-stick", "k0", "groupoid", "oracle", "terminal", "random",
         }
 
-    @pytest.mark.parametrize("family, ranges", [
-        (suite.groupoid_checks, {"n_max": 1.5}),
-        (suite.oracle_agreement_checks, {"n_max": 2.0}),
-        (suite.terminal_count_checks, {"n_max": 0}),
-    ], ids=["groupoid", "oracle", "terminal"])
-    def test_bad_range_refused(self, family, ranges):
+    @pytest.mark.parametrize("family, ranges, match", [
+        (suite.groupoid_checks, {"n_max": 1.5}, "groupoid n_max"),
+        (suite.oracle_agreement_checks, {"n_max": 2.0}, "oracle n_max"),
+        (suite.terminal_count_checks, {"n_max": 0}, "terminal n_max"),
+        (suite.monoid_checks, {"n_max": 1.5}, "monoid n_max must be an integer >= 0"),
+        (suite.hockey_stick_checks, {"l_max": 2.5}, "hockey-stick l_max must be an integer >= 2"),
+        (suite.oracle_agreement_checks, {"cutoffs": (8, 16)},
+         r"oracle cutoffs must be a 3-tuple, got \(8, 16\)"),
+        (suite.cancellation_checks, {"n_max": -1}, "cancellation n_max must be an integer >= 1"),
+        (suite.bundle_recursion_checks, {"n_max": 0},
+         "bundle-recursion n_max must be an integer >= 1"),
+        (suite.rho_injectivity_checks, {"n_max": -1},
+         "rho-injectivity n_max must be an integer >= 0"),
+        (suite.k0_checks, {"n_max": 1}, "k0 n_max must be an integer >= 2"),
+        (suite.random_checks, {"samples": 0}, "random samples must be an integer >= 1"),
+    ], ids=["groupoid", "oracle", "terminal", "monoid", "hockey-stick", "oracle-cutoffs",
+            "cancellation", "bundle-recursion", "rho-injectivity", "k0", "random"])
+    def test_bad_range_refused(self, family, ranges, match):
         """A non-integer or empty range is refused, not run or swept vacuously."""
-        with pytest.raises(OutOfRange, match="n_max"):
+        with pytest.raises(OutOfRange, match=match):
             family(**ranges)
 
     def test_unknown_group(self):
