@@ -41,14 +41,19 @@ indicator and the number of images placed equals the number of codomain
 rows, so that no position is hit twice.  No row is packed, sorted or
 limited by a field width.  The element-level enumeration unranks the
 flagged positions of the same blocks, so the window rules are written
-once.  Block sizes are counted before any table is built, so a window
-too large to rank is refused first.  The partition of a stratum into its
+once.  Every walk of a block goes through its parts: runs of consecutive
+positions, at most ``_CHUNK`` of them, each ranked, unranked and flagged
+as a block of its own, so arrays of ranks and offsets are bounded by a
+part and only the one-byte maps of a codomain block by the block.  Block
+sizes are counted before any table is built, so a window too large to
+rank is refused first.  The partition of a stratum into its
 k + 1 pieces and each structural map are rows of one table of sources
 (windows under actions) and codomain windows, checked by one body.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -391,7 +396,8 @@ def _iter_raw(spec):
     """Element-level enumeration of a window: raw (z, x, w) tuples, block by
     block, each block in position order."""
     for block in _blocks(spec).values():
-        yield from block.rows(np.flatnonzero(block.indicator()))
+        for part in block.parts():
+            yield from part.rows(np.flatnonzero(part.indicator()))
 
 
 def _element_from_raw(raw, variant):
@@ -418,10 +424,14 @@ def enumerate_stratum(n, k, j=0, window=8):
 # free coordinates then stay far inside int64, so no rank or offset wraps.
 _VALUE_LIMIT = 2 ** 40
 
-# Most positions one block may have.  A check holds a few int64 arrays of a
-# block's size, about 13 bytes per position at its peak, so this keeps one
-# check under about 1.7 GB.
-_BLOCK_LIMIT = 2 ** 27
+# Most positions one part of a block may have.  Every int64 array of ranks
+# or offsets that a check builds is the size of one part.
+_CHUNK = 2 ** 18
+
+# Most positions one block may have.  A check keeps a one-byte hit map and a
+# one-byte indicator of each codomain block, and one byte more of hit counts
+# when the block fails, so this keeps one check under about 1.6 GB.
+_BLOCK_LIMIT = 2 ** 29
 
 
 class _Axis:
@@ -441,6 +451,7 @@ class _Axis:
         self.x = (np.arange(len(self.w), dtype=np.int64)
                   + np.repeat(self.start - self.base, lens))
         self.size = len(self.w)
+        self.first = 0  # index of the first entry in the whole table
 
     def index(self, x, w):
         """Table index of each pair (x[i], w[i]); -1 where the pair is absent."""
@@ -452,9 +463,25 @@ class _Axis:
         return np.where(inside, self.base[row] + x - start, -1)
 
 
-def _outer(terms):
-    """Mixed-radix outer sum of per-coordinate terms, coordinate 0 slowest."""
-    total = np.zeros(1, dtype=np.int64)
+class _Run(_Axis):
+    """Entries lo..hi-1 of a pair table, hi cut at its end, as a table of
+    their own."""
+
+    def __init__(self, table, lo, hi):
+        vars(self).update(vars(table))
+        hi = min(hi, table.size)
+        self.x, self.w, self.size = table.x[lo:hi], table.w[lo:hi], hi - lo
+        self.first = table.first + lo
+
+    def index(self, x, w):
+        index = super().index(x, w) - self.first
+        return np.where((index >= 0) & (index < self.size), index, -1)
+
+
+def _outer(terms, start=0):
+    """Mixed-radix outer sum of per-coordinate terms, coordinate 0 slowest,
+    plus ``start``."""
+    total = np.array([start], dtype=np.int64)
     for term in terms:
         total = np.add.outer(total, term)
     return total.ravel()
@@ -478,11 +505,13 @@ class _Block:
     coordinates' pair-table indices, coordinate 0 slowest; the forced
     offset and the tail follow from them.  The primed window's p = 0 block
     is indexed by its first offset alone.  ``indicator`` flags the
-    positions that are rows of the window.
+    positions that are rows of the window.  A part of a block is a block
+    whose pair tables are runs of the block's; ``start`` is its first
+    position in the block.
     """
 
-    def __init__(self, spec, p, axes):
-        self.spec, self.p = spec, p
+    def __init__(self, spec, p, axes, start=0):
+        self.spec, self.p, self.start = spec, p, start
         self.by_x0 = spec.variant == "primed" and p == 0
         if self.by_x0:
             self.axes = ()
@@ -494,6 +523,24 @@ class _Block:
         self.size = math.prod(self.shape)
         self.strides = [math.prod(self.shape[i + 1:]) for i in range(len(self.axes))]
 
+    def parts(self):
+        """The block as consecutive parts of at most ``_CHUNK`` positions, in
+        position order.  Coordinate d is the slowest whose stride is at most
+        ``_CHUNK``: a part takes one entry of each slower coordinate and a
+        run of entries of d.  A block of at most ``_CHUNK`` positions, or
+        one without pair tables, is its own one part."""
+        if self.size <= _CHUNK or not self.axes:
+            yield self
+            return
+        d = next(i for i, stride in enumerate(self.strides) if stride <= _CHUNK)
+        step = _CHUNK // self.strides[d]
+        choices = [[_Run(a, i, i + 1) for i in range(a.size)] for a in self.axes[:d]]
+        choices.append([_Run(self.axes[d], i, i + step) for i in range(0, self.shape[d], step)])
+        for runs in itertools.product(*choices):
+            start = self.start + sum((r.first - a.first) * stride for r, a, stride
+                                     in zip(runs, self.axes, self.strides))
+            yield _Block(self.spec, self.p, [*runs, *self.axes[d + 1:]], start)
+
     def indicator(self):
         s, p = self.spec, self.p
         if self.by_x0:
@@ -502,7 +549,7 @@ class _Block:
             return np.full(self.size, s.z == 0)
         if p == s.n:
             return np.ones(self.size, dtype=bool)
-        forced = -s.z - _outer(c * a.x for c, a in zip(_forced_coefs(s, p), self.axes))
+        forced = _outer((-c * a.x for c, a in zip(_forced_coefs(s, p), self.axes)), -s.z)
         return (forced >= s.x_lo[p]) & (forced <= s.x_hi[p])
 
     def rows(self, positions):
@@ -586,7 +633,7 @@ def _block_sizes(spec):
             sizes[p] = math.prod(axes[:p])
         if sizes[p] > _BLOCK_LIMIT:
             raise OutOfRange(f"a window block of {sizes[p]} positions exceeds "
-                             f"the limit of {_BLOCK_LIMIT} (2**27); use a smaller window")
+                             f"the limit of {_BLOCK_LIMIT} (2**29); use a smaller window")
     return sizes
 
 
@@ -635,25 +682,27 @@ class _Action:
 
 
 def _image_ranks(db, a, cb):
-    """Position in block cb of the image of every position of block db.
+    """Position in block cb of the image of every position of a part of
+    block db, as a function of the part (db itself is a part of db).
 
     -1 marks an image that no position of cb holds.  Each free coordinate
-    is mapped on its pair table and looked up in cb's table; the rank is
-    the mixed-radix outer sum of those indices, and the image degree and
-    forced offset must equal the ones cb derives from the image's free
-    coordinates.
+    is mapped on its pair table and looked up in cb's table once, here; a
+    part's ranks are the mixed-radix outer sum of those indices over the
+    part's runs, and the image degree and forced offset must equal the
+    ones cb derives from the image's free coordinates.
     """
-    def none():
-        return np.full(db.size, -1, dtype=np.int64)
+    def none(part):
+        return np.full(part.size, -1, dtype=np.int64)
 
     if cb is None or not cb.size or not db.size:
-        return none()
+        return none
     if not db.axes:  # p = 0: at most one row, or the primed first-offset block
         ranks = [cb.rank(a.row(raw)) for raw in db.rows(np.arange(db.size))]
-        return np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
+        ranks = np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
+        return lambda part: ranks  # such a block is its own one part
     s, t, p, c = db.spec, cb.spec, db.p, a.coord
     if (c > p and a.dx) or (c >= p and a.pin):
-        return none()  # the image leaves the infinite tail
+        return none  # the image leaves the infinite tail
     invalid = -(cb.size + 1)  # keeps every sum that includes it negative
     terms, mismatch = [], []
     coefs = zip(_forced_coefs(s, p), _forced_coefs(t, p))
@@ -669,16 +718,21 @@ def _image_ranks(db, a, cb):
             idx[z2 != (t.z + x2 if t.shear else t.z)] = -1
         terms.append(np.where(idx >= 0, idx * stride, invalid))
         mismatch.append(cc * x2 - dc * da.x)
-    ranks = _outer(terms)
-    if p < s.n:
-        # image forced offset minus the one cb forces for the image
-        const = t.z - s.z + (a.dx if c == p else 0)
-        if all((m == m[0]).all() for m in mismatch):
-            if const + sum(int(m[0]) for m in mismatch):
-                return none()
-        else:
-            ranks[_outer(mismatch) + const != 0] = -1
-    return ranks
+    # image forced offset minus the one cb forces for the image
+    const = t.z - s.z + (a.dx if c == p else 0)
+    if p == s.n or all((m == m[0]).all() for m in mismatch):
+        if p < s.n and const + sum(int(m[0]) for m in mismatch):
+            return none
+        mismatch = None
+
+    def part_ranks(part):
+        runs = [slice(pa.first - da.first, pa.first - da.first + pa.size)
+                for pa, da in zip(part.axes, db.axes)]
+        ranks = _outer(term[r] for term, r in zip(terms, runs))
+        if mismatch is not None:
+            ranks[_outer((m[r] for m, r in zip(mismatch, runs)), const) != 0] = -1
+        return ranks
+    return part_ranks
 
 
 def _first_moved(db, a, keep):
@@ -703,59 +757,79 @@ def _first_moved(db, a, keep):
 def _image_check(sources, cod):
     """Map every (window, action) source into the window ``cod``.
 
-    Blocks are compared one p at a time, which bounds memory by the
-    largest block.  Each valid image rank marks its position in a one-byte
-    hit map, and ``placed`` counts the ranks marked.  The codomain rows are
-    hit exactly once each when the hit map equals cod's indicator, no two
-    ranks shared a position (``placed`` equals the codomain's row count)
-    and no kept source row has an invalid image.  Only a block that fails
-    counts its images with ``np.bincount`` to name the failure.  Returns
-    the number of source rows, the number of codomain rows, and the first
-    raw row found of each failure kind: "moved" (a source row whose target
-    the action changes), "collision", "outside" (an image that is not a
-    codomain row) and "uncovered".
+    Blocks are compared one p at a time, and every block is walked in
+    parts, which bounds memory by a few bytes per position of the largest
+    codomain block and the arrays of one part.  Each valid image rank marks
+    its position in a one-byte hit map, and ``placed`` counts the ranks
+    marked.  The codomain rows are hit exactly once each when the hit map
+    equals cod's indicator, no two ranks shared a position (``placed``
+    equals the codomain's row count) and no kept source row has an invalid
+    image.  Only a block that fails walks its sources again, counting the
+    hits of each position up to 2 in one byte, to name the failure.
+    Returns the number of source rows, the number of codomain rows, and
+    the first raw row found of each failure kind: "moved" (a source row
+    whose target the action changes), "collision", "outside" (an image
+    that is not a codomain row) and "uncovered".
     """
     cod_blocks = _blocks(cod)
     sources = [(_blocks(spec), a) for spec, a in sources]
     rows = size = 0
     found = {}
-    for p in range(cod.n + 1):
-        cb = cod_blocks.get(p)
-        member = cb.indicator() if cb else np.zeros(0, dtype=bool)
-        members = int(np.count_nonzero(member))
-        size += members
-        hit = np.zeros(len(member), dtype=bool)
-        images = []
+
+    def images(p, cb):
+        """Each part of each source block at p, with its action, the flags of
+        its positions, and the position in cb of each kept row's image."""
         for blocks, a in sources:
             db = blocks.get(p)
             if db is None:
                 continue
-            keep = db.indicator()
-            ranks = _image_ranks(db, a, cb)
-            if not keep.all():
-                ranks = ranks[keep]
+            rank = _image_ranks(db, a, cb)
+            for part in db.parts():
+                keep = part.indicator()
+                ranks = rank(part)
+                if not keep.all():
+                    ranks = ranks[keep]
+                yield a, part, keep, ranks
+
+    for p in range(cod.n + 1):
+        cb = cod_blocks.get(p)
+        cod_parts = list(cb.parts()) if cb else []
+        spans = [slice(q.start, q.start + q.size) for q in cod_parts]
+        member = np.zeros(sum(q.size for q in cod_parts), dtype=bool)
+        for q, span in zip(cod_parts, spans):
+            member[span] = q.indicator()
+        members = int(np.count_nonzero(member))
+        size += members
+        hit = np.zeros(len(member), dtype=bool)
+        placed = 0
+        for a, part, keep, ranks in images(p, cb):
             rows += len(ranks)
             if "moved" not in found:
-                r = _first_moved(db, a, keep)
+                r = _first_moved(part, a, keep)
                 if r is not None:
-                    found["moved"] = db.unrank(r)
+                    found["moved"] = part.unrank(r)
             bad = ranks < 0
             if bad.any():
                 if "outside" not in found:
                     r = int(np.flatnonzero(keep)[np.argmax(bad)])
-                    found["outside"] = a.row(db.unrank(r))
+                    found["outside"] = a.row(part.unrank(r))
                 ranks = ranks[~bad]
             hit[ranks] = True
-            images.append(ranks)
-        placed = sum(map(len, images))
-        if placed != members or not np.array_equal(hit, member):
-            counts = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64), *images]),
-                                 minlength=len(member))
-            for kind, where in (("collision", (counts > 1) & member),
-                                ("outside", (counts > 0) & ~member),
-                                ("uncovered", (counts == 0) & member)):
-                if kind not in found and where.any():
-                    found[kind] = cb.unrank(int(np.argmax(where)))
+            placed += len(ranks)
+        if placed != members or not all(np.array_equal(hit[s], member[s]) for s in spans):
+            counts = np.zeros(len(member), dtype=np.uint8)
+            for *_, ranks in images(p, cb):
+                at, hits = np.unique(ranks[ranks >= 0], return_counts=True)
+                counts[at] = np.minimum(counts[at] + np.minimum(hits, 2), 2)
+            for kind, where in (("collision", lambda c, m: (c > 1) & m),
+                                ("outside", lambda c, m: (c > 0) & ~m),
+                                ("uncovered", lambda c, m: (c == 0) & m)):
+                for span in spans:
+                    if kind in found:
+                        break
+                    flags = where(counts[span], member[span])
+                    if flags.any():
+                        found[kind] = cb.unrank(span.start + int(np.argmax(flags)))
     return rows, size, found
 
 

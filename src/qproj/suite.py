@@ -160,6 +160,9 @@ def cancellation_checks(n_max=5, k_max=20):
 
     integer(n_max, "cancellation n_max", 1, error=OutOfRange)
     integer(k_max, "cancellation k_max", 1, error=OutOfRange)
+    if n_max * k_max < 2:  # n * k_max compact classes at each n
+        raise OutOfRange("cancellation needs n_max * k_max >= 2 for a witness pair, "
+                         f"got n_max={n_max}, k_max={k_max}")
 
     def witness_cases():
         for n in range(1, n_max + 1):

@@ -157,16 +157,16 @@ class TestValidationExitCode:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [("--n", "4"), ("--n", "5", "--map", "gamma", "--k", "1"),
+    @pytest.mark.parametrize("argv", [("--n", "5"), ("--n", "5", "--map", "gamma", "--k", "1"),
                                       ("--n", "1", "--map", "t", "--window", "1000000")],
                              ids=" ".join)
     def test_oversized_window_is_refused(self, capsys, argv):
-        """The default --window 8 is too large from n = 4 on, and a window of
+        """The default --window 8 is too large from n = 5 on, and a window of
         10**6 at n = 1: one error line, before any table is built."""
         code, out, err = run_cli(capsys, "groupoid-verify", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: a window block of ") and len(err.splitlines()) == 1
-        assert "exceeds the limit of 134217728" in err
+        assert "exceeds the limit of 536870912" in err
 
 
 class TestVerifiers:

@@ -22,6 +22,7 @@ from qproj.groupoid import (
     _Action,
     _Axis,
     _axis_size,
+    _block_sizes,
     _blocks,
     _check_setup,
     _element_from_raw,
@@ -250,7 +251,7 @@ def reference_image_check(sources, cod):
             if db is None:
                 continue
             keep = db.indicator()
-            ranks = _image_ranks(db, a, cb)[keep]
+            ranks = _image_ranks(db, a, cb)(db)[keep]
             rows += len(ranks)
             if "moved" not in found:
                 r = _first_moved(db, a, keep)
@@ -288,6 +289,16 @@ def engine_calls(monkeypatch):
 
     monkeypatch.setattr(G, "_image_check", checked)
     yield calls
+
+
+@pytest.fixture(params=[1, 7])
+def small_parts(request, monkeypatch):
+    """Parts of 1 and of 7 positions, so that part boundaries fall inside
+    the small windows of the tests."""
+    import qproj.groupoid as G
+
+    monkeypatch.setattr(G, "_CHUNK", request.param)
+    return request.param
 
 
 def box_keys(spec):
@@ -655,6 +666,34 @@ class TestEnumeration:
         assert [raw_key(r) for r in _iter_raw(spec)] == in_rank_order
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
+    def test_one_position_parts_keep_rank_order(self, monkeypatch, n, z, kw):
+        import qproj.groupoid as G
+
+        monkeypatch.setattr(G, "_CHUNK", 1)
+        self.test_array_engine_matches_reference(n, z, kw)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 30])
+    @pytest.mark.parametrize("n,z,kw", SPECS)
+    def test_parts_tile_the_block(self, monkeypatch, chunk, n, z, kw):
+        # consecutive parts of at most _CHUNK positions, each ranking,
+        # unranking and flagging its positions as the block does
+        import qproj.groupoid as G
+
+        monkeypatch.setattr(G, "_CHUNK", chunk)
+        for block in _blocks(_stratum_spec(n, z, 3, **kw)).values():
+            parts = list(block.parts())
+            assert [q.start for q in parts] == list(itertools.accumulate(
+                [0] + [q.size for q in parts[:-1]]))
+            assert sum(q.size for q in parts) == block.size
+            assert parts == [block] or all(q.size <= chunk for q in parts)
+            assert np.array_equal(np.concatenate([q.indicator() for q in parts]),
+                                  block.indicator())
+            for q in parts:
+                everywhere = list(range(q.size))
+                assert q.rows(everywhere) == block.rows([q.start + r for r in everywhere])
+                assert [q.rank(q.unrank(r)) for r in everywhere] == everywhere
+
+    @pytest.mark.parametrize("n,z,kw", SPECS)
     def test_table_ranks_match_row_ranks(self, n, z, kw):
         # the outer-sum ranking of the identity map equals row-by-row ranking
         spec = _stratum_spec(n, z, 3, **kw)
@@ -663,7 +702,7 @@ class TestEnumeration:
             everywhere = list(range(block.size))
             assert [block.rank(block.unrank(r)) for r in everywhere] == everywhere
             if block.axes:
-                assert _image_ranks(block, identity, block).tolist() == everywhere
+                assert _image_ranks(block, identity, block)(block).tolist() == everywhere
 
     def test_window_type(self):
         assert len(enumerate_stratum(1, 0, window=Window(2))) == 13
@@ -769,6 +808,13 @@ class TestVerifiers:
         assert element not in box_keys(cod)
 
 
+@pytest.mark.usefixtures("small_parts")
+class TestVerifiersInParts(TestVerifiers):
+    """Every verifier test, the engine against the whole-block reference
+    and the failure path included, with part boundaries inside the
+    windows."""
+
+
 class TestWindowEdges:
     """Windows past the old 6-bit key fields, against element-level sizes."""
 
@@ -801,15 +847,15 @@ class TestWindowEdges:
         assert (report.domain_size, report.image_size) == (full_size, piece_size)
 
     @pytest.mark.parametrize("call", [
-        lambda: verify_partition(4, 4, 0, window=8),  # 296,298,405 positions
+        lambda: verify_partition(5, 4, 0, window=8),
         lambda: verify_bijection("gamma", 5, k=1, window=8),
         lambda: enumerate_stratum(5, 1, window=8),
-    ], ids=["partition n=4", "gamma n=5", "enumeration n=5"])
+    ], ids=["partition n=5", "gamma n=5", "enumeration n=5"])
     def test_oversized_block_refused(self, call):
         """A block too large to check in memory is refused before any array
         of its size is built."""
         with pytest.raises(OutOfRange, match=r"block of \d+ positions exceeds "
-                                              r"the limit of 134217728"):
+                                              r"the limit of 536870912"):
             call()
 
     def test_axis_size_counts_the_pair_table(self):
@@ -819,6 +865,23 @@ class TestWindowEdges:
         for ranges in itertools.product(bounds, repeat=4):
             assert _axis_size(*ranges) == _Axis(*ranges).size, ranges
 
+    def test_memory_is_bounded_by_the_codomain_maps_and_one_part(self):
+        """A check holds at most three bytes per position of its largest
+        codomain block and 32 bytes per position of one part."""
+        import tracemalloc
+
+        import qproj.groupoid as G
+
+        largest = max(_block_sizes(_partition_setup(3, 4, 0, 8)[0]).values())
+        tracemalloc.start()
+        try:
+            report = verify_partition(3, 4, 0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 3 * largest + 32 * G._CHUNK
+
     def test_oversized_sweep_is_refused_before_any_check_runs(self, monkeypatch):
         import qproj.groupoid as G
         from qproj import suite
@@ -826,8 +889,8 @@ class TestWindowEdges:
         calls = []
         real = G._image_check
         monkeypatch.setattr(G, "_image_check", lambda *a: calls.append(a) or real(*a))
-        with pytest.raises(OutOfRange, match="exceeds the limit of 134217728"):
-            suite.groupoid_checks(n_max=4)
+        with pytest.raises(OutOfRange, match="exceeds the limit of 536870912"):
+            suite.groupoid_checks(n_max=5)
         assert calls == []
 
     def test_block_limit_admits_a_block_of_its_size(self, monkeypatch):
@@ -971,7 +1034,7 @@ class TestMutations:
             for piece in pieces:
                 db = _blocks(piece).get(p)
                 if db is not None:
-                    ranks = _image_ranks(db, _Action(z=2), cb)[db.indicator()]
+                    ranks = _image_ranks(db, _Action(z=2), cb)(db)[db.indicator()]
                     hit[ranks[ranks >= 0]] = True
                     surplus += np.count_nonzero(ranks >= 0)
             surplus -= np.count_nonzero(member)
@@ -980,6 +1043,11 @@ class TestMutations:
         monkeypatch.setattr(G, "_partition_setup", lambda *args: (full, pieces))
         report = G.verify_partition(2, 2, 0, window=3)
         assert report.counterexample["kind"] == "overlap"
+
+
+@pytest.mark.usefixtures("small_parts")
+class TestMutationsInParts(TestMutations):
+    """Every broken case with part boundaries inside the windows."""
 
 
 class TestTerminalTally:

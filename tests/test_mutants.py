@@ -14,7 +14,9 @@ default ranges, gives a failing record of the expected check.
 
 Each engine mutant edits one line of ``groupoid._image_check``; it counts
 as caught when the records of a small groupoid sweep, or the triple of an
-image check with a known overlap, change.
+image check with a known overlap, change.  Every groupoid mutant is also
+run with blocks walked in parts of 7 positions, where it must be caught
+with the same records.
 """
 
 import dataclasses
@@ -94,6 +96,21 @@ def test_mutant_is_caught(monkeypatch, map_id):
     failed = [r for r in suite.groupoid_checks(n_max=n_max, window=3) if not r.passed]
     assert failed and {r.params["map"] for r in failed} == {map_id}
     assert outputs(map_id, probe, params) != before
+
+
+@pytest.mark.parametrize("map_id", sorted(MUTANTS))
+def test_mutant_is_caught_in_parts(monkeypatch, map_id):
+    # parts of 7 positions fail the same records, counterexamples included
+    change, only_n, n_max, _, _ = MUTANTS[map_id]
+    install(monkeypatch, map_id, change, only_n)
+
+    def failed():
+        reports = suite.groupoid_checks(n_max=n_max, window=3)
+        return [r.to_json() for r in reports if not r.passed]
+
+    whole = failed()
+    monkeypatch.setattr(G, "_CHUNK", 7)
+    assert whole and failed() == whole
 
 
 def test_unpinned_peel_drifts_the_terminal_tally(monkeypatch):
@@ -206,13 +223,30 @@ def engine_probe():
         return type(err)
 
 
-@pytest.mark.parametrize("name", sorted(ENGINE_MUTANTS))
-def test_engine_mutant_is_caught(monkeypatch, name):
+def engine_mutant(name):
     old, new = ENGINE_MUTANTS[name]
     source = inspect.getsource(G._image_check)
     assert source.count(old) == 1
     namespace = {}
     exec(compile(source.replace(old, new), f"<{name}>", "exec"), vars(G), namespace)
+    return namespace["_image_check"]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_MUTANTS))
+def test_engine_mutant_is_caught(monkeypatch, name):
     before = engine_probe()
-    monkeypatch.setattr(G, "_image_check", namespace["_image_check"])
+    monkeypatch.setattr(G, "_image_check", engine_mutant(name))
     assert engine_probe() != before
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_MUTANTS))
+def test_engine_mutant_is_caught_in_parts(monkeypatch, name):
+    # with parts of 7 positions the mutant gives the probe it gives on whole
+    # blocks, and the real engine does not
+    real, mutant = G._image_check, engine_mutant(name)
+    monkeypatch.setattr(G, "_image_check", mutant)
+    whole = engine_probe()
+    monkeypatch.setattr(G, "_CHUNK", 7)
+    caught = engine_probe()
+    monkeypatch.setattr(G, "_image_check", real)
+    assert caught == whole and caught != engine_probe()

@@ -55,6 +55,9 @@ class TestGroups:
         (suite.oracle_agreement_checks, {"cutoffs": (8, 16)},
          r"oracle cutoffs must be a 3-tuple, got \(8, 16\)"),
         (suite.cancellation_checks, {"n_max": -1}, "cancellation n_max must be an integer >= 1"),
+        # one compact class at n = 1, k_max = 1: no witness pair to test
+        (suite.cancellation_checks, {"n_max": 1, "k_max": 1},
+         r"cancellation needs n_max \* k_max >= 2 for a witness pair, got n_max=1, k_max=1"),
         (suite.bundle_recursion_checks, {"n_max": 0},
          "bundle-recursion n_max must be an integer >= 1"),
         (suite.rho_injectivity_checks, {"n_max": -1},
@@ -62,7 +65,8 @@ class TestGroups:
         (suite.k0_checks, {"n_max": 1}, "k0 n_max must be an integer >= 2"),
         (suite.random_checks, {"samples": 0}, "random samples must be an integer >= 1"),
     ], ids=["groupoid", "oracle", "terminal", "monoid", "hockey-stick", "oracle-cutoffs",
-            "cancellation", "bundle-recursion", "rho-injectivity", "k0", "random"])
+            "cancellation", "cancellation-pairs", "bundle-recursion", "rho-injectivity", "k0",
+            "random"])
     def test_bad_range_refused(self, family, ranges, match):
         """A non-integer or empty range is refused, not run or swept vacuously."""
         with pytest.raises(OutOfRange, match=match):
