@@ -35,20 +35,24 @@ forced.  An element's exact position in its block is the mixed-radix
 number of its table indices.  A structural map acts on one coordinate,
 so it is applied to the tables; looking the image pairs up in the
 codomain's tables and summing over the product gives the codomain
-position of every image at once.  The map is a bijection when the image
-positions, marked in a one-byte hit map, equal the codomain's membership
-indicator and the number of images placed equals the number of codomain
-rows, so that no position is hit twice.  No row is packed, sorted or
-limited by a field width.  The element-level enumeration unranks the
-flagged positions of the same blocks, so the window rules are written
-once.  Every walk of a block goes through its parts: runs of consecutive
-positions, at most ``_CHUNK`` of them, each ranked, unranked and flagged
-as a block of its own, so arrays of ranks and offsets are bounded by a
-part and only the one-byte maps of a codomain block by the block.  Block
-sizes are counted before any table is built, so a window too large to
-rank is refused first.  The partition of a stratum into its
-k + 1 pieces and each structural map are rows of one table of sources
-(windows under actions) and codomain windows, checked by one body.
+position of every image at once.  The windows of one check share one
+read-only table per distinct range, and each source coordinate is looked
+up once per check, not once per block; a coordinate the map leaves alone
+on the codomain's own table is its own lookup.  The map is a bijection
+when the image positions, marked in a one-byte hit map, equal the
+codomain's membership indicator and the number of images placed equals
+the number of codomain rows, so that no position is hit twice.  No row
+is packed, sorted or limited by a field width.  The element-level
+enumeration unranks the flagged positions of the same blocks, so the
+window rules are written once.  Every walk of a block goes through its
+parts: runs of consecutive positions, at most ``_CHUNK`` of them, each
+ranked, unranked and flagged as a block of its own, so arrays of ranks
+and offsets are bounded by a part and only the one-byte maps of a
+codomain block by the block.  Block sizes are counted before any table
+is built, so a window too large to rank is refused first.  The partition
+of a stratum into its k + 1 pieces and each structural map are rows of
+one table of sources (windows under actions) and codomain windows,
+checked by one body.
 """
 
 from __future__ import annotations
@@ -450,6 +454,8 @@ class _Axis:
         self.w = np.repeat(w, lens)
         self.x = (np.arange(len(self.w), dtype=np.int64)
                   + np.repeat(self.start - self.base, lens))
+        for table in (self.x, self.w, self.start, self.base):
+            table.setflags(write=False)  # one table serves every window of a check
         self.size = len(self.w)
         self.first = 0  # index of the first entry in the whole table
 
@@ -637,12 +643,20 @@ def _block_sizes(spec):
     return sizes
 
 
-def _blocks(spec):
-    """The blocks of ``_block_sizes``; pair tables are built once per
-    coordinate and shared by every block."""
+def _blocks(spec, tables=None):
+    """The blocks of ``_block_sizes``, sharing one pair table per coordinate.
+
+    ``tables`` maps each range (x_lo, x_hi, w_lo, w_hi) to its pair table;
+    a table is built the first time its range is asked for, so the windows
+    of one check that share a dict share a table wherever their ranges
+    agree.  Without one, the window's tables are its own."""
     sizes = _block_sizes(spec)
-    axes = [_Axis(spec.x_lo[i], spec.x_hi[i], spec.w_lo[i], spec.w_hi[i])
-            for i in range(max(sizes, default=0))]
+    tables = {} if tables is None else tables
+    axes = []
+    for r in list(zip(spec.x_lo, spec.x_hi, spec.w_lo, spec.w_hi))[:max(sizes, default=0)]:
+        if r not in tables:
+            tables[r] = _Axis(*r)
+        axes.append(tables[r])
     return {p: _Block(spec, p, axes) for p in sizes}
 
 
@@ -681,13 +695,42 @@ class _Action:
         return _recoord(spec, c, self.z, self.dx, w_range)
 
 
-def _image_ranks(db, a, cb):
+def _lookup(i, da, a, ca, s, t):
+    """Coordinate i of window s under action a, looked up in the pair table
+    ``ca`` of coordinate i of window t.
+
+    Returns the index in ``ca`` of each entry's image, -1 where no entry
+    holds it or, at coordinate 0, where the image degree is not t's, and
+    the image's share of the forced-offset mismatch, as a number when it
+    is the same for every entry.  An untouched coordinate on t's own table
+    is its own lookup, and its mismatch vanishes when s and t weigh it
+    alike.
+    """
+    untouched = i != a.coord or not (a.dx or a.dw or a.pin)
+    x2, w2 = da.x, da.w
+    if not untouched:
+        x2 = x2 + a.dx
+        w2 = np.zeros_like(w2) if a.pin else w2 + a.dw
+    idx = np.arange(da.size, dtype=np.int64) if untouched and da is ca else ca.index(x2, w2)
+    if i == 0:
+        z2 = a.z + da.x if a.shear else np.full(da.size, a.z)
+        idx[z2 != (t.z + x2 if t.shear else t.z)] = -1
+    dc, cc = _forced_coefs(s, i + 1)[i], _forced_coefs(t, i + 1)[i]
+    if untouched and dc == cc:
+        return idx, 0
+    m = cc * x2 - dc * da.x
+    return idx, int(m[:1].sum()) if (m == m[:1]).all() else m  # m[0], 0 when empty
+
+
+def _image_ranks(db, a, cb, lookups=None):
     """Position in block cb of the image of every position of a part of
     block db, as a function of the part (db itself is a part of db).
 
-    -1 marks an image that no position of cb holds.  Each free coordinate
-    is mapped on its pair table and looked up in cb's table once, here; a
-    part's ranks are the mixed-radix outer sum of those indices over the
+    -1 marks an image that no position of cb holds.  ``lookups`` keeps the
+    ``_lookup`` of each free coordinate, which does not depend on p: one
+    dict serves every block pair of one source and codomain, so a check
+    maps and looks up each coordinate once.  A part's ranks are the
+    mixed-radix outer sum of the lookups, scaled by cb's strides, over the
     part's runs, and the image degree and forced offset must equal the
     ones cb derives from the image's free coordinates.
     """
@@ -703,27 +746,24 @@ def _image_ranks(db, a, cb):
     s, t, p, c = db.spec, cb.spec, db.p, a.coord
     if (c > p and a.dx) or (c >= p and a.pin):
         return none  # the image leaves the infinite tail
+    lookups = {} if lookups is None else lookups
     invalid = -(cb.size + 1)  # keeps every sum that includes it negative
     terms, mismatch = [], []
-    coefs = zip(_forced_coefs(s, p), _forced_coefs(t, p))
-    tables = zip(db.axes, cb.axes, cb.strides, coefs)
-    for i, (da, ca, stride, (dc, cc)) in enumerate(tables):
-        x2, w2 = da.x, da.w
-        if i == c:
-            x2 = x2 + a.dx
-            w2 = np.zeros_like(w2) if a.pin else w2 + a.dw
-        idx = ca.index(x2, w2)
-        if i == 0:
-            z2 = a.z + da.x if a.shear else np.full(da.size, a.z)
-            idx[z2 != (t.z + x2 if t.shear else t.z)] = -1
+    for i, (da, ca, stride) in enumerate(zip(db.axes, cb.axes, cb.strides)):
+        if i not in lookups:
+            lookups[i] = _lookup(i, da, a, ca, s, t)
+        idx, m = lookups[i]
         terms.append(np.where(idx >= 0, idx * stride, invalid))
-        mismatch.append(cc * x2 - dc * da.x)
+        mismatch.append(m)
     # image forced offset minus the one cb forces for the image
     const = t.z - s.z + (a.dx if c == p else 0)
-    if p == s.n or all((m == m[0]).all() for m in mismatch):
-        if p < s.n and const + sum(int(m[0]) for m in mismatch):
+    if p == s.n or all(isinstance(m, int) for m in mismatch):
+        if p < s.n and const + sum(mismatch):
             return none
         mismatch = None
+    else:
+        mismatch = [np.full(da.size, m) if isinstance(m, int) else m
+                    for m, da in zip(mismatch, db.axes)]
 
     def part_ranks(part):
         runs = [slice(pa.first - da.first, pa.first - da.first + pa.size)
@@ -757,33 +797,35 @@ def _first_moved(db, a, keep):
 def _image_check(sources, cod):
     """Map every (window, action) source into the window ``cod``.
 
-    Blocks are compared one p at a time, and every block is walked in
-    parts, which bounds memory by a few bytes per position of the largest
-    codomain block and the arrays of one part.  Each valid image rank marks
-    its position in a one-byte hit map, and ``placed`` counts the ranks
-    marked.  The codomain rows are hit exactly once each when the hit map
-    equals cod's indicator, no two ranks shared a position (``placed``
-    equals the codomain's row count) and no kept source row has an invalid
-    image.  Only a block that fails walks its sources again, counting the
-    hits of each position up to 2 in one byte, to name the failure.
-    Returns the number of source rows, the number of codomain rows, and
-    the first raw row found of each failure kind: "moved" (a source row
-    whose target the action changes), "collision", "outside" (an image
-    that is not a codomain row) and "uncovered".
+    The windows share pair tables, and each source keeps its coordinate
+    lookups for all its blocks.  Blocks are compared one p at a time, and
+    every block is walked in parts, which bounds memory by a few bytes per
+    position of the largest codomain block and the arrays of one part.
+    Each valid image rank marks its position in a one-byte hit map, and
+    ``placed`` counts the ranks marked.  The codomain rows are hit exactly
+    once each when the hit map equals cod's indicator, no two ranks shared
+    a position (``placed`` equals the codomain's row count) and no kept
+    source row has an invalid image.  Only a block that fails walks its
+    sources again, counting the hits of each position up to 2 in one byte,
+    to name the failure.  Returns the number of source rows, the number of
+    codomain rows, and the first raw row found of each failure kind:
+    "moved" (a source row whose target the action changes), "collision",
+    "outside" (an image that is not a codomain row) and "uncovered".
     """
-    cod_blocks = _blocks(cod)
-    sources = [(_blocks(spec), a) for spec, a in sources]
+    tables = {}
+    cod_blocks = _blocks(cod, tables)
+    sources = [(_blocks(spec, tables), a, {}) for spec, a in sources]
     rows = size = 0
     found = {}
 
     def images(p, cb):
         """Each part of each source block at p, with its action, the flags of
         its positions, and the position in cb of each kept row's image."""
-        for blocks, a in sources:
+        for blocks, a, lookups in sources:
             db = blocks.get(p)
             if db is None:
                 continue
-            rank = _image_ranks(db, a, cb)
+            rank = _image_ranks(db, a, cb, lookups)
             for part in db.parts():
                 keep = part.indicator()
                 ranks = rank(part)

@@ -21,6 +21,7 @@ from qproj.groupoid import (
     Window,
     _Action,
     _Axis,
+    _Run,
     _axis_size,
     _block_sizes,
     _blocks,
@@ -236,7 +237,13 @@ def reference_partition(n, k, j, window):
 def reference_image_check(sources, cod):
     """The image check as it counted images before the hit map: int64
     ``np.bincount`` counts of the valid image ranks, compared with the
-    codomain's indicator.  Returns the same (rows, size, found) triple."""
+    codomain's indicator.  Returns the same (rows, size, found) triple.
+
+    It shares no pair table and no lookup with the engine.  Each window's
+    blocks are built on tables of their own, so no coordinate is its own
+    lookup.  Up to n = 2 the image of each kept row is ranked one row at a
+    time by ``_Block.rank``; at n = 3 by ``_image_ranks`` with no lookups
+    kept between block pairs."""
     cod_blocks = _blocks(cod)
     sources = [(_blocks(spec), a) for spec, a in sources]
     rows = size = 0
@@ -251,7 +258,12 @@ def reference_image_check(sources, cod):
             if db is None:
                 continue
             keep = db.indicator()
-            ranks = _image_ranks(db, a, cb)(db)[keep]
+            if cod.n <= 2:
+                images = [a.row(raw) for raw in db.rows(np.flatnonzero(keep))]
+                ranks = [None if cb is None else cb.rank(raw) for raw in images]
+                ranks = np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
+            else:
+                ranks = _image_ranks(db, a, cb)(db)[keep]
             rows += len(ranks)
             if "moved" not in found:
                 r = _first_moved(db, a, keep)
@@ -904,6 +916,57 @@ class TestWindowEdges:
             verify_partition(2, 1, 0, 2)
 
 
+class TestSharedTables:
+    """One pair table per distinct range and one lookup per coordinate in a
+    check, on tables no window can write to."""
+
+    @staticmethod
+    def ranges(spec):
+        return list(zip(spec.x_lo, spec.x_hi, spec.w_lo, spec.w_hi))
+
+    @pytest.mark.parametrize("kind,n,k,j,W", [
+        ("theta-shift", 6, 1, 2, 1),  # 12 tables and 20 lookups before sharing
+        ("gamma", 5, 2, None, 2),  # 10 and 15
+        ("partition", 5, 3, 1, 2),  # 25 and 57
+    ])
+    def test_tables_and_lookups_once_per_check(self, monkeypatch, kind, n, k, j, W):
+        import qproj.groupoid as G
+
+        work = {"builds": 0, "lookups": 0}
+        build, index = _Axis.__init__, _Axis.index
+
+        def counted_build(self, *ranges):
+            work["builds"] += 1
+            build(self, *ranges)
+
+        def counted_index(self, x, w):
+            work["lookups"] += 1
+            return index(self, x, w)
+
+        monkeypatch.setattr(_Axis, "__init__", counted_build)
+        monkeypatch.setattr(_Axis, "index", counted_index)
+        assert G._verify(kind, n, k, j, None, W).passed
+        sources, cod = _check_setup(kind, n, k, j, None, W)
+        distinct = {r for spec in [cod, *(spec for spec, _ in sources)]
+                    for r in self.ranges(spec)}
+        needed = sum((i == a.coord and bool(a.dx or a.dw or a.pin))
+                     or self.ranges(spec)[i] != self.ranges(cod)[i]
+                     for spec, a in sources for i in range(n))
+        assert work["builds"] <= len(distinct)
+        assert work["lookups"] <= needed
+
+    def test_pair_tables_are_read_only(self):
+        # the windows of one check share tables, so no window may edit one
+        sources, cod = _check_setup("theta-shift", 3, 1, 0, None, 2)
+        tables = {}
+        table = _blocks(cod, tables)[3].axes[1]
+        assert _blocks(sources[0][0], tables)[3].axes[1] is table
+        for run in (table, _Run(table, 1, 4)):
+            for name in ("x", "w", "start", "base"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(run, name)[0] += 1
+
+
 class TestMutations:
     """Broken actions and windows are caught, each with a concrete element."""
 
@@ -961,6 +1024,19 @@ class TestMutations:
         element = element_key(found["element"])
         assert element in box_keys(dom)
         assert element[2][0] == "inf"
+
+    def test_a_moved_coordinate_on_the_codomain_table_is_looked_up(self, monkeypatch):
+        # into the domain window itself, the coordinate the action shifts
+        # shares its pair table with the codomain and is still looked up
+        [(dom, _)], _ = _check_setup("theta-shift", 2, 1, 0, None, 2)
+        dom, cod, action, found = self.break_map(
+            monkeypatch, "theta-shift", 2, k=1, j=0, cod=dom,
+            action=_Action(z=1, coord=1, dw=1))
+        assert found["kind"] == "target-moved"
+        _, _, kinds = _image_check([(dom, action)], cod)
+        outside = raw_key(kinds["outside"])
+        assert outside in self.images(dom, action)
+        assert outside not in box_keys(cod)
 
     @pytest.mark.parametrize("map_id,kwargs,cod,action", [
         # gamma without the shear: the image degree stays 0 (at k = 0 only
