@@ -109,8 +109,10 @@ def build_parser():
 
     sp = sub.add_parser("oracle-verify",
                         help="numeric counting vectors vs symbolic ones")
-    sp.add_argument("--n-max", type=int, default=3)
-    sp.add_argument("--k-max", type=int, default=6)
+    sp.add_argument("--n-max", type=int, default=None,
+                    help="largest ambient index (default: the suite's)")
+    sp.add_argument("--k-max", type=int, default=None,
+                    help="largest multiplicity (default: the suite's)")
     _add_format(sp)
     sp.set_defaults(func=_cmd_oracle_verify)
 
@@ -234,7 +236,9 @@ def _cmd_groupoid_verify(args):
 
 def _cmd_oracle_verify(args):
     from . import suite
-    reports = suite.oracle_agreement_checks(n_max=args.n_max, k_max=args.k_max)
+    given = {name: getattr(args, name) for name in ("n_max", "k_max")
+             if getattr(args, name) is not None}
+    reports = suite.oracle_agreement_checks(**given)
     return _emit_reports(args, reports)
 
 

@@ -18,7 +18,10 @@ The "primed" kind (image of the degree-shear gamma_iso) forces instead
     w[p] = inf, p >= 1  =>  x[p] = -z - (x[1] + ... + x[p-1]), rest 0,
 
 and the degree-free kind (image of t_iso on the degree-zero part) drops
-z and keeps the plain rule with z = 0.
+z and keeps the plain rule with z = 0.  In windows, the primed rows of
+degree z + x[0] are the plain degree-z rows with the degree read as
+z + x[0]: both rules force x[0] = -z when w[0] = inf, and the primed sum
+from x[1] plus the sheared degree is the plain sum from x[0].
 
 Four stratum bijections drive the line-bundle recursion: theta_neg
 trades a non-positive degree for depth in the first source coordinate;
@@ -271,7 +274,7 @@ def _map_element(map_id, g, k=None, j=None, l=None, wrong=WrongStratum, miss=Non
     if not _in_box(dom, raw):
         raise (miss or wrong)(f"{g} is outside the domain of {map_id}")
     z, x, w = action.row(raw)
-    return GroupoidElement(n=g.n, z=z, x=x, w=w, primed=cod.variant == "primed")
+    return GroupoidElement(n=g.n, z=z, x=x, w=w, primed=cod.shear)
 
 
 def gamma_iso(g):
@@ -335,8 +338,10 @@ def _window_value(window):
 class _WindowSpec:
     """Per-coordinate enumeration ranges for one stratum window.
 
-    ``shear`` marks the codomain of gamma_iso, where the degree of a row
-    is z + x[0] instead of the constant z.
+    ``shear`` marks the codomain of gamma_iso: its rows are primed elements
+    whose degree is z + x[0] instead of the constant z.  Their offsets and
+    sources are those of the plain degree-z window's rows, so the forced
+    offset is -z - (x[0] + ... + x[p-1]) either way.
     """
 
     n: int
@@ -346,11 +351,10 @@ class _WindowSpec:
     w_inf: tuple
     x_lo: tuple
     x_hi: tuple
-    variant: str = "plain"
     shear: bool = False
 
 
-def _stratum_spec(n, z, W, pins=0, w_over=None, x_over=None, variant="plain", shear=False):
+def _stratum_spec(n, z, W, pins=0, w_over=None, x_over=None, shear=False):
     w_lo = [0] * n
     w_hi = [W] * n
     w_inf = [True] * n
@@ -366,8 +370,7 @@ def _stratum_spec(n, z, W, pins=0, w_over=None, x_over=None, variant="plain", sh
     return _WindowSpec(
         n=n, z=z,
         w_lo=tuple(w_lo), w_hi=tuple(w_hi), w_inf=tuple(w_inf),
-        x_lo=tuple(x_lo), x_hi=tuple(x_hi),
-        variant=variant, shear=shear,
+        x_lo=tuple(x_lo), x_hi=tuple(x_hi), shear=shear,
     )
 
 
@@ -404,9 +407,9 @@ def _iter_raw(spec):
             yield from part.rows(np.flatnonzero(part.indicator()))
 
 
-def _element_from_raw(raw, variant):
+def _element_from_raw(raw, primed):
     z, x, w = raw
-    return GroupoidElement(n=len(x), z=z, x=x, w=w, primed=(variant == "primed"))
+    return GroupoidElement(n=len(x), z=z, x=x, w=w, primed=primed)
 
 
 def enumerate_stratum(n, k, j=0, window=8):
@@ -419,7 +422,7 @@ def enumerate_stratum(n, k, j=0, window=8):
         raise OutOfRange(f"level j={j} outside 0..{n}")
     W = _window_value(window)
     spec = _stratum_spec(n, k, W, pins=j)
-    return [_element_from_raw(raw, "plain") for raw in _iter_raw(spec)]
+    return [_element_from_raw(raw, False) for raw in _iter_raw(spec)]
 
 
 # --- exact ranking over pair tables -------------------------------------------
@@ -493,24 +496,13 @@ def _outer(terms, start=0):
     return total.ravel()
 
 
-def _forced_coefs(spec, p):
-    """Coefficient of each free offset x[i], i < p, in minus the forced offset.
-
-    The forced offset of a block is -z - sum(coef[i] * x[i]); the shear
-    moves the row degree z + x[0] into the first coefficient.
-    """
-    if p == 0:
-        return []
-    return [int(spec.variant != "primed") + int(spec.shear)] + [1] * (p - 1)
-
-
 class _Block:
     """The rows of one window whose first infinite source coordinate is p.
 
     A position in the block is the mixed-radix number of its free
     coordinates' pair-table indices, coordinate 0 slowest; the forced
-    offset and the tail follow from them.  The primed window's p = 0 block
-    is indexed by its first offset alone.  ``indicator`` flags the
+    offset -z - (x[0] + ... + x[p-1]) and the tail follow from them, so
+    the p = 0 block has one position.  ``indicator`` flags the
     positions that are rows of the window.  A part of a block is a block
     whose pair tables are runs of the block's; ``start`` is its first
     position in the block.
@@ -518,14 +510,8 @@ class _Block:
 
     def __init__(self, spec, p, axes, start=0):
         self.spec, self.p, self.start = spec, p, start
-        self.by_x0 = spec.variant == "primed" and p == 0
-        if self.by_x0:
-            self.axes = ()
-            self.x0 = np.arange(spec.x_lo[0], spec.x_hi[0] + 1, dtype=np.int64)
-            self.shape = (len(self.x0),)
-        else:
-            self.axes = tuple(axes[:p])
-            self.shape = tuple(a.size for a in self.axes)
+        self.axes = tuple(axes[:p])
+        self.shape = tuple(a.size for a in self.axes)
         self.size = math.prod(self.shape)
         self.strides = [math.prod(self.shape[i + 1:]) for i in range(len(self.axes))]
 
@@ -533,9 +519,9 @@ class _Block:
         """The block as consecutive parts of at most ``_CHUNK`` positions, in
         position order.  Coordinate d is the slowest whose stride is at most
         ``_CHUNK``: a part takes one entry of each slower coordinate and a
-        run of entries of d.  A block of at most ``_CHUNK`` positions, or
-        one without pair tables, is its own one part."""
-        if self.size <= _CHUNK or not self.axes:
+        run of entries of d.  A block of at most ``_CHUNK`` positions is its
+        own one part."""
+        if self.size <= _CHUNK:
             yield self
             return
         d = next(i for i, stride in enumerate(self.strides) if stride <= _CHUNK)
@@ -549,13 +535,9 @@ class _Block:
 
     def indicator(self):
         s, p = self.spec, self.p
-        if self.by_x0:
-            if s.shear:
-                return self.x0 == -s.z  # the row degree z + x[0] must vanish
-            return np.full(self.size, s.z == 0)
         if p == s.n:
             return np.ones(self.size, dtype=bool)
-        forced = _outer((-c * a.x for c, a in zip(_forced_coefs(s, p), self.axes)), -s.z)
+        forced = _outer((-a.x for a in self.axes), -s.z)
         return (forced >= s.x_lo[p]) & (forced <= s.x_hi[p])
 
     def rows(self, positions):
@@ -565,17 +547,12 @@ class _Block:
         s, p, n = self.spec, self.p, self.spec.n
         x = np.zeros((len(positions), n), dtype=np.int64)
         w = np.zeros((len(positions), p), dtype=np.int64)
-        if self.by_x0:
-            x[:, 0] = self.x0[positions]
-            z = np.zeros(len(positions), dtype=np.int64)
-        else:
-            digits = np.unravel_index(positions, self.shape) if self.axes else ()
-            for i, (a, d) in enumerate(zip(self.axes, digits)):
-                x[:, i], w[:, i] = a.x[d], a.w[d]
-            z = s.z + x[:, 0] if s.shear else np.full(len(positions), s.z, dtype=np.int64)
-            if p < n:
-                coefs = np.array(_forced_coefs(s, p), dtype=np.int64)
-                x[:, p] = -s.z - x[:, :p] @ coefs
+        digits = np.unravel_index(positions, self.shape) if self.axes else ()
+        for i, (a, d) in enumerate(zip(self.axes, digits)):
+            x[:, i], w[:, i] = a.x[d], a.w[d]
+        if p < n:  # before the degree: at p = 0, x[0] is the forced offset
+            x[:, p] = -s.z - x[:, :p].sum(axis=1)
+        z = s.z + x[:, 0] if s.shear else np.full(len(positions), s.z, dtype=np.int64)
         tail = (INF,) * (n - p)
         return [(zr, tuple(xr), tuple(wr) + tail)
                 for zr, xr, wr in zip(z.tolist(), x.tolist(), w.tolist())]
@@ -591,9 +568,6 @@ class _Block:
         s, p = self.spec, self.p
         if _first_inf(w) != p or any(is_finite(v) for v in w[p:]) or any(x[p + 1:]):
             return None
-        if self.by_x0:
-            r = x[0] - s.x_lo[0]
-            return r if z == 0 and 0 <= r < self.size else None
         r = 0
         for a, stride, xi, wi in zip(self.axes, self.strides, x, w):
             d = int(a.index(np.array([xi]), np.array([wi]))[0])
@@ -602,8 +576,7 @@ class _Block:
             r += d * stride
         if z != (s.z + x[0] if s.shear else s.z):
             return None
-        forced = -s.z - sum(c * v for c, v in zip(_forced_coefs(s, p), x))
-        if p < s.n and x[p] != forced:
+        if p < s.n and x[p] != -s.z - sum(x[:p]):
             return None
         return r
 
@@ -633,10 +606,7 @@ def _block_sizes(spec):
             continue
         if any(spec.x_lo[q] > 0 or spec.x_hi[q] < 0 for q in range(p + 1, n)):
             continue
-        if spec.variant == "primed" and p == 0:  # indexed by its first offset
-            sizes[p] = max(spec.x_hi[0] - spec.x_lo[0] + 1, 0)
-        else:
-            sizes[p] = math.prod(axes[:p])
+        sizes[p] = math.prod(axes[:p])
         if sizes[p] > _BLOCK_LIMIT:
             raise OutOfRange(f"a window block of {sizes[p]} positions exceeds "
                              f"the limit of {_BLOCK_LIMIT} (2**29); use a smaller window")
@@ -695,16 +665,13 @@ class _Action:
         return _recoord(spec, c, self.z, self.dx, w_range)
 
 
-def _lookup(i, da, a, ca, s, t):
-    """Coordinate i of window s under action a, looked up in the pair table
+def _lookup(i, da, a, ca, t):
+    """Coordinate i of a window under action a, looked up in the pair table
     ``ca`` of coordinate i of window t.
 
     Returns the index in ``ca`` of each entry's image, -1 where no entry
-    holds it or, at coordinate 0, where the image degree is not t's, and
-    the image's share of the forced-offset mismatch, as a number when it
-    is the same for every entry.  An untouched coordinate on t's own table
-    is its own lookup, and its mismatch vanishes when s and t weigh it
-    alike.
+    holds it or, at coordinate 0, where the image degree is not t's.  An
+    untouched coordinate on t's own table is its own lookup.
     """
     untouched = i != a.coord or not (a.dx or a.dw or a.pin)
     x2, w2 = da.x, da.w
@@ -715,11 +682,7 @@ def _lookup(i, da, a, ca, s, t):
     if i == 0:
         z2 = a.z + da.x if a.shear else np.full(da.size, a.z)
         idx[z2 != (t.z + x2 if t.shear else t.z)] = -1
-    dc, cc = _forced_coefs(s, i + 1)[i], _forced_coefs(t, i + 1)[i]
-    if untouched and dc == cc:
-        return idx, 0
-    m = cc * x2 - dc * da.x
-    return idx, int(m[:1].sum()) if (m == m[:1]).all() else m  # m[0], 0 when empty
+    return idx
 
 
 def _image_ranks(db, a, cb, lookups=None):
@@ -731,47 +694,36 @@ def _image_ranks(db, a, cb, lookups=None):
     dict serves every block pair of one source and codomain, so a check
     maps and looks up each coordinate once.  A part's ranks are the
     mixed-radix outer sum of the lookups, scaled by cb's strides, over the
-    part's runs, and the image degree and forced offset must equal the
-    ones cb derives from the image's free coordinates.
+    part's runs.  The image degree must equal the one cb derives from the
+    image's free coordinates, and so must its forced offset, which exceeds
+    cb's by the same number t.z - s.z + a.dx at every position of the pair.
     """
     def none(part):
         return np.full(part.size, -1, dtype=np.int64)
 
     if cb is None or not cb.size or not db.size:
         return none
-    if not db.axes:  # p = 0: at most one row, or the primed first-offset block
+    if not db.axes:  # p = 0: one position
         ranks = [cb.rank(a.row(raw)) for raw in db.rows(np.arange(db.size))]
         ranks = np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
         return lambda part: ranks  # such a block is its own one part
     s, t, p, c = db.spec, cb.spec, db.p, a.coord
     if (c > p and a.dx) or (c >= p and a.pin):
         return none  # the image leaves the infinite tail
+    if p < s.n and t.z - s.z + a.dx:
+        return none  # no image has the forced offset cb gives it
     lookups = {} if lookups is None else lookups
     invalid = -(cb.size + 1)  # keeps every sum that includes it negative
-    terms, mismatch = [], []
+    terms = []
     for i, (da, ca, stride) in enumerate(zip(db.axes, cb.axes, cb.strides)):
         if i not in lookups:
-            lookups[i] = _lookup(i, da, a, ca, s, t)
-        idx, m = lookups[i]
-        terms.append(np.where(idx >= 0, idx * stride, invalid))
-        mismatch.append(m)
-    # image forced offset minus the one cb forces for the image
-    const = t.z - s.z + (a.dx if c == p else 0)
-    if p == s.n or all(isinstance(m, int) for m in mismatch):
-        if p < s.n and const + sum(mismatch):
-            return none
-        mismatch = None
-    else:
-        mismatch = [np.full(da.size, m) if isinstance(m, int) else m
-                    for m, da in zip(mismatch, db.axes)]
+            lookups[i] = _lookup(i, da, a, ca, t)
+        terms.append(np.where(lookups[i] >= 0, lookups[i] * stride, invalid))
 
     def part_ranks(part):
         runs = [slice(pa.first - da.first, pa.first - da.first + pa.size)
                 for pa, da in zip(part.axes, db.axes)]
-        ranks = _outer(term[r] for term, r in zip(terms, runs))
-        if mismatch is not None:
-            ranks[_outer((m[r] for m, r in zip(mismatch, runs)), const) != 0] = -1
-        return ranks
+        return _outer(term[r] for term, r in zip(terms, runs))
     return part_ranks
 
 
@@ -984,7 +936,7 @@ def _check_setup(kind, n, k, j, l, W, refuse=OutOfRange):
     if kind == "gamma":
         k = param("k", k)
         dom = _stratum_spec(n, k, W)
-        cod = _stratum_spec(n, k, W, variant="primed", shear=True)
+        cod = _stratum_spec(n, k, W, shear=True)
         return [(dom, _Action(z=k, shear=True))], cod
 
     dom = _stratum_spec(n, 0, W)  # t

@@ -200,6 +200,13 @@ class TestVerifiers:
         blob = json.loads(out)
         assert blob["check"] == "oracle-agreement" and blob["pass"]
 
+    def test_oracle_verify_defaults_are_the_suites(self, capsys):
+        # the command writes no range of its own
+        code, out, _ = run_cli(capsys, "oracle-verify", "--format", "json")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            r.to_json() for r in suite.oracle_agreement_checks()]
+
     def test_oracle_refuses_cutoff_below_multiplicity(self, capsys):
         # multiplicity 9 exceeds the first cutoff 8: a refusal, not a FAIL
         code, out, err = run_cli(capsys, "oracle-verify", "--n-max", "1",
@@ -424,12 +431,14 @@ class TestCalculatorsWithoutNumpy:
 
 
 class TestForkedWorkers:
-    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "-O"])
-    def test_records_match_committed_output(self, flags):
-        """`verify-all --jobs 2` from a fresh interpreter prints the committed
-        records, also under -O, which strips every assert."""
+    @pytest.mark.parametrize("flags,jobs", [((), "2"), (("-O",), "2"), ((), "1")],
+                             ids=["plain", "-O", "jobs1"])
+    def test_records_match_committed_output(self, flags, jobs):
+        """`verify-all` from a fresh interpreter prints the committed records
+        with two workers, also under -O, which strips every assert, and
+        serially."""
         proc = run_child(sys.executable, *flags, "-m", "qproj.cli", "verify-all",
-                         "--jobs", "2", "--format", "json")
+                         "--jobs", jobs, "--format", "json")
         assert proc.returncode == 0, proc.stderr[-2000:]
         digest, _ = (EXPECTED / "verify_all.sha256").read_text().split()
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

@@ -188,8 +188,9 @@ def reference_tally(n, k, window):
 def box_rows(spec):
     """The rows of a window by brute force, independent of the rank engine:
     every offset vector and source in the window's box, the source
-    collapsed after its first inf, kept when it is a groupoid element."""
-    n, primed = spec.n, spec.variant == "primed"
+    collapsed after its first inf, kept when it is a groupoid element,
+    primed in a sheared window."""
+    n, primed = spec.n, spec.shear
     sources = {}
     for w in itertools.product(*(list(range(lo, hi + 1)) + [INF] * inf_ok
                                  for lo, hi, inf_ok
@@ -214,11 +215,11 @@ def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
     applied element by element to the domain window must be injective,
     keep every target and give exactly the codomain window."""
     [(dom, _)], cod = _check_setup(map_id, n, k, j, l, window)
-    domain = [_element_from_raw(raw, dom.variant) for raw in box_rows(dom)]
+    domain = [_element_from_raw(raw, dom.shear) for raw in box_rows(dom)]
     if map_id == "t":
         codomain = {TElement(n, x, w) for _, x, w in box_rows(cod)}
     else:
-        codomain = {_element_from_raw(raw, cod.variant) for raw in box_rows(cod)}
+        codomain = {_element_from_raw(raw, cod.shear) for raw in box_rows(cod)}
     image = [REFERENCE_MAPS[map_id](g, k, j, l) for g in domain]
     ok = (len(set(image)) == len(image) and set(image) == codomain
           and all(g.target() == h.target() for g, h in zip(domain, image)))
@@ -582,11 +583,11 @@ class TestThetaMaps:
         with pytest.raises(DegreeNonZero, match="domain of t"):
             t_iso(g)
 
-    WINDOWS = [(n, z, variant) for n in (1, 2) for z in range(-2, 3)
-               for variant in ("plain", "primed")]
+    WINDOWS = [(n, z, kind) for n in (1, 2) for z in range(-2, 3)
+               for kind in ("plain", "primed")]
 
-    @pytest.mark.parametrize("n,z,variant", WINDOWS)
-    def test_public_maps_equal_references(self, n, z, variant):
+    @pytest.mark.parametrize("n,z,kind", WINDOWS)
+    def test_public_maps_equal_references(self, n, z, kind):
         # every element of a small window, every map, and parameters on
         # both sides of each map's domain: the same value or error type
         def outcome(fn, *args):
@@ -602,10 +603,11 @@ class TestThetaMaps:
                      for j in range(-1, n + 1) for l in range(-1, 3)]
                   + [("theta-terminal", None, None, l) for l in range(0, 3)]
                   + [("gamma", None, None, None), ("t", None, None, None)])
-        if variant == "primed":  # each map refuses the variant before all else
+        primed = kind == "primed"
+        if primed:  # each map refuses a primed element before all else
             params = params[::7]
-        spec = _stratum_spec(n, z, 2, variant=variant)
-        for g in (_element_from_raw(raw, variant) for raw in box_rows(spec)):
+        spec = _stratum_spec(n, z, 2, shear=primed)
+        for g in (_element_from_raw(raw, primed) for raw in box_rows(spec)):
             for map_id, k, j, l in params:
                 public = outcome(PUBLIC_MAPS[map_id], g, k, j, l)
                 assert public == outcome(REFERENCE_MAPS[map_id], g, k, j, l), (
@@ -636,9 +638,9 @@ class TestEnumeration:
 
     SPECS = [
         (2, 1, {}),
-        (2, 0, {"variant": "primed"}),
+        (2, 0, {"shear": True}),
         (3, -2, {"pins": 1}),
-        (2, 1, {"variant": "primed", "shear": True}),
+        (2, 1, {"shear": True}),
         (1, 0, {}),
         (3, 2, {"pins": 3}),
         (2, 2, {"w_over": {0: (2, 5, True)}}),
@@ -646,7 +648,7 @@ class TestEnumeration:
         (2, 0, {"x_over": {1: (-1, 4)}}),
         # an offset range without 0 skips every block whose tail forces it to 0
         (3, 1, {"x_over": {2: (-3, -1)}}),
-        (3, 0, {"x_over": {1: (1, 2)}, "variant": "primed"}),
+        (3, 0, {"x_over": {1: (1, 2)}, "shear": True}),
     ]
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
@@ -720,6 +722,28 @@ class TestEnumeration:
         assert len(enumerate_stratum(1, 0, window=Window(2))) == 13
         with pytest.raises(OutOfRange):
             enumerate_stratum(1, 0, window=0)
+
+
+class TestShearedWindow:
+    """gamma's codomain is the plain window with the degree read as z + x[0]."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_are_plain_rows_with_sheared_degree(self, n):
+        # box_rows keeps a sheared row only when it is a primed element, and
+        # a plain row only when it is a plain one: the two rules select the
+        # same offsets and sources
+        for z, W in itertools.product(range(-3, 4), range(1, 4)):
+            plain = [(z + x[0], x, w) for _, x, w in box_rows(_stratum_spec(n, z, W))]
+            sheared = _stratum_spec(n, z, W, shear=True)
+            assert box_rows(sheared) == plain, (z, W)
+            engine = sorted(map(raw_key, _iter_raw(sheared)), key=repr)
+            assert engine == sorted(map(raw_key, plain), key=repr), (z, W)
+
+    def test_gamma_codomain_has_the_domains_blocks(self):
+        # every gamma row of the default sweep, and at n = 4
+        for n, k in itertools.product(range(1, 5), range(-4, 5)):
+            [(dom, _)], cod = _check_setup("gamma", n, k, None, None, 8)
+            assert _block_sizes(cod) == _block_sizes(dom), (n, k)
 
 
 class TestVerifiers:
@@ -999,7 +1023,7 @@ class TestMutations:
         element = element_key(found["element"])
         [raw] = [r for r in box_rows(dom) if raw_key(r) == element]
         assert raw_target(action.row(raw)) != raw_target(raw)
-        g = _element_from_raw(raw, "plain")
+        g = _element_from_raw(raw, False)
         assert ref_theta_shift(g, 2, 1).target() == g.target()  # unlike the map
 
     def test_pinned_source_collides(self, monkeypatch):
@@ -1042,9 +1066,9 @@ class TestMutations:
         # gamma without the shear: the image degree stays 0 (at k = 0 only
         # the finite blocks see it)
         ("gamma", {"k": 0}, None, _Action(z=0)),
-        # ... and with the shear dropped from the codomain too, the forced
-        # offset differs from the codomain's by x[0]
-        ("gamma", {"k": 0}, _stratum_spec(2, 0, 2, variant="primed"), _Action(z=0)),
+        # ... and the shear dropped from the codomain instead: the image
+        # degree x[0] is not the codomain's constant 0
+        ("gamma", {"k": 0}, _stratum_spec(2, 0, 2), _Action(z=0, shear=True)),
         # theta-peel paying one unit too few, into that degree: targets
         # stay, but every forced offset is off by one
         ("theta-peel", {"k": 2, "j": 0, "l": 1},
