@@ -10,8 +10,7 @@ time, and the agreement between the two is exactly the hockey-stick
 family of binomial identities.
 """
 
-from qproj import (BundleDescriptor, binomial, closed_form, hockey_stick,
-                   k0_class, recursion_expand)
+from qproj import binomial, closed_form, hockey_stick, k0_class, recursion_expand
 
 # 1. Closed-form decompositions
 # -----------------------------
@@ -54,17 +53,16 @@ for l, k in ((3, 4), (5, 10), (7, 25)):
     print("l=%d k=%2d:  lhs=%6d  rhs=%6d  all shifts hold: %s"
           % (l, k, r.lhs, r.rhs, r.equal))
 
-# 4. K-classes and a named handle
-# -------------------------------
+# 4. K-classes
+# ------------
 # k0_class writes the bundle class in the level basis of the even
-# K-group.  BundleDescriptor bundles the (n, k) naming with the three
-# computations if you prefer an object handle.
+# K-group.  A bundle is named by the two integers (n, k), and each
+# computation takes them directly.
 print()
-b = BundleDescriptor(3, 4)
 print("bundle n=3, degree 4:")
-print("  K-class:      ", b.k0_class())
-print("  decomposition:", b.closed_form().mult)
-print("  via recursion:", b.recursion_expand().mult)
+print("  K-class:      ", k0_class(3, 4))
+print("  decomposition:", closed_form(3, 4).mult)
+print("  via recursion:", recursion_expand(3, 4).mult)
 
 # Degree -1 also has a K-class (the alternating corner class); deeper
 # negative degrees have no expansion in the level basis and are refused.

@@ -11,7 +11,7 @@ shifts windows by a fixed amount, the bijections can be verified exactly
 on finite windows.
 """
 
-from qproj import (INF, Window, canonicalize, compose, enumerate_stratum,
+from qproj import (INF, canonicalize, compose, enumerate_stratum,
                    gamma_iso, gamma_iso_inv, theta_neg, theta_peel,
                    theta_shift, theta_terminal, verify_bijection,
                    verify_partition)
@@ -57,7 +57,7 @@ print("g o h =", compose(g, h))
 # quickly, which is why the windowed engine is vectorized.
 print()
 for W in (2, 3, 4):
-    els = enumerate_stratum(2, 1, 0, Window(W))
+    els = enumerate_stratum(2, 1, 0, W)
     print("stratum (k=1, j=0) over n=2, window %d: %5d elements" % (W, len(els)))
 
 # 4. The structural maps

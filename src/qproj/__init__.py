@@ -37,16 +37,16 @@ _EXPORTS = {
                "NotInGroupoid", "NotComposable", "DegreeNonZero", "WrongStratum",
                "CutoffTooSmall"),
     "projections": ("ProjClass", "RhoVector", "zero_class", "boxplus", "normalize", "rho",
-                    "rank", "k0_sphere_class", "is_equivalent", "is_stably_equivalent",
-                    "parse_expression", "normalize_expression"),
+                    "rank", "is_equivalent", "is_stably_equivalent", "parse_expression",
+                    "normalize_expression"),
     "k_theory": ("K0Vector", "generator", "nu_star", "iota_star", "check_exactness"),
-    "line_bundles": ("binomial", "BundleDescriptor", "LineBundleDecomposition",
-                     "closed_form", "recursion_expand", "hockey_stick", "k0_class"),
-    "groupoid": ("GroupoidElement", "TElement", "Window", "canonicalize", "compose",
+    "line_bundles": ("binomial", "LineBundleDecomposition", "closed_form",
+                     "recursion_expand", "hockey_stick", "k0_class"),
+    "groupoid": ("GroupoidElement", "TElement", "canonicalize", "compose",
                  "gamma_iso", "gamma_iso_inv", "t_iso", "theta_neg", "theta_shift",
                  "theta_peel", "theta_terminal", "enumerate_stratum", "verify_bijection",
                  "verify_partition", "verify_terminal_counts"),
-    "oracle": ("Truncation", "DiagonalPattern", "PatternStack", "encode", "rho_numeric"),
+    "oracle": ("DiagonalPattern", "PatternStack", "encode", "rho_numeric"),
     "reports": ("VerifyReport",),
     "suite": ("run_all",),
 }

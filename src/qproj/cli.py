@@ -21,7 +21,7 @@ import sys
 
 from . import k_theory, line_bundles
 from .errors import QprojError
-from .projections import normalize_expression, rho
+from .projections import normalize_expression, rank, rho
 
 __all__ = ["main", "build_parser"]
 
@@ -102,8 +102,8 @@ def build_parser():
     sp.add_argument("--k", type=int, default=None, help="degree parameter")
     sp.add_argument("--j", type=int, default=None, help="coordinate index")
     sp.add_argument("--l", type=int, default=None, help="shortfall / level")
-    sp.add_argument("--window", type=int, default=8,
-                    help="finite window half-width (default: 8)")
+    sp.add_argument("--window", type=int, default=None,
+                    help="finite window half-width (default: the library's)")
     _add_format(sp)
     sp.set_defaults(func=_cmd_groupoid_verify)
 
@@ -169,8 +169,7 @@ def _cmd_k0(args):
         raise _UsageError("k0 needs exactly one of: EXPR, --bundle, "
                           "--generator, --iota, --nu, --exactness")
     if args.expr is not None:
-        from .projections import k0_sphere_class
-        r = k0_sphere_class(normalize_expression(args.expr, args.n))
+        r = rank(normalize_expression(args.expr, args.n))
         _print_result(args, {"rank": r}, str(r))
         return 0
     if args.bundle is not None:
@@ -222,15 +221,16 @@ def _emit_reports(args, reports):
 
 def _cmd_groupoid_verify(args):
     from . import groupoid, suite
+    window = {} if args.window is None else {"window": args.window}
     if args.map_id == "all":
         given = [f"--{name}" for name in "kjl" if getattr(args, name) is not None]
         if given:
             raise _UsageError(f"--map all sweeps every parameter; it takes no "
                               f"{', '.join(given)}")
-        reports = suite.groupoid_checks(n_max=args.n, window=args.window)
+        reports = suite.groupoid_checks(n_max=args.n, **window)
     else:
         reports = [groupoid._verify(args.map_id, args.n, args.k, args.j, args.l,
-                                    args.window)]
+                                    **window)]
     return _emit_reports(args, reports)
 
 

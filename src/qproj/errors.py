@@ -52,7 +52,7 @@ class WrongStratum(QprojError, ValueError):
 
 
 class CutoffTooSmall(QprojError, ArithmeticError):
-    """Truncation cutoffs too small to read a pattern's ranks exactly."""
+    """Cutoffs too small to read a pattern's truncated ranks exactly."""
 
 
 def integer(value, what, lo=None, hi=None, error=InvalidClass):

@@ -9,6 +9,8 @@ for an infinite one.
 
 from __future__ import annotations
 
+from .errors import InvalidClass
+
 __all__ = ["INF", "Infinity", "is_finite", "ext_to_json", "ext_from_json"]
 
 
@@ -47,9 +49,6 @@ class Infinity:
 
     def __eq__(self, other):
         return isinstance(other, Infinity)
-
-    def __ne__(self, other):
-        return not isinstance(other, Infinity)
 
     def __hash__(self):
         return hash(("qproj", "inf"))
@@ -108,7 +107,7 @@ def ext_from_json(obj):
     if obj == "inf":
         return INF
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ValueError(f"expected an int or \"inf\", got {obj!r}")
+        raise InvalidClass(f"expected an int or \"inf\", got {obj!r}")
     if obj < 0:
-        raise ValueError(f"extended naturals are non-negative, got {obj}")
+        raise InvalidClass(f"extended naturals are non-negative, got {obj}")
     return obj

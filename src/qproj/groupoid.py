@@ -81,10 +81,10 @@ from .reports import VerifyReport
 __all__ = [
     "GroupoidElement",
     "TElement",
-    "Window",
     "canonicalize",
     "compose",
     "gamma_iso",
+    "gamma_iso_inv",
     "t_iso",
     "theta_neg",
     "theta_shift",
@@ -198,13 +198,16 @@ class GroupoidElement:
 
     @classmethod
     def from_json(cls, obj):
-        return canonicalize(
-            len(obj["x"]),
-            obj["z"],
-            tuple(obj["x"]),
-            tuple(ext_from_json(v) for v in obj["w"]),
-            primed=bool(obj.get("primed", False)),
-        )
+        try:
+            return canonicalize(
+                len(obj["x"]),
+                obj["z"],
+                tuple(obj["x"]),
+                tuple(ext_from_json(v) for v in obj["w"]),
+                primed=bool(obj.get("primed", False)),
+            )
+        except (KeyError, TypeError) as exc:
+            raise InvalidClass(f"malformed element record: {obj!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -321,20 +324,6 @@ def theta_terminal(g, l):
 
 
 @dataclass(frozen=True)
-class Window:
-    """Finite enumeration bound: source entries in [0, W], offsets in [-W, W]."""
-
-    W: int
-
-    def __post_init__(self):
-        integer(self.W, "window bound", 1, error=OutOfRange)
-
-
-def _window_value(window):
-    return window.W if isinstance(window, Window) else Window(window).W
-
-
-@dataclass(frozen=True)
 class _WindowSpec:
     """Per-coordinate enumeration ranges for one stratum window.
 
@@ -407,11 +396,6 @@ def _iter_raw(spec):
             yield from part.rows(np.flatnonzero(part.indicator()))
 
 
-def _element_from_raw(raw, primed):
-    z, x, w = raw
-    return GroupoidElement(n=len(x), z=z, x=x, w=w, primed=primed)
-
-
 def enumerate_stratum(n, k, j=0, window=8):
     """All canonical degree-k elements with the first j source coordinates 0,
     finite source entries at most W and offsets at most W in magnitude."""
@@ -420,9 +404,9 @@ def enumerate_stratum(n, k, j=0, window=8):
     j = integer(j, "level")
     if not 0 <= j <= n:
         raise OutOfRange(f"level j={j} outside 0..{n}")
-    W = _window_value(window)
+    W = integer(window, "window bound", 1, error=OutOfRange)
     spec = _stratum_spec(n, k, W, pins=j)
-    return [_element_from_raw(raw, False) for raw in _iter_raw(spec)]
+    return [GroupoidElement(n, *raw) for raw in _iter_raw(spec)]
 
 
 # --- exact ranking over pair tables -------------------------------------------
@@ -952,12 +936,12 @@ _FAILURE_NAMES = {
 }
 
 
-def _verify(kind, n, k, j, l, window, kinds=_PARAMETERS):
+def _verify(kind, n, k, j, l, window=8, kinds=_PARAMETERS):
     """One check of a kind in ``kinds``: its sources ranked into its codomain
     by one image check.  A partition records the full window as its domain
     and the pieces as its image."""
     n = integer(n, "coordinate count", 1)
-    W = _window_value(window)
+    W = integer(window, "window bound", 1, error=OutOfRange)
     if kind not in kinds:
         raise OutOfRange(f"unknown map id {kind!r}; expected one of {MAP_IDS}")
     rows, size, found = _image_check(*_check_setup(kind, n, k, j, l, W))
@@ -1009,7 +993,7 @@ def windowed_terminal_counts(n, k, window=6):
     k = integer(k, "degree")
     if k < 1:
         raise OutOfRange(f"the peeling starts at degree >= 1, got {k}")
-    W = _window_value(window)
+    W = integer(window, "window bound", 1, error=OutOfRange)
     counts = [0] * (n + 1)
     image_size = 0
     drift = False
@@ -1071,7 +1055,7 @@ def verify_terminal_counts(n, k, window=6):
         }
     return VerifyReport(
         check="terminal-counts",
-        params={"n": n, "k": k, "W": _window_value(window)},
+        params={"n": n, "k": k, "W": report.params["W"]},
         passed=passed,
         domain_size=report.domain_size,
         image_size=report.image_size,

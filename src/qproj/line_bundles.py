@@ -36,7 +36,6 @@ from .k_theory import K0Vector
 
 __all__ = [
     "binomial",
-    "BundleDescriptor",
     "LineBundleDecomposition",
     "closed_form",
     "recursion_expand",
@@ -50,27 +49,6 @@ def binomial(k, j):
     """Exact binomial coefficient C(k, j) = k! / (j! (k-j)!), arbitrary size."""
     k = integer(k, "binomial k", error=OutOfRange)
     return math.comb(k, integer(j, "binomial index j", 0, k, OutOfRange))
-
-
-@dataclass(frozen=True)
-class BundleDescriptor:
-    """A line bundle named by ambient index n >= 1 and degree k."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        integer(self.n, "ambient index", 1)
-        integer(self.k, "degree")
-
-    def closed_form(self):
-        return closed_form(self.n, self.k)
-
-    def recursion_expand(self):
-        return recursion_expand(self.n, self.k)
-
-    def k0_class(self):
-        return k0_class(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -220,20 +198,21 @@ def hockey_stick(l, k):
 
 
 def k0_class(n, k):
-    """Even K-class of the degree-k bundle in the level basis.
+    """Even K-class of the degree-k bundle in the level basis, for k >= -1.
 
-    Positive degrees use the binomial multiset; degree 0 is the identity;
-    degree -1 is the alternating corner class.  Deeper negative degrees
-    involve composite corner projections with no expansion in the level
-    basis here, so they are rejected.
+    Its level-j coordinate is c_j(k) = k(k+1)...(k+j-1) / j!.  For k >= 1
+    that is the binomial multiplicity C(k + j - 1, j); it gives the
+    identity at k = 0 and the alternating corner class at k = -1.  Deeper
+    negative degrees involve composite corner projections with no
+    expansion in the level basis here, so they are rejected.
+
+    >>> [k0_class(3, k).coords for k in (2, 0, -1)]
+    [(1, 2, 3, 4), (1, 0, 0, 0), (1, -1, 0, 0)]
     """
     _check_bundle_args(n, k)
     if k <= -2:
         raise UnsupportedDegree(
             f"no level-basis expansion is provided for degree {k} <= -2"
         )
-    if k == 0:
-        return K0Vector(n, (1,) + (0,) * n)
-    if k == -1:
-        return K0Vector(n, (1, -1) + (0,) * (n - 1))
-    return K0Vector(n, tuple(binomial(k + j - 1, j) for j in range(n + 1)))
+    return K0Vector(n, tuple(math.prod(range(k, k + j)) // math.factorial(j)
+                             for j in range(n + 1)))

@@ -43,7 +43,6 @@ __all__ = [
     "complement",
     "DiagonalPattern",
     "PatternStack",
-    "Truncation",
     "encode",
     "rank_at",
     "face",
@@ -71,16 +70,6 @@ def _check_factor(f):
     if not (isinstance(f, tuple) and len(f) == 2 and f[0] in ("P", "Pc")):
         raise InvalidClass(f"bad axis factor {f!r}")
     integer(f[1], "factor depth", 1)
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Cutoff parameter: keep the first N basis states on every axis."""
-
-    N: int
-
-    def __post_init__(self):
-        integer(self.N, "truncation cutoff", 1, error=OutOfRange)
 
 
 @dataclass(frozen=True)
@@ -123,16 +112,19 @@ class DiagonalPattern:
 
     @classmethod
     def from_json(cls, obj):
-        factors = []
-        for f in obj.get("factors", ()):
-            if f == "I":
-                factors.append(IDENTITY)
-            elif isinstance(f, dict) and len(f) == 1:
-                tag, m = next(iter(f.items()))
-                factors.append((tag, m))
-            else:
-                raise InvalidClass(f"bad serialized factor {f!r}")
-        return cls(n=obj["n"], factors=tuple(factors), copies=obj.get("copies", 1))
+        try:
+            factors = []
+            for f in obj.get("factors", ()):
+                if f == "I":
+                    factors.append(IDENTITY)
+                elif isinstance(f, dict) and len(f) == 1:
+                    tag, m = next(iter(f.items()))
+                    factors.append((tag, m))
+                else:
+                    raise InvalidClass(f"bad serialized factor {f!r}")
+            return cls(n=obj["n"], factors=tuple(factors), copies=obj.get("copies", 1))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise InvalidClass(f"malformed pattern record: {obj!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -182,13 +174,9 @@ def _layers(pattern_or_stack):
     raise InvalidClass(f"expected a pattern or a stack, got {pattern_or_stack!r}")
 
 
-def _cutoff_value(N):
-    return N.N if isinstance(N, Truncation) else Truncation(N).N
-
-
 def rank_at(pattern_or_stack, N):
     """Rank of the pattern truncated to the first N states on every axis."""
-    N = _cutoff_value(N)
+    N = integer(N, "truncation cutoff", 1, error=OutOfRange)
     total = 0
     for layer in _layers(pattern_or_stack):
         r = layer.copies
@@ -242,11 +230,11 @@ def rho_numeric(pattern_or_stack, n1=8, n2=16, guard=None):
     cutoff is consulted; the guard (default 2 * n2) is still validated and
     must exceed n2.
     """
-    n1 = _cutoff_value(n1)
-    n2 = _cutoff_value(n2)
+    n1 = integer(n1, "first cutoff", 1, error=OutOfRange)
+    n2 = integer(n2, "second cutoff", 1, error=OutOfRange)
     if n1 >= n2:
         raise OutOfRange(f"cutoffs must increase, got {n1} >= {n2}")
-    guard = 2 * n2 if guard is None else _cutoff_value(guard)
+    guard = 2 * n2 if guard is None else integer(guard, "guard cutoff", 1, error=OutOfRange)
     if guard <= n2:
         raise OutOfRange(f"guard cutoff must exceed {n2}, got {guard}")
 

@@ -50,7 +50,6 @@ __all__ = [
     "normalize",
     "rho",
     "rank",
-    "k0_sphere_class",
     "is_equivalent",
     "is_stably_equivalent",
     "parse_expression",
@@ -160,6 +159,8 @@ class RhoVector:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, list):
+            raise InvalidClass(f"malformed counting vector record: {obj!r}")
         return cls(tuple(ext_from_json(e) for e in obj))
 
 
@@ -234,19 +235,15 @@ def rho(p):
 
 
 def rank(p):
-    """Free rank of a class: k at level 0, otherwise 0."""
+    """Free rank of a class: k at level 0, otherwise 0.
+
+    This is also the class in the even K-group of the sphere algebra: that
+    group is free of rank one, generated by the identity, and every level
+    j >= 1 class vanishes in it.
+    """
     if not isinstance(p, ProjClass):
         raise InvalidClass("rank is defined on projection classes")
     return p.k if p.j == 0 else 0
-
-
-def k0_sphere_class(p):
-    """Class in the even K-group of the sphere algebra.
-
-    That group is free of rank one, generated by the identity, and every
-    level j >= 1 class vanishes in it, so the class is just the rank.
-    """
-    return rank(p)
 
 
 def is_equivalent(a, b):
@@ -260,7 +257,7 @@ def is_stably_equivalent(a, b):
     """Stable equivalence: the same class in the even K-group."""
     if a.n != b.n:
         raise DimensionMismatch(f"ambient indices differ: {a.n} vs {b.n}")
-    return k0_sphere_class(a) == k0_sphere_class(b)
+    return rank(a) == rank(b)
 
 
 _TERM = re.compile(r"P\[(\d+),(\d+)\]\Z")

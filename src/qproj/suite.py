@@ -275,7 +275,7 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=8):
 
     integer(n_max, "groupoid n_max", 1, error=OutOfRange)
     integer(k_abs_max, "groupoid k_abs_max", 0, error=OutOfRange)
-    window = groupoid._window_value(window)
+    integer(window, "window bound", 1, error=OutOfRange)
     checks = []  # (kind, n, k, j, l) in record order
     for n in range(1, n_max + 1):
         ks, js = range(1, k_abs_max + 1), range(n)

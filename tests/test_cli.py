@@ -1,7 +1,9 @@
 """The qproj command line: outputs, formats, and exit code contract."""
 
 import hashlib
+import importlib
 import importlib.metadata
+import inspect
 import json
 import multiprocessing
 import os
@@ -161,7 +163,7 @@ class TestValidationExitCode:
                                       ("--n", "1", "--map", "t", "--window", "1000000")],
                              ids=" ".join)
     def test_oversized_window_is_refused(self, capsys, argv):
-        """The default --window 8 is too large from n = 5 on, and a window of
+        """The library's default window is too large from n = 5 on, and a window of
         10**6 at n = 1: one error line, before any table is built."""
         code, out, err = run_cli(capsys, "groupoid-verify", *argv)
         assert (code, out) == (1, "")
@@ -199,6 +201,17 @@ class TestVerifiers:
         assert code == 0
         blob = json.loads(out)
         assert blob["check"] == "oracle-agreement" and blob["pass"]
+
+    @pytest.mark.parametrize("map_id,entry", [("t", groupoid.verify_bijection),
+                                              ("all", suite.groupoid_checks)])
+    def test_groupoid_verify_default_window_is_the_librarys(self, capsys, map_id, entry):
+        # the command writes no window of its own
+        default = inspect.signature(entry).parameters["window"].default
+        code, out, _ = run_cli(capsys, "groupoid-verify", "--n", "1", "--map", map_id,
+                               "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and all(r["params"]["W"] == default for r in records)
 
     def test_oracle_verify_defaults_are_the_suites(self, capsys):
         # the command writes no range of its own
@@ -428,6 +441,13 @@ class TestCalculatorsWithoutNumpy:
         assert set(qproj.__all__) <= set(dir(qproj))
         with pytest.raises(AttributeError):
             getattr(qproj, "no_such_name")
+
+    def test_exports_are_in_the_submodules_all(self):
+        for name, exported in qproj._EXPORTS.items():
+            module = importlib.import_module(f"qproj.{name}")
+            if hasattr(module, "__all__"):
+                assert set(exported) <= set(module.__all__), name
+                assert all(hasattr(module, n) for n in module.__all__), name
 
 
 class TestForkedWorkers:

@@ -15,8 +15,9 @@ def test_singleton():
 
 def test_not_an_int():
     assert not isinstance(INF, int)
-    assert INF != 10 ** 18
+    assert INF != 10 ** 18 and 10 ** 18 != INF
     assert INF == INF
+    assert (INF != INF) is False
 
 
 def test_saturating_addition():

@@ -18,7 +18,6 @@ from qproj.groupoid import (
     MAP_IDS,
     GroupoidElement,
     TElement,
-    Window,
     _Action,
     _Axis,
     _Run,
@@ -26,7 +25,6 @@ from qproj.groupoid import (
     _block_sizes,
     _blocks,
     _check_setup,
-    _element_from_raw,
     _first_inf,
     _first_moved,
     _image_check,
@@ -215,11 +213,11 @@ def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
     applied element by element to the domain window must be injective,
     keep every target and give exactly the codomain window."""
     [(dom, _)], cod = _check_setup(map_id, n, k, j, l, window)
-    domain = [_element_from_raw(raw, dom.shear) for raw in box_rows(dom)]
+    domain = [GroupoidElement(n, *raw, dom.shear) for raw in box_rows(dom)]
     if map_id == "t":
         codomain = {TElement(n, x, w) for _, x, w in box_rows(cod)}
     else:
-        codomain = {_element_from_raw(raw, cod.shear) for raw in box_rows(cod)}
+        codomain = {GroupoidElement(n, *raw, cod.shear) for raw in box_rows(cod)}
     image = [REFERENCE_MAPS[map_id](g, k, j, l) for g in domain]
     ok = (len(set(image)) == len(image) and set(image) == codomain
           and all(g.target() == h.target() for g, h in zip(domain, image)))
@@ -607,7 +605,7 @@ class TestThetaMaps:
         if primed:  # each map refuses a primed element before all else
             params = params[::7]
         spec = _stratum_spec(n, z, 2, shear=primed)
-        for g in (_element_from_raw(raw, primed) for raw in box_rows(spec)):
+        for g in (GroupoidElement(n, *raw, primed) for raw in box_rows(spec)):
             for map_id, k, j, l in params:
                 public = outcome(PUBLIC_MAPS[map_id], g, k, j, l)
                 assert public == outcome(REFERENCE_MAPS[map_id], g, k, j, l), (
@@ -719,7 +717,7 @@ class TestEnumeration:
                 assert _image_ranks(block, identity, block)(block).tolist() == everywhere
 
     def test_window_type(self):
-        assert len(enumerate_stratum(1, 0, window=Window(2))) == 13
+        assert len(enumerate_stratum(1, 0, window=2)) == 13
         with pytest.raises(OutOfRange):
             enumerate_stratum(1, 0, window=0)
 
@@ -1023,7 +1021,7 @@ class TestMutations:
         element = element_key(found["element"])
         [raw] = [r for r in box_rows(dom) if raw_key(r) == element]
         assert raw_target(action.row(raw)) != raw_target(raw)
-        g = _element_from_raw(raw, False)
+        g = GroupoidElement(2, *raw)
         assert ref_theta_shift(g, 2, 1).target() == g.target()  # unlike the map
 
     def test_pinned_source_collides(self, monkeypatch):

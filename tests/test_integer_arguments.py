@@ -1,15 +1,17 @@
 """Every integer argument refuses a bool, a float and an out-of-range int
-with its own error class."""
+with its own error class, and every JSON record reader refuses a malformed
+record with ``InvalidClass``."""
 
 import pytest
 
-from qproj import groupoid, k_theory, line_bundles, oracle, projections
+from qproj import groupoid, k_theory, line_bundles, oracle, projections, suite
 from qproj.errors import (
     DimensionTooSmall,
     IndexOutOfRange,
     InvalidClass,
     NotInGroupoid,
     OutOfRange,
+    UnsupportedDegree,
     WrongStratum,
 )
 from qproj.extnat import INF
@@ -30,7 +32,6 @@ SITES = {
                   0, InvalidClass, InvalidClass),
     "element source": (lambda v: groupoid.GroupoidElement(1, 0, (0,), (v,)),
                        -1, InvalidClass, NotInGroupoid),
-    "Window": (groupoid.Window, 0, OutOfRange, OutOfRange),
     "enumerate_stratum n": (lambda v: groupoid.enumerate_stratum(v, 0, window=1),
                             0, InvalidClass, InvalidClass),
     "enumerate_stratum k": (lambda v: groupoid.enumerate_stratum(1, v, window=1),
@@ -45,6 +46,8 @@ SITES = {
                            0, InvalidClass, OutOfRange),
     "verify_partition j": (lambda v: groupoid.verify_partition(1, 1, v, 1),
                            1, InvalidClass, OutOfRange),
+    "verify_partition window": (lambda v: groupoid.verify_partition(1, 1, 0, v),
+                                0, OutOfRange, OutOfRange),
     "verify_bijection n": (lambda v: groupoid.verify_bijection("t", v, window=1),
                            0, InvalidClass, InvalidClass),
     "verify_bijection k": (lambda v: groupoid.verify_bijection("theta-neg", 1, k=v,
@@ -65,7 +68,11 @@ SITES = {
                          0, InvalidClass, InvalidClass),
     "terminal tally k": (lambda v: groupoid.windowed_terminal_counts(1, v, 1),
                          0, InvalidClass, OutOfRange),
+    "terminal tally window": (lambda v: groupoid.windowed_terminal_counts(1, 1, v),
+                              0, OutOfRange, OutOfRange),
     "terminal counts window": (lambda v: groupoid.verify_terminal_counts(1, 1, v),
+                               0, OutOfRange, OutOfRange),
+    "groupoid_checks window": (lambda v: suite.groupoid_checks(1, window=v),
                                0, OutOfRange, OutOfRange),
     "ProjClass n": (lambda v: projections.ProjClass(v, 0, 1),
                     -1, InvalidClass, InvalidClass),
@@ -88,19 +95,18 @@ SITES = {
     "check_exactness n": (k_theory.check_exactness, -1, InvalidClass, InvalidClass),
     "binomial k": (lambda v: line_bundles.binomial(v, 0), -1, OutOfRange, OutOfRange),
     "binomial j": (lambda v: line_bundles.binomial(3, v), 4, OutOfRange, OutOfRange),
-    "BundleDescriptor n": (lambda v: line_bundles.BundleDescriptor(v, 1),
-                           0, InvalidClass, InvalidClass),
-    "BundleDescriptor k": (lambda v: line_bundles.BundleDescriptor(1, v),
-                           None, InvalidClass, None),
     "corner depth": (lambda v: line_bundles.LineBundleDecomposition.corner(1, -1, v),
                      -1, InvalidClass, InvalidClass),
     "multiplicity": (lambda v: line_bundles.LineBundleDecomposition.multiset(1, 1, (1, v)),
                      -1, InvalidClass, InvalidClass),
     "closed_form n": (lambda v: line_bundles.closed_form(v, 1), 0, OutOfRange, OutOfRange),
     "closed_form k": (lambda v: line_bundles.closed_form(1, v), None, OutOfRange, None),
+    "recursion_expand n": (lambda v: line_bundles.recursion_expand(v, 1),
+                           0, OutOfRange, OutOfRange),
     "recursion_expand k": (lambda v: line_bundles.recursion_expand(1, v),
                            0, OutOfRange, OutOfRange),
     "k0_class n": (lambda v: line_bundles.k0_class(v, 1), 0, OutOfRange, OutOfRange),
+    "k0_class k": (lambda v: line_bundles.k0_class(1, v), -2, OutOfRange, UnsupportedDegree),
     "hockey_stick l": (lambda v: line_bundles.hockey_stick(v, 3), 1, OutOfRange, OutOfRange),
     "hockey_stick k": (lambda v: line_bundles.hockey_stick(3, v), 0, OutOfRange, OutOfRange),
     "cutoff m": (oracle.cutoff, 0, InvalidClass, InvalidClass),
@@ -110,7 +116,6 @@ SITES = {
     "pattern n": (lambda v: oracle.DiagonalPattern(v, ()), -1, InvalidClass, InvalidClass),
     "pattern copies": (lambda v: oracle.DiagonalPattern(0, (), copies=v),
                        -1, InvalidClass, InvalidClass),
-    "Truncation": (oracle.Truncation, 0, OutOfRange, OutOfRange),
     "rank_at N": (lambda v: oracle.rank_at(PATTERN, v), 0, OutOfRange, OutOfRange),
     "rho_numeric n1": (lambda v: oracle.rho_numeric(PATTERN, n1=v), 0, OutOfRange, OutOfRange),
     "rho_numeric n2": (lambda v: oracle.rho_numeric(PATTERN, n2=v), 0, OutOfRange, OutOfRange),
@@ -128,3 +133,15 @@ CASES = [pytest.param(call, value, error, id=f"{name}={value!r}")
 def test_refused_with_its_error_class(call, value, error):
     with pytest.raises(error):
         call(value)
+
+
+READERS = [projections.ProjClass, projections.RhoVector, k_theory.K0Vector,
+           line_bundles.LineBundleDecomposition, groupoid.GroupoidElement,
+           oracle.DiagonalPattern]
+
+
+@pytest.mark.parametrize("record", [None, 5, "x", {}, ["x"]], ids=repr)
+@pytest.mark.parametrize("reader", READERS, ids=lambda cls: cls.__name__)
+def test_malformed_record_refused(reader, record):
+    with pytest.raises(InvalidClass):
+        reader.from_json(record)

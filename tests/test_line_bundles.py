@@ -7,7 +7,6 @@ from qproj import line_bundles
 from qproj.errors import InvalidClass, OutOfRange, UnsupportedDegree
 from qproj.k_theory import K0Vector, nu_star
 from qproj.line_bundles import (
-    BundleDescriptor,
     HockeyStickResult,
     LineBundleDecomposition,
     binomial,
@@ -214,6 +213,15 @@ class TestK0Class:
             for k in range(1, 10):
                 assert k0_class(n, k).coords == closed_form(n, k).mult
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_formula_for_every_supported_degree(self, n):
+        # c_j(k) = k(k+1)...(k+j-1)/j! is the binomial multiset for k >= 1,
+        # the identity at k = 0 and the alternating corner class at k = -1
+        assert k0_class(n, 0).coords == (1,) + (0,) * n
+        assert k0_class(n, -1).coords == (1, -1) + (0,) * (n - 1)
+        for k in range(1, 30):
+            assert k0_class(n, k).coords == closed_form(n, k).mult, (n, k)
+
     def test_restriction_consistency(self):
         for n in range(2, 6):
             for k in range(0, 26):
@@ -227,18 +235,6 @@ class TestK0Class:
 
 
 class TestContainers:
-    def test_descriptor_delegates(self):
-        d = BundleDescriptor(2, 3)
-        assert d.closed_form() == closed_form(2, 3)
-        assert d.recursion_expand() == recursion_expand(2, 3)
-        assert d.k0_class() == k0_class(2, 3)
-
-    def test_descriptor_validates(self):
-        with pytest.raises(InvalidClass):
-            BundleDescriptor(0, 3)
-        with pytest.raises(InvalidClass):
-            BundleDescriptor(2, "x")
-
     def test_total_classes(self):
         assert closed_form(2, -5).total_classes() == 1
         assert closed_form(2, 3).total_classes() == 10

@@ -17,7 +17,6 @@ from qproj.oracle import (
     IDENTITY,
     DiagonalPattern,
     PatternStack,
-    Truncation,
     boxplus_patterns,
     complement,
     cutoff,
@@ -112,12 +111,6 @@ class TestRank:
         for pat in patterns:
             for N in (1, 2, 3, 5):
                 assert rank_at(pat, N) == count_lattice_points(pat, N), (pat, N)
-
-    def test_truncation_wrapper(self):
-        pat = encode(ProjClass(2, 1, 2))
-        assert rank_at(pat, Truncation(5)) == rank_at(pat, 5)
-        with pytest.raises(OutOfRange):
-            Truncation(0)
 
     def test_cutoff_saturates(self):
         pat = encode(ProjClass(1, 1, 4))

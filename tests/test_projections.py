@@ -15,7 +15,6 @@ from qproj.projections import (
     boxplus,
     is_equivalent,
     is_stably_equivalent,
-    k0_sphere_class,
     normalize,
     normalize_expression,
     parse_expression,
@@ -198,10 +197,12 @@ class TestRankAndEquivalence:
         assert rank(ProjClass(3, 2, 7)) == 0
         assert rank(zero_class(3)) == 0
 
-    def test_k0_sphere_class_is_rank(self):
+    def test_stably_equivalent_iff_same_rank(self):
+        # the even K-group of the sphere is free of rank one: a class is its rank
         for n in range(3):
-            for p in small_classes(n, 4):
-                assert k0_sphere_class(p) == rank(p)
+            for a in small_classes(n, 4):
+                for b in small_classes(n, 4):
+                    assert is_stably_equivalent(a, b) == (rank(a) == rank(b)), (a, b)
 
     def test_stable_but_not_equivalent(self):
         a, b = ProjClass(2, 1, 3), ProjClass(2, 2, 5)
