@@ -18,6 +18,7 @@ from qproj.extnat import INF
 
 G = groupoid.canonicalize(2, 2, (0, 1), (1, 3))
 PATTERN = oracle.encode(projections.ProjClass(2, 1, 2))
+STACK = oracle.boxplus_patterns(PATTERN, oracle.encode(projections.ProjClass(2, 0, 1)))
 
 # name: (call of the argument, an out-of-range int or None when the argument
 # has no bound, the error class for a non-integer, the one for that int)
@@ -117,6 +118,7 @@ SITES = {
     "pattern copies": (lambda v: oracle.DiagonalPattern(0, (), copies=v),
                        -1, InvalidClass, InvalidClass),
     "rank_at N": (lambda v: oracle.rank_at(PATTERN, v), 0, OutOfRange, OutOfRange),
+    "Truncation": (lambda v: oracle.rank_at(STACK, v), 0, OutOfRange, OutOfRange),
     "rho_numeric n1": (lambda v: oracle.rho_numeric(PATTERN, n1=v), 0, OutOfRange, OutOfRange),
     "rho_numeric n2": (lambda v: oracle.rho_numeric(PATTERN, n2=v), 0, OutOfRange, OutOfRange),
     "rho_numeric guard": (lambda v: oracle.rho_numeric(PATTERN, guard=v),
