@@ -12,16 +12,16 @@ and every finite coordinate of the target must stay non-negative.
 Composition matches source to target and adds degrees and offsets.
 
 Two variant element kinds appear as codomains of structural bijections.
-The "primed" kind (image of the degree-shear gamma_iso) forces instead
+The "primed" kind (image of the degree-shear gamma_iso) of degree z is
+the plain element of degree z - x[0], so it forces
 
     w[0] = inf  =>  z = 0 and x[1] = ... = x[n-1] = 0,
     w[p] = inf, p >= 1  =>  x[p] = -z - (x[1] + ... + x[p-1]), rest 0,
 
 and the degree-free kind (image of t_iso on the degree-zero part) drops
-z and keeps the plain rule with z = 0.  In windows, the primed rows of
-degree z + x[0] are the plain degree-z rows with the degree read as
-z + x[0]: both rules force x[0] = -z when w[0] = inf, and the primed sum
-from x[1] plus the sheared degree is the plain sum from x[0].
+z and keeps the plain rule with z = 0.  In windows, likewise, the primed
+rows of degree z + x[0] are the plain degree-z rows with the degree read
+as z + x[0].
 
 Four stratum bijections drive the line-bundle recursion: theta_neg
 trades a non-positive degree for depth in the first source coordinate;
@@ -44,8 +44,8 @@ up once per check, not once per block; a coordinate the map leaves alone
 on the codomain's own table is its own lookup.  The map is a bijection
 when the image positions, marked in a one-byte hit map, equal the
 codomain's membership indicator and the number of images placed equals
-the number of codomain rows, so that no position is hit twice.  No row
-is packed, sorted or limited by a field width.  The element-level
+the number of codomain rows, so that no position is hit twice.  Every
+block, p = 0 included, is ranked by these sums.  The element-level
 enumeration unranks the flagged positions of the same blocks, so the
 window rules are written once.  Every walk of a block goes through its
 parts: runs of consecutive positions, at most ``_CHUNK`` of them, each
@@ -125,16 +125,12 @@ def _first_inf(w):
 
 
 def _validate_member(n, z, x, w, primed):
-    """Membership of a canonical triple; raises NotInGroupoid on failure."""
+    """Membership of a canonical triple; raises NotInGroupoid on failure.
+    A primed triple is checked as the plain one of degree z - x[0]."""
     p = _first_inf(w)
-    if primed and p == 0:
-        if z != 0:
-            raise NotInGroupoid("an everywhere-infinite source forces degree 0")
-        if any(x[1:]):
-            raise NotInGroupoid("offsets past the first coordinate must vanish")
-    elif p < n:
-        # the primed kind leaves x[0] out of the sum
-        forced = -z - sum(x[int(primed):p])
+    degree = z - x[0] if primed else z
+    if p < n:
+        forced = -degree - sum(x[:p])
         if x[p] != forced:
             raise NotInGroupoid(f"offset {p} must close the degree: expected {forced}")
         if any(x[p + 1:]):
@@ -162,6 +158,8 @@ class GroupoidElement:
     def __post_init__(self):
         n = integer(self.n, "coordinate count", 1)
         z = integer(self.z, "degree")
+        if not isinstance(self.primed, bool):
+            raise InvalidClass(f"primed must be true or false, got {self.primed!r}")
         x = tuple(integer(v, "offset") for v in self.x)
         w = tuple(self.w)
         object.__setattr__(self, "x", x)
@@ -204,7 +202,7 @@ class GroupoidElement:
                 obj["z"],
                 tuple(obj["x"]),
                 tuple(ext_from_json(v) for v in obj["w"]),
-                primed=bool(obj.get("primed", False)),
+                primed=obj.get("primed", False),
             )
         except (KeyError, TypeError) as exc:
             raise InvalidClass(f"malformed element record: {obj!r}") from exc
@@ -223,11 +221,8 @@ class TElement:
         object.__setattr__(self, "x", probe.x)
         object.__setattr__(self, "w", probe.w)
 
-    def source(self):
-        return self.w
-
-    def target(self):
-        return tuple(xv + wv for xv, wv in zip(self.x, self.w))
+    source = GroupoidElement.source
+    target = GroupoidElement.target
 
     def to_json(self):
         return {"x": list(self.x), "w": [ext_to_json(v) for v in self.w]}
@@ -456,19 +451,13 @@ class _Axis:
         return np.where(inside, self.base[row] + x - start, -1)
 
 
-class _Run(_Axis):
-    """Entries lo..hi-1 of a pair table, hi cut at its end, as a table of
-    their own."""
+class _Run:
+    """Entries lo..hi-1 of a pair table, hi cut at its end."""
 
     def __init__(self, table, lo, hi):
-        vars(self).update(vars(table))
         hi = min(hi, table.size)
         self.x, self.w, self.size = table.x[lo:hi], table.w[lo:hi], hi - lo
         self.first = table.first + lo
-
-    def index(self, x, w):
-        index = super().index(x, w) - self.first
-        return np.where((index >= 0) & (index < self.size), index, -1)
 
 
 def _outer(terms, start=0):
@@ -540,29 +529,6 @@ class _Block:
         tail = (INF,) * (n - p)
         return [(zr, tuple(xr), tuple(wr) + tail)
                 for zr, xr, wr in zip(z.tolist(), x.tolist(), w.tolist())]
-
-    def unrank(self, r):
-        """The raw row at position r."""
-        return self.rows([r])[0]
-
-    def rank(self, raw):
-        """Position of a raw row in this block, or None when no position
-        holds it."""
-        z, x, w = raw
-        s, p = self.spec, self.p
-        if _first_inf(w) != p or any(is_finite(v) for v in w[p:]) or any(x[p + 1:]):
-            return None
-        r = 0
-        for a, stride, xi, wi in zip(self.axes, self.strides, x, w):
-            d = int(a.index(np.array([xi]), np.array([wi]))[0])
-            if d < 0:
-                return None
-            r += d * stride
-        if z != (s.z + x[0] if s.shear else s.z):
-            return None
-        if p < s.n and x[p] != -s.z - sum(x[:p]):
-            return None
-        return r
 
 
 def _axis_size(x_lo, x_hi, w_lo, w_hi):
@@ -649,6 +615,13 @@ class _Action:
         return _recoord(spec, c, self.z, self.dx, w_range)
 
 
+def _same_degree(a, t, x0):
+    """Whether the image under action a of a row with first offset x0 has
+    the degree that window t derives from the image's first offset."""
+    x0_image = x0 + a.dx if a.coord == 0 else x0
+    return (a.z + x0 if a.shear else a.z) == (t.z + x0_image if t.shear else t.z)
+
+
 def _lookup(i, da, a, ca, t):
     """Coordinate i of a window under action a, looked up in the pair table
     ``ca`` of coordinate i of window t.
@@ -664,8 +637,7 @@ def _lookup(i, da, a, ca, t):
         w2 = np.zeros_like(w2) if a.pin else w2 + a.dw
     idx = np.arange(da.size, dtype=np.int64) if untouched and da is ca else ca.index(x2, w2)
     if i == 0:
-        z2 = a.z + da.x if a.shear else np.full(da.size, a.z)
-        idx[z2 != (t.z + x2 if t.shear else t.z)] = -1
+        idx = np.where(_same_degree(a, t, da.x), idx, -1)
     return idx
 
 
@@ -678,24 +650,25 @@ def _image_ranks(db, a, cb, lookups=None):
     dict serves every block pair of one source and codomain, so a check
     maps and looks up each coordinate once.  A part's ranks are the
     mixed-radix outer sum of the lookups, scaled by cb's strides, over the
-    part's runs.  The image degree must equal the one cb derives from the
-    image's free coordinates, and so must its forced offset, which exceeds
-    cb's by the same number t.z - s.z + a.dx at every position of the pair.
+    part's runs; the p = 0 block, with no free coordinate, has the one
+    rank 0.  The image degree must equal the one cb derives from the
+    image's first offset, tested by the lookup of coordinate 0 or, at
+    p = 0, once for the forced x[0] = -s.z.  The image's forced offset
+    must equal cb's too; it exceeds cb's by the same number
+    t.z - s.z + a.dx at every position of the pair.
     """
     def none(part):
         return np.full(part.size, -1, dtype=np.int64)
 
     if cb is None or not cb.size or not db.size:
         return none
-    if not db.axes:  # p = 0: one position
-        ranks = [cb.rank(a.row(raw)) for raw in db.rows(np.arange(db.size))]
-        ranks = np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
-        return lambda part: ranks  # such a block is its own one part
     s, t, p, c = db.spec, cb.spec, db.p, a.coord
     if (c > p and a.dx) or (c >= p and a.pin):
         return none  # the image leaves the infinite tail
     if p < s.n and t.z - s.z + a.dx:
         return none  # no image has the forced offset cb gives it
+    if not p and not _same_degree(a, t, -s.z):
+        return none  # the image degree is not the one cb gives it
     lookups = {} if lookups is None else lookups
     invalid = -(cb.size + 1)  # keeps every sum that includes it negative
     terms = []
@@ -785,12 +758,12 @@ def _image_check(sources, cod):
             if "moved" not in found:
                 r = _first_moved(part, a, keep)
                 if r is not None:
-                    found["moved"] = part.unrank(r)
+                    found["moved"] = part.rows([r])[0]
             bad = ranks < 0
             if bad.any():
                 if "outside" not in found:
                     r = int(np.flatnonzero(keep)[np.argmax(bad)])
-                    found["outside"] = a.row(part.unrank(r))
+                    found["outside"] = a.row(part.rows([r])[0])
                 ranks = ranks[~bad]
             hit[ranks] = True
             placed += len(ranks)
@@ -807,7 +780,7 @@ def _image_check(sources, cod):
                         break
                     flags = where(counts[span], member[span])
                     if flags.any():
-                        found[kind] = cb.unrank(span.start + int(np.argmax(flags)))
+                        found[kind] = cb.rows([span.start + int(np.argmax(flags))])[0]
     return rows, size, found
 
 

@@ -114,7 +114,7 @@ class DiagonalPattern:
     def from_json(cls, obj):
         try:
             factors = []
-            for f in obj.get("factors", ()):
+            for f in obj["factors"]:
                 if f == "I":
                     factors.append(IDENTITY)
                 elif isinstance(f, dict) and len(f) == 1:
@@ -122,7 +122,7 @@ class DiagonalPattern:
                     factors.append((tag, m))
                 else:
                     raise InvalidClass(f"bad serialized factor {f!r}")
-            return cls(n=obj["n"], factors=tuple(factors), copies=obj.get("copies", 1))
+            return cls(n=obj["n"], factors=tuple(factors), copies=obj["copies"])
         except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidClass(f"malformed pattern record: {obj!r}") from exc
 

@@ -233,6 +233,28 @@ def reference_partition(n, k, j, window):
     return len(full_rows), len(piece_rows), ok
 
 
+def rank_row(block, raw):
+    """Position of a raw row in a block or part, or None when no position
+    holds it.  Each free coordinate's pair is searched for entry by entry in
+    its pair table or run, so the ranking shares no code with the engine's
+    lookups; the degree and the forced offset are then checked."""
+    z, x, w = raw
+    s, p = block.spec, block.p
+    if _first_inf(w) != p or any(v is not INF for v in w[p:]) or any(x[p + 1:]):
+        return None
+    r = 0
+    for a, stride, xi, wi in zip(block.axes, block.strides, x, w):
+        entries = np.flatnonzero((a.x == xi) & (a.w == wi))
+        if not len(entries):
+            return None
+        r += int(entries[0]) * stride
+    if z != (s.z + x[0] if s.shear else s.z):
+        return None
+    if p < s.n and x[p] != -s.z - sum(x[:p]):
+        return None
+    return r
+
+
 def reference_image_check(sources, cod):
     """The image check as it counted images before the hit map: int64
     ``np.bincount`` counts of the valid image ranks, compared with the
@@ -241,8 +263,8 @@ def reference_image_check(sources, cod):
     It shares no pair table and no lookup with the engine.  Each window's
     blocks are built on tables of their own, so no coordinate is its own
     lookup.  Up to n = 2 the image of each kept row is ranked one row at a
-    time by ``_Block.rank``; at n = 3 by ``_image_ranks`` with no lookups
-    kept between block pairs."""
+    time by ``rank_row``; at n = 3 by ``_image_ranks`` with no lookups kept
+    between block pairs."""
     cod_blocks = _blocks(cod)
     sources = [(_blocks(spec), a) for spec, a in sources]
     rows = size = 0
@@ -259,7 +281,7 @@ def reference_image_check(sources, cod):
             keep = db.indicator()
             if cod.n <= 2:
                 images = [a.row(raw) for raw in db.rows(np.flatnonzero(keep))]
-                ranks = [None if cb is None else cb.rank(raw) for raw in images]
+                ranks = [None if cb is None else rank_row(cb, raw) for raw in images]
                 ranks = np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
             else:
                 ranks = _image_ranks(db, a, cb)(db)[keep]
@@ -267,12 +289,12 @@ def reference_image_check(sources, cod):
             if "moved" not in found:
                 r = _first_moved(db, a, keep)
                 if r is not None:
-                    found["moved"] = db.unrank(r)
+                    found["moved"] = db.rows([r])[0]
             bad = ranks < 0
             if bad.any():
                 if "outside" not in found:
                     r = int(np.flatnonzero(keep)[np.argmax(bad)])
-                    found["outside"] = a.row(db.unrank(r))
+                    found["outside"] = a.row(db.rows([r])[0])
                 ranks = ranks[~bad]
             counts += np.bincount(ranks, minlength=len(member))
         if not np.array_equal(counts, member):
@@ -280,7 +302,7 @@ def reference_image_check(sources, cod):
                               ("outside", (counts > 0) & ~member),
                               ("uncovered", (counts == 0) & member)):
                 if kind not in found and hit.any():
-                    found[kind] = cb.unrank(int(np.argmax(hit)))
+                    found[kind] = cb.rows([int(np.argmax(hit))])[0]
     return rows, size, found
 
 
@@ -378,6 +400,41 @@ class TestMembership:
         assert h.x[2] == -2 - 1
         with pytest.raises(NotInGroupoid):
             canonicalize(3, 2, (9, 1, 0), (4, 0, INF), primed=True)
+
+    @staticmethod
+    def primed_rule(n, z, x, w):
+        """The primed membership rule as once written beside the plain one:
+        an everywhere-infinite source forces degree 0 and zero offsets past
+        the first; a later first inf at p forces x[p] = -z - (x[1] + ... +
+        x[p-1]) and zeros after it; the target stays in the cone."""
+        p = w.index(INF) if INF in w else n
+        if p == 0 and (z != 0 or any(x[1:])):
+            return False
+        if 0 < p < n and (x[p] != -z - sum(x[1:p]) or any(x[p + 1:])):
+            return False
+        return all(x[i] + w[i] >= 0 for i in range(p))
+
+    def test_primed_membership_is_plain_membership_at_the_sheared_degree(self):
+        # every triple with n <= 3, |z|, |x_i| <= 3 and canonical sources
+        # with entries in {0, 1, 2, inf}
+        def accepted(n, z, x, w, primed):
+            try:
+                GroupoidElement(n, z, x, w, primed)
+            except NotInGroupoid:
+                return False
+            return True
+
+        values, triples = range(-3, 4), 0
+        for n in (1, 2, 3):
+            sources = {w[:w.index(INF)] + (INF,) * (n - w.index(INF)) if INF in w else w
+                       for w in itertools.product((0, 1, 2, INF), repeat=n)}
+            for z, x, w in itertools.product(values, itertools.product(values, repeat=n),
+                                             sources):
+                primed = accepted(n, z, x, w, True)
+                assert primed == self.primed_rule(n, z, x, w), (n, z, x, w)
+                assert primed == accepted(n, z - x[0], x, w, False), (n, z, x, w)
+                triples += 1
+        assert triples == 100695
 
     def test_source_and_target(self):
         g = canonicalize(2, 0, (2, -1), (1, 3))
@@ -658,7 +715,7 @@ class TestEnumeration:
         ranked = []
         for raw in reference:
             p = _first_inf(raw[2])
-            r = blocks[p].rank(raw)
+            r = rank_row(blocks[p], raw)
             assert r is not None, raw
             ranked.append((offsets[p] + r, raw))
         ranked.sort()
@@ -672,7 +729,7 @@ class TestEnumeration:
         unranked = []
         for p, block in blocks.items():
             for r in np.flatnonzero(block.indicator()):
-                unranked.append(block.unrank(int(r)))
+                unranked.append(block.rows([int(r)])[0])
         in_rank_order = [raw_key(raw) for _, raw in ranked]
         assert [raw_key(r) for r in unranked] == in_rank_order
         assert [raw_key(r) for r in _iter_raw(spec)] == in_rank_order
@@ -703,18 +760,18 @@ class TestEnumeration:
             for q in parts:
                 everywhere = list(range(q.size))
                 assert q.rows(everywhere) == block.rows([q.start + r for r in everywhere])
-                assert [q.rank(q.unrank(r)) for r in everywhere] == everywhere
+                assert [rank_row(q, row) for row in q.rows(everywhere)] == everywhere
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
     def test_table_ranks_match_row_ranks(self, n, z, kw):
-        # the outer-sum ranking of the identity map equals row-by-row ranking
+        # the outer-sum ranking of the identity map, the p = 0 block
+        # included, equals row-by-row ranking
         spec = _stratum_spec(n, z, 3, **kw)
         identity = _Action(z=spec.z, shear=spec.shear)
         for block in _blocks(spec).values():
             everywhere = list(range(block.size))
-            assert [block.rank(block.unrank(r)) for r in everywhere] == everywhere
-            if block.axes:
-                assert _image_ranks(block, identity, block)(block).tolist() == everywhere
+            assert [rank_row(block, row) for row in block.rows(everywhere)] == everywhere
+            assert _image_ranks(block, identity, block)(block).tolist() == everywhere
 
     def test_window_type(self):
         assert len(enumerate_stratum(1, 0, window=2)) == 13
@@ -983,10 +1040,11 @@ class TestSharedTables:
         tables = {}
         table = _blocks(cod, tables)[3].axes[1]
         assert _blocks(sources[0][0], tables)[3].axes[1] is table
-        for run in (table, _Run(table, 1, 4)):
-            for name in ("x", "w", "start", "base"):
+        for view, names in ((table, ("x", "w", "start", "base")),
+                            (_Run(table, 1, 4), ("x", "w"))):
+            for name in names:
                 with pytest.raises(ValueError, match="read-only"):
-                    getattr(run, name)[0] += 1
+                    getattr(view, name)[0] += 1
 
 
 class TestMutations:
@@ -1080,6 +1138,20 @@ class TestMutations:
         element = element_key(found["element"])
         assert element in self.images(dom, action)
         assert element not in box_keys(cod)
+
+    def test_p0_image_degree_is_tested(self, monkeypatch):
+        # gamma without the shear at k = 1: the all-infinite-source row
+        # (1, (-1, 0), (inf, inf)) keeps degree 1, where the sheared
+        # codomain gives its p = 0 row degree 1 + x[0] = 0; blocks are
+        # walked by increasing p, so it is the first image outside
+        dom, cod, action, found = self.break_map(monkeypatch, "gamma", 2, k=1,
+                                                 action=_Action(z=1))
+        assert found["kind"] == "image-outside-codomain"
+        [row] = [r for r in box_rows(dom) if _first_inf(r[2]) == 0]
+        assert row == (1, (-1, 0), (INF, INF))
+        assert element_key(found["element"]) == raw_key(action.row(row))
+        assert raw_key(action.row(row)) not in box_keys(cod)
+        assert raw_key((0, *row[1:])) in box_keys(cod)
 
     def test_narrow_domain_leaves_codomain_uncovered(self, monkeypatch):
         dom, cod, action, found = self.break_map(

@@ -147,3 +147,22 @@ READERS = [projections.ProjClass, projections.RhoVector, k_theory.K0Vector,
 def test_malformed_record_refused(reader, record):
     with pytest.raises(InvalidClass):
         reader.from_json(record)
+
+
+# Records of the right shape with one field of the wrong type, or without a
+# field that ``to_json`` always writes.
+BAD_FIELDS = [
+    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": "false"}),
+    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": 1}),
+    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": None}),
+    (oracle.DiagonalPattern, {"n": 0}),
+    (oracle.DiagonalPattern, {"n": 1, "factors": ["I"]}),
+]
+
+
+@pytest.mark.parametrize("reader, record", [
+    pytest.param(reader, record, id=f"{reader.__name__} {record!r}")
+    for reader, record in BAD_FIELDS])
+def test_record_with_a_bad_or_missing_field_refused(reader, record):
+    with pytest.raises(InvalidClass):
+        reader.from_json(record)

@@ -12,9 +12,10 @@ Each operation mutant replaces one module function; it counts as caught
 when the family that should catch it, run by ``suite.run_group`` at its
 default ranges, gives a failing record of the expected check.
 
-Each engine mutant edits one line of ``groupoid._image_check``; it counts
-as caught when the records of a small groupoid sweep, or the triple of an
-image check with a known overlap, change.  Every groupoid mutant is also
+Each engine mutant edits one line of one engine function; it counts as
+caught when the records of a small groupoid sweep, or the triple of an
+image check with a known overlap or of gamma with the shear dropped,
+change.  Every groupoid mutant is also
 run with blocks walked in parts of 7 positions, where it must be caught
 with the same records.
 """
@@ -201,41 +202,54 @@ def test_operation_mutant_is_caught(monkeypatch, name):
 
 # --- engine -------------------------------------------------------------------
 
-# mutant -> (text of ``_image_check`` it replaces, replacement)
+# mutant -> (the function it edits, the text it replaces, replacement)
 ENGINE_MUTANTS = {
     # decide by the hit map alone: a row hit twice, with every row hit, passes
-    "no-placed-count": ("placed != members or ", ""),
+    "no-placed-count": ("_image_check", "placed != members or ", ""),
     # rank every position of a source block, rows of its window or not
-    "no-compress": ("if not keep.all():", "if False:"),
+    "no-compress": ("_image_check", "if not keep.all():", "if False:"),
+    # rank the p = 0 image whatever its degree
+    "no-p0-degree-test": ("_image_ranks", "if not p and not _same_degree(a, t, -s.z):",
+                          "if False:"),
+    # rank every image of the free blocks whatever its degree
+    "no-coordinate-0-degree-test": ("_lookup", "if i == 0:", "if False:"),
 }
 
 
 def engine_probe():
-    """Records of a small groupoid sweep, and the image check of a partition
-    whose first piece overlaps the next one; or the type of the exception
-    raised."""
+    """Records of a small groupoid sweep, the image check of a partition
+    whose first piece overlaps the next one, and the image checks of gamma
+    with the shear dropped at k = 0 (only the free blocks' images leave the
+    codomain) and k = 1 (the p = 0 image leaves it first); or the type of
+    the exception raised."""
     full, pieces = G._partition_setup(2, 2, 0, 3)
     pieces[0] = G._stratum_spec(2, 2, 3, w_over={0: (1, 5, True)})
     try:
         overlap = G._image_check([(piece, G._Action(z=2)) for piece in pieces], full)
-        return [r.to_json() for r in suite.groupoid_checks(n_max=2, window=3)], overlap
+        unsheared = []
+        for k in (0, 1):
+            [(dom, _)], cod = G._check_setup("gamma", 2, k, None, None, 3)
+            unsheared.append(G._image_check([(dom, G._Action(z=k))], cod))
+        records = [r.to_json() for r in suite.groupoid_checks(n_max=2, window=3)]
+        return records, overlap, unsheared
     except Exception as err:  # a crash is caught too: verify-all exits 1
         return type(err)
 
 
 def engine_mutant(name):
-    old, new = ENGINE_MUTANTS[name]
-    source = inspect.getsource(G._image_check)
+    """The name of the function the mutant edits, and the edited function."""
+    function, old, new = ENGINE_MUTANTS[name]
+    source = inspect.getsource(getattr(G, function))
     assert source.count(old) == 1
     namespace = {}
     exec(compile(source.replace(old, new), f"<{name}>", "exec"), vars(G), namespace)
-    return namespace["_image_check"]
+    return function, namespace[function]
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_MUTANTS))
 def test_engine_mutant_is_caught(monkeypatch, name):
     before = engine_probe()
-    monkeypatch.setattr(G, "_image_check", engine_mutant(name))
+    monkeypatch.setattr(G, *engine_mutant(name))
     assert engine_probe() != before
 
 
@@ -243,10 +257,11 @@ def test_engine_mutant_is_caught(monkeypatch, name):
 def test_engine_mutant_is_caught_in_parts(monkeypatch, name):
     # with parts of 7 positions the mutant gives the probe it gives on whole
     # blocks, and the real engine does not
-    real, mutant = G._image_check, engine_mutant(name)
-    monkeypatch.setattr(G, "_image_check", mutant)
+    function, mutant = engine_mutant(name)
+    real = getattr(G, function)
+    monkeypatch.setattr(G, function, mutant)
     whole = engine_probe()
     monkeypatch.setattr(G, "_CHUNK", 7)
     caught = engine_probe()
-    monkeypatch.setattr(G, "_image_check", real)
+    monkeypatch.setattr(G, function, real)
     assert caught == whole and caught != engine_probe()
