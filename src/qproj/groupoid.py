@@ -63,6 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,9 +75,11 @@ from .errors import (
     OutOfRange,
     WrongStratum,
     integer,
+    read_json,
 )
 from .extnat import INF, ext_from_json, ext_to_json, is_finite
 from .reports import VerifyReport
+from .suite import DEFAULT_TALLY_WINDOW, DEFAULT_WINDOW
 
 __all__ = [
     "GroupoidElement",
@@ -166,10 +169,6 @@ class GroupoidElement:
         object.__setattr__(self, "w", w)
         if len(x) != n or len(w) != n:
             raise InvalidClass(f"need {n} offsets and {n} source coordinates")
-        for entry in w:
-            if is_finite(entry):
-                if integer(entry, "source coordinate") < 0:
-                    raise NotInGroupoid(f"source coordinates are >= 0 or inf, got {entry}")
         if w != _collapse(w):
             raise NotInGroupoid("source is not in canonical form; use canonicalize")
         _validate_member(n, z, x, w, self.primed)
@@ -185,27 +184,14 @@ class GroupoidElement:
         return f"({self.z}, {self.x}, {self.w}){tag}"
 
     def to_json(self):
-        record = {
-            "z": self.z,
-            "x": list(self.x),
-            "w": [ext_to_json(v) for v in self.w],
-        }
-        if self.primed:
-            record["primed"] = True
-        return record
+        record = _element_json((self.z, self.x, self.w))
+        return {**record, "primed": True} if self.primed else record
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            return canonicalize(
-                len(obj["x"]),
-                obj["z"],
-                tuple(obj["x"]),
-                tuple(ext_from_json(v) for v in obj["w"]),
-                primed=obj.get("primed", False),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidClass(f"malformed element record: {obj!r}") from exc
+        return read_json(obj, lambda: cls(len(obj["x"]), obj["z"], obj["x"],
+                                          tuple(map(ext_from_json, obj["w"])),
+                                          obj.get("primed", False)))
 
 
 @dataclass(frozen=True)
@@ -318,9 +304,21 @@ def theta_terminal(g, l):
 # Windowed enumeration.
 
 
+class _Range(NamedTuple):
+    """The rows of one coordinate of a window: offsets x_lo..x_hi, finite
+    sources w_lo..w_hi, and an infinite source when ``w_inf``.  The first
+    four fields are the range of the coordinate's pair table."""
+
+    x_lo: int
+    x_hi: int
+    w_lo: int
+    w_hi: int
+    w_inf: bool
+
+
 @dataclass(frozen=True)
 class _WindowSpec:
-    """Per-coordinate enumeration ranges for one stratum window.
+    """One stratum window: its degree z and one ``_Range`` per coordinate.
 
     ``shear`` marks the codomain of gamma_iso: its rows are primed elements
     whose degree is z + x[0] instead of the constant z.  Their offsets and
@@ -328,34 +326,20 @@ class _WindowSpec:
     offset is -z - (x[0] + ... + x[p-1]) either way.
     """
 
-    n: int
     z: int
-    w_lo: tuple
-    w_hi: tuple
-    w_inf: tuple
-    x_lo: tuple
-    x_hi: tuple
+    ranges: tuple
     shear: bool = False
 
+    @property
+    def n(self):
+        return len(self.ranges)
 
-def _stratum_spec(n, z, W, pins=0, w_over=None, x_over=None, shear=False):
-    w_lo = [0] * n
-    w_hi = [W] * n
-    w_inf = [True] * n
-    for i in range(pins):
-        w_hi[i] = 0
-        w_inf[i] = False
-    for i, (lo, hi, inf_ok) in (w_over or {}).items():
-        w_lo[i], w_hi[i], w_inf[i] = lo, hi, inf_ok
-    x_lo = [-W] * n
-    x_hi = [W] * n
-    for i, (lo, hi) in (x_over or {}).items():
-        x_lo[i], x_hi[i] = lo, hi
-    return _WindowSpec(
-        n=n, z=z,
-        w_lo=tuple(w_lo), w_hi=tuple(w_hi), w_inf=tuple(w_inf),
-        x_lo=tuple(x_lo), x_hi=tuple(x_hi), shear=shear,
-    )
+
+def _stratum_spec(n, z, W, pins=0, shear=False):
+    """The degree-z window of offsets in -W..W and sources in 0..W or inf,
+    the first ``pins`` sources pinned to 0."""
+    pinned, free = _Range(-W, W, 0, 0, False), _Range(-W, W, 0, W, True)
+    return _WindowSpec(z, (pinned,) * pins + (free,) * (n - pins), shear)
 
 
 def _in_box(spec, raw):
@@ -363,24 +347,22 @@ def _in_box(spec, raw):
     ranges; pure Python, one row."""
     z, x, w = raw
     return (z == (spec.z + x[0] if spec.shear else spec.z)
-            and all(lo <= v <= hi for v, lo, hi in zip(x, spec.x_lo, spec.x_hi))
-            and all(lo <= v <= hi if is_finite(v) else inf_ok
-                    for v, lo, hi, inf_ok in zip(w, spec.w_lo, spec.w_hi, spec.w_inf)))
+            and all(r.x_lo <= v <= r.x_hi and (r.w_lo <= u <= r.w_hi if is_finite(u)
+                                               else r.w_inf)
+                    for v, u, r in zip(x, w, spec.ranges)))
 
 
 def _put(values, c, value):
     return values[:c] + (value,) + values[c + 1:]
 
 
-def _recoord(spec, c, z, dx, w_range):
-    """``spec`` at degree z, with coordinate c's offset range shifted by dx
-    and its source range replaced by ``w_range`` = (lo, hi, inf_ok)."""
-    lo, hi, inf_ok = w_range
-    return replace(spec, z=z,
-                   x_lo=_put(spec.x_lo, c, spec.x_lo[c] + dx),
-                   x_hi=_put(spec.x_hi, c, spec.x_hi[c] + dx),
-                   w_lo=_put(spec.w_lo, c, lo), w_hi=_put(spec.w_hi, c, hi),
-                   w_inf=_put(spec.w_inf, c, inf_ok))
+def _recoord(spec, c, dx, w_range, z=None):
+    """``spec`` with coordinate c's offset range shifted by dx and its source
+    range replaced by ``w_range`` = (lo, hi, inf_ok), at degree z (default:
+    the window's)."""
+    r = spec.ranges[c]
+    return replace(spec, z=spec.z if z is None else z,
+                   ranges=_put(spec.ranges, c, _Range(r.x_lo + dx, r.x_hi + dx, *w_range)))
 
 
 def _iter_raw(spec):
@@ -391,7 +373,7 @@ def _iter_raw(spec):
             yield from part.rows(np.flatnonzero(part.indicator()))
 
 
-def enumerate_stratum(n, k, j=0, window=8):
+def enumerate_stratum(n, k, j=0, window=DEFAULT_WINDOW):
     """All canonical degree-k elements with the first j source coordinates 0,
     finite source entries at most W and offsets at most W in magnitude."""
     n = integer(n, "coordinate count", 1)
@@ -511,7 +493,8 @@ class _Block:
         if p == s.n:
             return np.ones(self.size, dtype=bool)
         forced = _outer((-a.x for a in self.axes), -s.z)
-        return (forced >= s.x_lo[p]) & (forced <= s.x_hi[p])
+        r = s.ranges[p]
+        return (forced >= r.x_lo) & (forced <= r.x_hi)
 
     def rows(self, positions):
         """The raw (z, x, w) rows at ``positions``, in Python ints; a row's
@@ -546,15 +529,14 @@ def _block_sizes(spec):
     are counted, not built, so a window too large to rank is refused before
     any table of it exists."""
     n = spec.n
-    values = (spec.z,) + spec.x_lo + spec.x_hi + spec.w_lo + spec.w_hi
-    if max(abs(v) for v in values) > _VALUE_LIMIT:
+    if max(abs(v) for r in spec.ranges for v in (spec.z, *r[:4])) > _VALUE_LIMIT:
         raise OutOfRange("window values must stay within +-2**40 to be ranked exactly")
-    axes = [_axis_size(*r) for r in zip(spec.x_lo, spec.x_hi, spec.w_lo, spec.w_hi)]
+    axes = [_axis_size(*r[:4]) for r in spec.ranges]
     sizes = {}
     for p in range(n + 1):
-        if p < n and not spec.w_inf[p]:
+        if p < n and not spec.ranges[p].w_inf:
             continue
-        if any(spec.x_lo[q] > 0 or spec.x_hi[q] < 0 for q in range(p + 1, n)):
+        if any(r.x_lo > 0 or r.x_hi < 0 for r in spec.ranges[p + 1:]):
             continue
         sizes[p] = math.prod(axes[:p])
         if sizes[p] > _BLOCK_LIMIT:
@@ -566,17 +548,18 @@ def _block_sizes(spec):
 def _blocks(spec, tables=None):
     """The blocks of ``_block_sizes``, sharing one pair table per coordinate.
 
-    ``tables`` maps each range (x_lo, x_hi, w_lo, w_hi) to its pair table;
+    ``tables`` maps each (x_lo, x_hi, w_lo, w_hi) of a range to its pair table;
     a table is built the first time its range is asked for, so the windows
     of one check that share a dict share a table wherever their ranges
     agree.  Without one, the window's tables are its own."""
     sizes = _block_sizes(spec)
     tables = {} if tables is None else tables
     axes = []
-    for r in list(zip(spec.x_lo, spec.x_hi, spec.w_lo, spec.w_hi))[:max(sizes, default=0)]:
-        if r not in tables:
-            tables[r] = _Axis(*r)
-        axes.append(tables[r])
+    for r in spec.ranges[:max(sizes, default=0)]:
+        key = r[:4]
+        if key not in tables:
+            tables[key] = _Axis(*key)
+        axes.append(tables[key])
     return {p: _Block(spec, p, axes) for p in sizes}
 
 
@@ -610,9 +593,10 @@ class _Action:
         range shifted by dx, its source range shifted by dw or pinned to 0
         (an empty range stays empty), and the action's degree."""
         c = self.coord
-        lo, hi = spec.w_lo[c] + self.dw, spec.w_hi[c] + self.dw
-        w_range = (0, 0 if lo <= hi else -1, False) if self.pin else (lo, hi, spec.w_inf[c])
-        return _recoord(spec, c, self.z, self.dx, w_range)
+        r = spec.ranges[c]
+        lo, hi = r.w_lo + self.dw, r.w_hi + self.dw
+        w_range = (0, 0 if lo <= hi else -1, False) if self.pin else (lo, hi, r.w_inf)
+        return _recoord(spec, c, self.dx, w_range, self.z)
 
 
 def _same_degree(a, t, x0):
@@ -813,19 +797,19 @@ _PARAMETERS = {
 MAP_IDS = tuple(_PARAMETERS)[1:]
 
 
-def _cut(spec, j, k):
+def _cut(spec, j):
     """The k + 1 pieces of a degree-k window cut along source coordinate j:
     the piece with at least k to give (inf included), then each shortfall
     l = 0..k-1, by narrowing coordinate j's source range."""
-    hi = spec.w_hi[j]
-    return [_recoord(spec, j, k, 0, (k, hi, spec.w_inf[j]))] + [
-        _recoord(spec, j, k, 0, (l, min(l, hi), False)) for l in range(k)]
+    k, r = spec.z, spec.ranges[j]
+    return [_recoord(spec, j, 0, (k, r.w_hi, r.w_inf))] + [
+        _recoord(spec, j, 0, (l, min(l, r.w_hi), False)) for l in range(k)]
 
 
 def _partition_setup(n, k, j, W):
     """The full degree-k, level-j window and its k + 1 pieces."""
-    full = _stratum_spec(n, k, W, pins=j, w_over={j: (0, k + W, True)})
-    return full, _cut(full, j, k)
+    full = _recoord(_stratum_spec(n, k, W, pins=j), j, 0, (0, k + W, True))
+    return full, _cut(full, j)
 
 
 def _check_setup(kind, n, k, j, l, W, refuse=OutOfRange):
@@ -836,9 +820,12 @@ def _check_setup(kind, n, k, j, l, W, refuse=OutOfRange):
     action; the partition's sources are the k + 1 pieces of the full
     window under the identity, and its codomain is the full window.  The
     element maps (``theta_*``, ``gamma_iso``, ``t_iso``), the checks and
-    the terminal tally all read it.  Windows are paired so the map carries
-    the domain box exactly onto the codomain box: whatever shift the map
-    applies to a coordinate is also applied to that coordinate's range.  A
+    the terminal tally all read it.  Every window is a stratum window, or
+    one with a single coordinate's range changed by ``_recoord``.  Windows
+    are paired so the map carries the domain box exactly onto the codomain
+    box: the action's ``box`` of the domain window is the codomain window
+    (gamma's up to its shear flag), because whatever shift the map applies
+    to a coordinate is also applied to that coordinate's range.  A
     parameter outside the check's domain, or one the check does not take
     given as anything but None, raises ``refuse`` naming the check and the
     parameter.
@@ -864,24 +851,20 @@ def _check_setup(kind, n, k, j, l, W, refuse=OutOfRange):
     if kind == "theta-neg":
         k = param("k", k, hi=0)
         dom = _stratum_spec(n, k, W)
-        cod = _stratum_spec(
-            n, 0, W,
-            w_over={0: (-k, -k + W, True)},
-            x_over={0: (-W + k, W + k)},
-        )
+        cod = _recoord(_stratum_spec(n, 0, W), 0, k, (-k, -k + W, True))
         return [(dom, _Action(z=0, coord=0, dx=k, dw=-k))], cod
 
     if kind == "theta-shift":
         k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
-        dom = _stratum_spec(n, k, W, pins=j, w_over={j: (k, k + W, True)})
-        cod = _stratum_spec(n, 0, W, pins=j, x_over={j: (-W + k, W + k)})
+        dom = _recoord(_stratum_spec(n, k, W, pins=j), j, 0, (k, k + W, True))
+        cod = _recoord(_stratum_spec(n, 0, W, pins=j), j, k, (0, W, True))
         return [(dom, _Action(z=0, coord=j, dx=k, dw=-k))], cod
 
     if kind == "theta-peel":
         k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
         l = param("l", l, lo=0, hi=k - 1)
-        dom = _stratum_spec(n, k, W, pins=j, w_over={j: (l, l, False)})
-        cod = _stratum_spec(n, k - l, W, pins=j + 1, x_over={j: (-W + l, W + l)})
+        dom = _recoord(_stratum_spec(n, k, W, pins=j), j, 0, (l, l, False))
+        cod = _recoord(_stratum_spec(n, k - l, W, pins=j + 1), j, l, (0, 0, False))
         return [(dom, _Action(z=k - l, coord=j, dx=l, pin=True))], cod
 
     if kind == "theta-terminal":
@@ -909,7 +892,7 @@ _FAILURE_NAMES = {
 }
 
 
-def _verify(kind, n, k, j, l, window=8, kinds=_PARAMETERS):
+def _verify(kind, n, k, j, l, window=DEFAULT_WINDOW, kinds=_PARAMETERS):
     """One check of a kind in ``kinds``: its sources ranked into its codomain
     by one image check.  A partition records the full window as its domain
     and the pieces as its image."""
@@ -927,7 +910,7 @@ def _verify(kind, n, k, j, l, window=8, kinds=_PARAMETERS):
                         image_size=size, counterexample=counterexample)
 
 
-def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
+def verify_bijection(map_id, n, k=None, j=None, l=None, window=DEFAULT_WINDOW):
     """Exhaustively check one structural map on paired windows.
 
     The image must hit the independently described codomain window exactly
@@ -936,7 +919,7 @@ def verify_bijection(map_id, n, k=None, j=None, l=None, window=8):
     return _verify(map_id, n, k, j, l, window, kinds=MAP_IDS)
 
 
-def verify_partition(n, k, j, window=8):
+def verify_partition(n, k, j, window=DEFAULT_WINDOW):
     """Check that a windowed stratum splits exactly into its k + 1 pieces.
 
     The degree-k, level-j stratum is cut along source coordinate j: one
@@ -950,7 +933,7 @@ def verify_partition(n, k, j, window=8):
 # --- terminal tally ---------------------------------------------------------
 
 
-def windowed_terminal_counts(n, k, window=6):
+def windowed_terminal_counts(n, k, window=DEFAULT_TALLY_WINDOW):
     """Peel a windowed degree-k start stratum down to terminal pieces.
 
     Each node of the peeling tree, a window of degree kk at level jj, is
@@ -992,7 +975,7 @@ def windowed_terminal_counts(n, k, window=6):
             image_size += push(node, "theta-terminal", l=kk)[1]
             return None
         counts[jj] += 1
-        above, *shortfalls = pieces = _cut(node, jj, kk)
+        above, *shortfalls = pieces = _cut(node, jj)
         size = check([(piece, _Action(z=kk)) for piece in pieces], node)
         image_size += push(above, "theta-shift", kk, jj)[1]
         for l, piece in enumerate(shortfalls):
@@ -1012,7 +995,7 @@ def windowed_terminal_counts(n, k, window=6):
     return tuple(counts), report
 
 
-def verify_terminal_counts(n, k, window=6):
+def verify_terminal_counts(n, k, window=DEFAULT_TALLY_WINDOW):
     """Compare the windowed terminal tally against the symbolic multiset."""
     from .line_bundles import recursion_expand
 

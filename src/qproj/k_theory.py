@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass, integer
+from .errors import (DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass,
+                     integer, read_json)
 from .reports import VerifyReport
 
 __all__ = [
@@ -80,10 +81,7 @@ class K0Vector:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            return cls(obj["n"], tuple(obj["coords"]))
-        except (KeyError, TypeError) as exc:
-            raise InvalidClass(f"malformed vector record: {obj!r}") from exc
+        return read_json(obj, lambda: cls(obj["n"], obj["coords"]))
 
 
 def generator(n, j):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import InvalidClass, OutOfRange, UnsupportedDegree, integer
+from .errors import InvalidClass, OutOfRange, UnsupportedDegree, integer, read_json
 from .k_theory import K0Vector
 
 __all__ = [
@@ -53,65 +53,50 @@ def binomial(k, j):
 
 @dataclass(frozen=True)
 class LineBundleDecomposition:
-    """Decomposition of a line bundle into the projection stock.
+    """Decomposition of the degree-k line bundle into the projection stock.
 
-    Either a single corner projection (kind "corner", with depth m >= 0,
-    m = 0 meaning the identity) or a multiset of level classes (kind
-    "multiset", with one multiplicity per level 0..n).
+    For k <= 0 it is a single corner projection of depth m = -k (m = 0
+    meaning the identity) and ``mult`` is None; for k >= 1 it is a multiset
+    of level classes, ``mult`` giving one multiplicity per level 0..n.
     """
 
     n: int
     k: int
-    kind: str
-    m: Optional[int] = None
     mult: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind == "corner":
-            if self.m is None or self.mult is not None:
-                raise InvalidClass("corner decompositions carry a depth m only")
-            integer(self.m, "corner depth", 0)
-        elif self.kind == "multiset":
-            if self.mult is None or self.m is not None:
-                raise InvalidClass("multiset decompositions carry multiplicities only")
-            if len(self.mult) != self.n + 1:
-                raise InvalidClass(
-                    f"need {self.n + 1} multiplicities over n={self.n}, "
-                    f"got {len(self.mult)}"
-                )
-            for c in self.mult:
+        n = integer(self.n, "ambient index", 1)
+        if (integer(self.k, "degree") <= 0) != (self.mult is None):
+            raise InvalidClass("a degree k <= 0 has no multiplicities, and k >= 1 needs "
+                               f"them; got k={self.k}, mult={self.mult!r}")
+        if self.mult is not None:
+            mult = tuple(self.mult)
+            object.__setattr__(self, "mult", mult)
+            if len(mult) != n + 1:
+                raise InvalidClass(f"need {n + 1} multiplicities over n={n}, got {len(mult)}")
+            for c in mult:
                 integer(c, "multiplicity", 0)
-        else:
-            raise InvalidClass(f"unknown decomposition kind {self.kind!r}")
 
-    @classmethod
-    def corner(cls, n, k, m):
-        return cls(n=n, k=k, kind="corner", m=m)
+    @property
+    def kind(self):
+        return "corner" if self.k <= 0 else "multiset"
 
-    @classmethod
-    def multiset(cls, n, k, mult):
-        return cls(n=n, k=k, kind="multiset", mult=tuple(mult))
+    @property
+    def m(self):
+        """The corner depth -k, or None for a multiset."""
+        return -self.k if self.k <= 0 else None
 
     def total_classes(self):
         """Number of elementary summands in the decomposition."""
-        return 1 if self.kind == "corner" else sum(self.mult)
+        return 1 if self.mult is None else sum(self.mult)
 
     def to_json(self):
-        record = {"n": self.n, "k": self.k, "kind": self.kind}
-        if self.kind == "corner":
-            record["m"] = self.m
-        else:
-            record["mult"] = list(self.mult)
-        return record
+        fields = {"m": self.m} if self.mult is None else {"mult": list(self.mult)}
+        return {"n": self.n, "k": self.k, "kind": self.kind, **fields}
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            if obj["kind"] == "corner":
-                return cls.corner(obj["n"], obj["k"], obj["m"])
-            return cls.multiset(obj["n"], obj["k"], obj["mult"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidClass(f"malformed decomposition record: {obj!r}") from exc
+        return read_json(obj, lambda: cls(obj["n"], obj["k"], obj.get("mult")))
 
 
 def _check_bundle_args(n, k):
@@ -127,9 +112,8 @@ def closed_form(n, k):
     """
     _check_bundle_args(n, k)
     if k <= 0:
-        return LineBundleDecomposition.corner(n, k, -k)
-    mult = tuple(binomial(k + j - 1, j) for j in range(n + 1))
-    return LineBundleDecomposition.multiset(n, k, mult)
+        return LineBundleDecomposition(n, k)
+    return LineBundleDecomposition(n, k, [binomial(k + j - 1, j) for j in range(n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +144,7 @@ def recursion_expand(n, k):
     _check_bundle_args(n, k)
     if k < 1:
         raise OutOfRange(f"the peeling recursion starts at degree >= 1, got {k}")
-    return LineBundleDecomposition.multiset(n, k, _terminal_counts(n, k, 0))
+    return LineBundleDecomposition(n, k, _terminal_counts(n, k, 0))
 
 
 class HockeyStickResult(NamedTuple):

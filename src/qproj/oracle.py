@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (CutoffTooSmall, DimensionMismatch, DimensionTooSmall, InvalidClass,
-                     OutOfRange, integer)
+                     OutOfRange, integer, read_json)
 from .extnat import INF
 from .projections import ProjClass, RhoVector
 
@@ -102,29 +102,16 @@ class DiagonalPattern:
         return self.copies == 0
 
     def to_json(self):
-        encoded = []
-        for f in self.factors:
-            if f == IDENTITY:
-                encoded.append("I")
-            else:
-                encoded.append({f[0]: f[1]})
-        return {"n": self.n, "factors": encoded, "copies": self.copies}
+        factors = ["I" if f == IDENTITY else {f[0]: f[1]} for f in self.factors]
+        return {"n": self.n, "factors": factors, "copies": self.copies}
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            factors = []
-            for f in obj["factors"]:
-                if f == "I":
-                    factors.append(IDENTITY)
-                elif isinstance(f, dict) and len(f) == 1:
-                    tag, m = next(iter(f.items()))
-                    factors.append((tag, m))
-                else:
-                    raise InvalidClass(f"bad serialized factor {f!r}")
-            return cls(n=obj["n"], factors=tuple(factors), copies=obj["copies"])
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise InvalidClass(f"malformed pattern record: {obj!r}") from exc
+        # a {tag: depth} record with any other number of items than one
+        # raises TypeError or gives the bad factor ()
+        return read_json(obj, lambda: cls(obj["n"], [
+            IDENTITY if f == "I" else tuple(*f.items()) for f in obj["factors"]],
+            obj["copies"]))
 
 
 @dataclass(frozen=True)

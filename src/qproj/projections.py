@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass, integer
+from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass, integer, read_json
 from .extnat import INF, ext_from_json, ext_to_json, is_finite
 
 __all__ = [
@@ -100,10 +100,7 @@ class ProjClass:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            return cls(obj["n"], obj["j"], obj["k"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidClass(f"malformed class record: {obj!r}") from exc
+        return read_json(obj, lambda: cls(obj["n"], obj["j"], obj["k"]))
 
 
 @dataclass(frozen=True)
@@ -159,9 +156,10 @@ class RhoVector:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, list):
-            raise InvalidClass(f"malformed counting vector record: {obj!r}")
-        return cls(tuple(ext_from_json(e) for e in obj))
+        # only a list: iterating None raises TypeError, so {} is malformed
+        # rather than a vector of no levels
+        entries = obj if isinstance(obj, list) else None
+        return read_json(obj, lambda: cls(tuple(map(ext_from_json, entries))))
 
 
 def zero_class(n):

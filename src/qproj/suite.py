@@ -18,6 +18,8 @@ from .reports import VerifyReport
 
 __all__ = [
     "DEFAULT_SEED",
+    "DEFAULT_WINDOW",
+    "DEFAULT_TALLY_WINDOW",
     "monoid_checks",
     "rho_injectivity_checks",
     "cancellation_checks",
@@ -35,6 +37,11 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+
+# The default windows of the groupoid checks and of the terminal tally, which
+# the groupoid API defaults to as well.
+DEFAULT_WINDOW = 8
+DEFAULT_TALLY_WINDOW = 6
 
 
 def _class_stock(n, k_max):
@@ -269,7 +276,7 @@ def k0_checks(n_max=5, k_max=25, exact_n_max=6):
     return reports
 
 
-def groupoid_checks(n_max=3, k_abs_max=4, window=8):
+def groupoid_checks(n_max=3, k_abs_max=4, window=DEFAULT_WINDOW):
     """Partitions and all structural bijections on windowed strata."""
     from . import groupoid
 
@@ -321,7 +328,7 @@ def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
                          bad is None, domain_size=count, counterexample=bad)]
 
 
-def terminal_count_checks(n_max=2, k_max=3, window=6):
+def terminal_count_checks(n_max=2, k_max=3, window=DEFAULT_TALLY_WINDOW):
     """Windowed terminal tallies reproduce the symbolic multiplicities."""
     from . import groupoid
 
@@ -340,6 +347,7 @@ def random_checks(seed=DEFAULT_SEED, samples=400):
     Cases are drawn as they are tested, so the stream a family leaves at its
     first counterexample goes on to the next family.
     """
+    integer(seed, "random seed", error=OutOfRange)
     integer(samples, "random samples", 1, error=OutOfRange)
     rng = random.Random(seed)
 

@@ -274,6 +274,9 @@ class TestVerifiers:
 REPO = Path(__file__).resolve().parents[1]
 PYPROJECT = REPO / "pyproject.toml"
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+# sha256 of each demo's stdout, as `sha256sum` writes it
+DEMO_DIGESTS = {name: digest for digest, name in (
+    line.split() for line in (REPO / "tests" / "demo_stdout.sha256").read_text().splitlines())}
 CALCULATOR_DEMOS = ("01_projection_calculator.py", "02_k_theory_maps.py",
                     "03_line_bundles.py")
 EXPECTED = REPO / "perfbench" / "expected"
@@ -475,12 +478,13 @@ class TestForkedWorkers:
 class TestDocumentedExamples:
     def test_six_demos(self):
         assert len(DEMOS) == 6
+        assert sorted(DEMO_DIGESTS) == [demo.name for demo in DEMOS]
 
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
     def test_demo_runs(self, demo):
         proc = run_child(sys.executable, str(demo))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip()
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_DIGESTS[demo.name]
         if demo.name in CALCULATOR_DEMOS:
             # the calculator layer is numpy-free as a library, not only
             # through the command line

@@ -1,5 +1,6 @@
 """Groupoid elements, structural maps, and the windowed verification engine."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from qproj.errors import (
     OutOfRange,
     WrongStratum,
 )
+from qproj import suite
 from qproj.extnat import INF, ext_to_json
 from qproj.groupoid import (
     MAP_IDS,
@@ -31,6 +33,7 @@ from qproj.groupoid import (
     _image_ranks,
     _iter_raw,
     _partition_setup,
+    _recoord,
     _stratum_spec,
     canonicalize,
     compose,
@@ -190,14 +193,12 @@ def box_rows(spec):
     primed in a sheared window."""
     n, primed = spec.n, spec.shear
     sources = {}
-    for w in itertools.product(*(list(range(lo, hi + 1)) + [INF] * inf_ok
-                                 for lo, hi, inf_ok
-                                 in zip(spec.w_lo, spec.w_hi, spec.w_inf))):
+    for w in itertools.product(*(list(range(r.w_lo, r.w_hi + 1)) + [INF] * r.w_inf
+                                 for r in spec.ranges)):
         p = w.index(INF) if INF in w else n
         sources[w[:p] + (INF,) * (n - p)] = None
     rows = []
-    for x in itertools.product(*(range(lo, hi + 1)
-                                 for lo, hi in zip(spec.x_lo, spec.x_hi))):
+    for x in itertools.product(*(range(r.x_lo, r.x_hi + 1) for r in spec.ranges)):
         z = spec.z + x[0] if spec.shear else spec.z
         for w in sources:
             try:
@@ -206,6 +207,15 @@ def box_rows(spec):
                 continue
             rows.append((z, x, w))
     return rows
+
+
+def spec_with(n, z, W, pins=0, shear=False, over=None):
+    """``_stratum_spec`` with the range fields that ``over`` gives, by
+    coordinate, set: windows that no check builds."""
+    spec = _stratum_spec(n, z, W, pins, shear)
+    over = over or {}
+    return dataclasses.replace(spec, ranges=tuple(
+        r._replace(**over.get(c, {})) for c, r in enumerate(spec.ranges)))
 
 
 def reference_bijection(map_id, n, k=None, j=None, l=None, window=8):
@@ -698,17 +708,17 @@ class TestEnumeration:
         (2, 1, {"shear": True}),
         (1, 0, {}),
         (3, 2, {"pins": 3}),
-        (2, 2, {"w_over": {0: (2, 5, True)}}),
-        (2, 2, {"w_over": {0: (1, 1, False)}, "pins": 0}),
-        (2, 0, {"x_over": {1: (-1, 4)}}),
+        (2, 2, {"over": {0: {"w_lo": 2, "w_hi": 5}}}),
+        (2, 2, {"over": {0: {"w_lo": 1, "w_hi": 1, "w_inf": False}}, "pins": 0}),
+        (2, 0, {"over": {1: {"x_lo": -1, "x_hi": 4}}}),
         # an offset range without 0 skips every block whose tail forces it to 0
-        (3, 1, {"x_over": {2: (-3, -1)}}),
-        (3, 0, {"x_over": {1: (1, 2)}, "shear": True}),
+        (3, 1, {"over": {2: {"x_lo": -3, "x_hi": -1}}}),
+        (3, 0, {"over": {1: {"x_lo": 1, "x_hi": 2}}, "shear": True}),
     ]
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
     def test_array_engine_matches_reference(self, n, z, kw):
-        spec = _stratum_spec(n, z, 3, **kw)
+        spec = spec_with(n, z, 3, **kw)
         reference = box_rows(spec)
         blocks = _blocks(spec)
         offsets, indicator = window_positions(spec)
@@ -749,7 +759,7 @@ class TestEnumeration:
         import qproj.groupoid as G
 
         monkeypatch.setattr(G, "_CHUNK", chunk)
-        for block in _blocks(_stratum_spec(n, z, 3, **kw)).values():
+        for block in _blocks(spec_with(n, z, 3, **kw)).values():
             parts = list(block.parts())
             assert [q.start for q in parts] == list(itertools.accumulate(
                 [0] + [q.size for q in parts[:-1]]))
@@ -766,7 +776,7 @@ class TestEnumeration:
     def test_table_ranks_match_row_ranks(self, n, z, kw):
         # the outer-sum ranking of the identity map, the p = 0 block
         # included, equals row-by-row ranking
-        spec = _stratum_spec(n, z, 3, **kw)
+        spec = spec_with(n, z, 3, **kw)
         identity = _Action(z=spec.z, shear=spec.shear)
         for block in _blocks(spec).values():
             everywhere = list(range(block.size))
@@ -906,6 +916,30 @@ class TestVerifiersInParts(TestVerifiers):
     windows."""
 
 
+def test_each_map_carries_its_domain_window_onto_its_codomain(monkeypatch):
+    # the pairing _check_setup states: over every map row of the default
+    # sweep, the action's box of the domain window is the codomain window,
+    # gamma's up to the shear flag that reads its degree as z + x[0]
+    import qproj.groupoid as G
+
+    rows = []
+    setup = G._check_setup
+
+    def spy(kind, *args, **kw):
+        sources, cod = setup(kind, *args, **kw)
+        if kind != "partition":
+            rows.append((kind, sources, cod))
+        return sources, cod
+
+    monkeypatch.setattr(G, "_check_setup", spy)
+    monkeypatch.setattr(G, "_image_check", lambda sources, cod: (0, 0, {}))
+    suite.groupoid_checks()
+    assert {kind for kind, *_ in rows} == set(MAP_IDS)
+    for kind, [(dom, action)], cod in rows:
+        assert cod.shear == (kind == "gamma")
+        assert action.box(dom) == dataclasses.replace(cod, shear=False), kind
+
+
 class TestWindowEdges:
     """Windows past the old 6-bit key fields, against element-level sizes."""
 
@@ -1001,7 +1035,7 @@ class TestSharedTables:
 
     @staticmethod
     def ranges(spec):
-        return list(zip(spec.x_lo, spec.x_hi, spec.w_lo, spec.w_hi))
+        return [r[:4] for r in spec.ranges]
 
     @pytest.mark.parametrize("kind,n,k,j,W", [
         ("theta-shift", 6, 1, 2, 1),  # 12 tables and 20 lookups before sharing
@@ -1098,7 +1132,7 @@ class TestMutations:
         # w[0] is k or inf; pinning is harmless on the finite rows only
         dom, _, _, found = self.break_map(
             monkeypatch, "theta-shift", 2, k=1, j=0,
-            dom=_stratum_spec(2, 1, 2, w_over={0: (1, 1, True)}),
+            dom=_recoord(_stratum_spec(2, 1, 2), 0, 0, (1, 1, True)),
             action=_Action(z=0, coord=0, dx=1, pin=True))
         assert found["kind"] == "target-moved"
         element = element_key(found["element"])
@@ -1128,7 +1162,7 @@ class TestMutations:
         # theta-peel paying one unit too few, into that degree: targets
         # stay, but every forced offset is off by one
         ("theta-peel", {"k": 2, "j": 0, "l": 1},
-         _stratum_spec(2, 2, 2, pins=1, x_over={0: (-1, 3)}),
+         _recoord(_stratum_spec(2, 2, 2, pins=1), 0, 1, (0, 0, False)),
          _Action(z=2, coord=0, dx=1, pin=True)),
     ])
     def test_image_leaves_codomain(self, monkeypatch, map_id, kwargs, cod, action):
@@ -1169,7 +1203,7 @@ class TestMutations:
         import qproj.groupoid as G
 
         full, pieces = _partition_setup(2, 2, 0, 3)
-        pieces[0] = _stratum_spec(2, 2, 3, w_over={0: piece})
+        pieces[0] = _recoord(_stratum_spec(2, 2, 3), 0, 0, piece)
         monkeypatch.setattr(G, "_partition_setup", lambda *args: (full, pieces))
         report = G.verify_partition(2, 2, 0, window=3)
         assert not report.passed
@@ -1197,7 +1231,7 @@ class TestMutations:
         import qproj.groupoid as G
 
         full, pieces = _partition_setup(2, 2, 0, 3)
-        pieces[0] = _stratum_spec(2, 2, 3, w_over={0: (1, 5, True)})
+        pieces[0] = _recoord(_stratum_spec(2, 2, 3), 0, 0, (1, 5, True))
         surplus = 0
         for p, cb in _blocks(full).items():
             member, hit = cb.indicator(), np.zeros(cb.size, dtype=bool)

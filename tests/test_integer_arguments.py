@@ -96,9 +96,12 @@ SITES = {
     "check_exactness n": (k_theory.check_exactness, -1, InvalidClass, InvalidClass),
     "binomial k": (lambda v: line_bundles.binomial(v, 0), -1, OutOfRange, OutOfRange),
     "binomial j": (lambda v: line_bundles.binomial(3, v), 4, OutOfRange, OutOfRange),
-    "corner depth": (lambda v: line_bundles.LineBundleDecomposition.corner(1, -1, v),
-                     -1, InvalidClass, InvalidClass),
-    "multiplicity": (lambda v: line_bundles.LineBundleDecomposition.multiset(1, 1, (1, v)),
+    "decomposition n": (lambda v: line_bundles.LineBundleDecomposition(v, 0),
+                        0, InvalidClass, InvalidClass),
+    # a degree k >= 1 needs multiplicities, so a corner has k <= 0
+    "decomposition degree": (lambda v: line_bundles.LineBundleDecomposition(1, v),
+                             1, InvalidClass, InvalidClass),
+    "multiplicity": (lambda v: line_bundles.LineBundleDecomposition(1, 1, (1, v)),
                      -1, InvalidClass, InvalidClass),
     "closed_form n": (lambda v: line_bundles.closed_form(v, 1), 0, OutOfRange, OutOfRange),
     "closed_form k": (lambda v: line_bundles.closed_form(1, v), None, OutOfRange, None),
@@ -157,6 +160,7 @@ BAD_FIELDS = [
     (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": None}),
     (oracle.DiagonalPattern, {"n": 0}),
     (oracle.DiagonalPattern, {"n": 1, "factors": ["I"]}),
+    (oracle.DiagonalPattern, {"n": 1, "factors": [{"P": 2, "Pc": 1}], "copies": 1}),
 ]
 
 
@@ -166,3 +170,54 @@ BAD_FIELDS = [
 def test_record_with_a_bad_or_missing_field_refused(reader, record):
     with pytest.raises(InvalidClass):
         reader.from_json(record)
+
+
+# Records that build a value but are not the record that value writes: a
+# field the kind of value does not have, a source that is not canonical, a
+# flag at the value that is never written, or an extra key.  Each is refused
+# with ``InvalidClass`` or with the value's own membership error.
+NOT_WRITTEN = [
+    (line_bundles.LineBundleDecomposition, {"n": 1, "k": 5, "kind": "corner", "m": 2},
+     InvalidClass),
+    (line_bundles.LineBundleDecomposition,
+     {"n": 1, "k": -2, "kind": "multiset", "mult": [1, 1]}, InvalidClass),
+    (line_bundles.LineBundleDecomposition, {"n": 1, "k": -2, "kind": "corner", "m": 3},
+     InvalidClass),
+    (groupoid.GroupoidElement, {"z": 0, "x": [0, 0], "w": ["inf", 3]}, NotInGroupoid),
+    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": False}, InvalidClass),
+    (projections.ProjClass, {"n": 1, "j": 0, "k": 2, "extra": 0}, InvalidClass),
+    (k_theory.K0Vector, {"n": 0, "coords": [1], "extra": 0}, InvalidClass),
+    (oracle.DiagonalPattern, {"n": 0, "factors": [], "copies": 1, "extra": 0},
+     InvalidClass),
+]
+
+
+@pytest.mark.parametrize("reader, record, error", [
+    pytest.param(reader, record, error, id=f"{reader.__name__} {record!r}")
+    for reader, record, error in NOT_WRITTEN])
+def test_record_its_value_does_not_write_refused(reader, record, error):
+    with pytest.raises(error):
+        reader.from_json(record)
+
+
+def _stock():
+    """Values of every reader's type, each kind of field included."""
+    classes = [projections.ProjClass(n, j, k) for n in range(3) for j in range(n + 1)
+               for k in range(1 if j else 0, 3)]
+    yield from classes
+    yield from (projections.rho(p) for p in classes)
+    yield projections.RhoVector((0, INF, 7))
+    yield from (k_theory.K0Vector(n, coords) for n, coords in
+                ((0, (5,)), (2, (1, -1, 0)), (3, (0, 0, 0, -4))))
+    yield from (line_bundles.closed_form(n, k) for n in (1, 3) for k in range(-3, 4))
+    yield from (g for n in (1, 2) for g in groupoid.enumerate_stratum(n, 1, window=1))
+    yield groupoid.canonicalize(2, 0, (5, 0), (INF, INF), primed=True)
+    yield from (oracle.encode(p) for p in classes)
+    yield oracle.DiagonalPattern(3, (oracle.IDENTITY, oracle.cutoff(2), oracle.complement(4)))
+
+
+def test_every_reader_reads_back_what_its_values_write():
+    stock = list(_stock())
+    assert {type(v) for v in stock} == set(READERS)
+    for value in stock:
+        assert type(value).from_json(value.to_json()) == value

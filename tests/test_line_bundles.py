@@ -243,10 +243,17 @@ class TestContainers:
         for dec in [closed_form(2, -3), closed_form(2, 0), closed_form(3, 4)]:
             assert LineBundleDecomposition.from_json(dec.to_json()) == dec
 
-    def test_kind_fields_are_exclusive(self):
-        with pytest.raises(InvalidClass):
-            LineBundleDecomposition(2, 1, "corner", m=1, mult=(1, 0, 0))
-        with pytest.raises(InvalidClass):
-            LineBundleDecomposition(2, 1, "multiset", mult=(1, 0))
-        with pytest.raises(InvalidClass):
-            LineBundleDecomposition(2, 1, "other")
+    def test_mult_exactly_at_positive_degrees(self):
+        # the degree fixes the kind: a corner for k <= 0, multiplicities
+        # over every level for k >= 1
+        for n, k, mult in [(1, 5, None), (1, -2, (1, 1)), (2, 0, (1, 0, 0)),
+                           (2, 1, (1, 0)), (2, 1, (1, 0, 0, 0))]:
+            with pytest.raises(InvalidClass):
+                LineBundleDecomposition(n, k, mult)
+        dec = LineBundleDecomposition(1, 1, [1, 1])
+        assert dec.mult == (1, 1) and hash(dec) == hash(LineBundleDecomposition(1, 1, (1, 1)))
+        assert (dec.kind, dec.m) == ("multiset", None)
+        corner = LineBundleDecomposition(2, -3)
+        assert (corner.kind, corner.m, corner.mult) == ("corner", 3, None)
+        with pytest.raises(AttributeError):
+            corner.m = 4

@@ -146,10 +146,10 @@ def _binomial_off_at_1(real):
 
 def _cut_above_from_k_plus_1(real):
     # the piece with at least k to give starts at k + 1: a gap at exactly k
-    def mutant(spec, j, k):
-        above, *shortfalls = real(spec, j, k)
-        lifted = (k + 1, above.w_hi[j], above.w_inf[j])
-        return [G._recoord(above, j, k, 0, lifted), *shortfalls]
+    def mutant(spec, j):
+        above, *shortfalls = real(spec, j)
+        r = above.ranges[j]
+        return [G._recoord(above, j, 0, (spec.z + 1, r.w_hi, r.w_inf)), *shortfalls]
     return mutant
 
 
@@ -223,7 +223,7 @@ def engine_probe():
     codomain) and k = 1 (the p = 0 image leaves it first); or the type of
     the exception raised."""
     full, pieces = G._partition_setup(2, 2, 0, 3)
-    pieces[0] = G._stratum_spec(2, 2, 3, w_over={0: (1, 5, True)})
+    pieces[0] = G._recoord(G._stratum_spec(2, 2, 3), 0, 0, (1, 5, True))
     try:
         overlap = G._image_check([(piece, G._Action(z=2)) for piece in pieces], full)
         unsheared = []

@@ -103,6 +103,15 @@ class TestGroups:
         assert a == b
         assert all(r["pass"] for r in a)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "x"], ids=repr)
+    def test_random_seed_is_an_integer(self, seed):
+        # None would seed from the operating system, so the records would
+        # differ from run to run
+        with pytest.raises(OutOfRange, match="random seed must be an integer"):
+            suite.random_checks(seed)
+        with pytest.raises(OutOfRange, match="random seed"):
+            suite.run_group("random", seed)
+
 
 class TestJobs:
     def test_default_is_cpu_count(self, monkeypatch):
