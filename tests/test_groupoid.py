@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qproj import suite
 from qproj.errors import (
     DegreeNonZero,
     InvalidClass,
@@ -14,7 +15,6 @@ from qproj.errors import (
     OutOfRange,
     WrongStratum,
 )
-from qproj import suite
 from qproj.extnat import INF, ext_to_json
 from qproj.groupoid import (
     MAP_IDS,
