@@ -32,40 +32,23 @@ every source coordinate is pinned.  All four preserve the target.
 
 Verification covers windowed strata exhaustively without listing their
 elements.  A window splits into blocks by the position p of the first
-infinite source coordinate, and each block is the product of small
-per-coordinate tables of (offset, source) pairs, the offset at p being
-forced.  An element's exact position in its block is the mixed-radix
-number of its table indices.  A structural map acts on one coordinate,
-so it is applied to the tables; looking the image pairs up in the
-codomain's tables and summing over the product gives the codomain
-position of every image at once.  The windows of one check share one
-read-only table per distinct range, and each source coordinate is looked
-up once per check, not once per block; a coordinate the map leaves alone
-on the codomain's own table is its own lookup.  The map is a bijection
-when the image positions, marked in a one-byte hit map, equal the
-codomain's membership indicator and the number of images placed equals
-the number of codomain rows, so that no position is hit twice.  Every
-block, p = 0 included, is ranked by these sums.  The element-level
-enumeration unranks the flagged positions of the same blocks, so the
-window rules are written once.  Every walk of a block goes through its
-parts: runs of consecutive positions, at most ``_CHUNK`` of them, each
-ranked, unranked and flagged as a block of its own, so arrays of ranks
-and offsets are bounded by a part and only the one-byte maps of a
-codomain block by the block.  Block sizes are counted before any table
-is built, so a window too large to rank is refused first.  The partition
-of a stratum into its k + 1 pieces and each structural map are rows of
-one table of sources (windows under actions) and codomain windows,
-checked by one body.
+infinite source coordinate, each a product of per-coordinate tables of
+(offset, source) pairs cut by the forced offset, and a structural map
+acts on one table; so ``_image_check`` decides each check axis by axis,
+in Python ints.  The element-level enumeration lists the rows of the
+same blocks, so the window rules are written once.  The partition of a
+stratum into its k + 1 pieces and each structural map are rows of one
+table of sources (windows under actions) and codomain windows, checked
+by one body.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     DegreeNonZero,
@@ -366,11 +349,20 @@ def _recoord(spec, c, dx, w_range, z=None):
 
 
 def _iter_raw(spec):
-    """Element-level enumeration of a window: raw (z, x, w) tuples, block by
-    block, each block in position order."""
-    for block in _blocks(spec).values():
-        for part in block.parts():
-            yield from part.rows(np.flatnonzero(part.indicator()))
+    """Element-level enumeration of a window: raw (z, x, w) rows, block by
+    block, each block in position order.  A block of more than ``_LIMIT``
+    positions is refused before any row is listed."""
+    blocks = _blocks(spec)
+    size = max(math.prod(_axis_size(*r[:4]) for r in spec.ranges[:p]) for p in blocks)
+    if size > _LIMIT:
+        raise OutOfRange(f"a window block of {size} positions exceeds the limit "
+                         f"of {_LIMIT}; use a smaller window")
+    pairs = [[(w, x) for w, lo, hi in _table(*r[:4]) for x in range(lo, hi + 1)]
+             for r in spec.ranges]
+    for p, (lo, hi) in blocks.items():
+        for row in itertools.product(*pairs[:p]):
+            if lo <= sum(x for _, x in row) <= hi:
+                yield _raw(spec, p, row)
 
 
 def enumerate_stratum(n, k, j=0, window=DEFAULT_WINDOW):
@@ -386,181 +378,77 @@ def enumerate_stratum(n, k, j=0, window=DEFAULT_WINDOW):
     return [GroupoidElement(n, *raw) for raw in _iter_raw(spec)]
 
 
-# --- exact ranking over pair tables -------------------------------------------
+# --- pair tables and blocks ---------------------------------------------------
 
-# Largest |offset|, source or degree a window may hold.  Sums over a block's
-# free coordinates then stay far inside int64, so no rank or offset wraps.
-_VALUE_LIMIT = 2 ** 40
-
-# Most positions one part of a block may have.  Every int64 array of ranks
-# or offsets that a check builds is the size of one part.
-_CHUNK = 2 ** 18
-
-# Most positions one block may have.  A check keeps a one-byte hit map and a
-# one-byte indicator of each codomain block, and one byte more of hit counts
-# when the block fails, so this keeps one check under about 1.6 GB.
-_BLOCK_LIMIT = 2 ** 29
-
-
-class _Axis:
-    """Pair table of one finite source coordinate.
-
-    Every (x, w) with w_lo <= w <= w_hi and max(x_lo, -w) <= x <= x_hi,
-    ordered by w, then x.
-    """
-
-    def __init__(self, x_lo, x_hi, w_lo, w_hi):
-        w = np.arange(w_lo, w_hi + 1, dtype=np.int64)
-        self.start = np.maximum(x_lo, -w)
-        lens = np.maximum(x_hi - self.start + 1, 0)
-        self.base = np.cumsum(lens) - lens
-        self.x_hi, self.w_lo = x_hi, w_lo
-        self.w = np.repeat(w, lens)
-        self.x = (np.arange(len(self.w), dtype=np.int64)
-                  + np.repeat(self.start - self.base, lens))
-        for table in (self.x, self.w, self.start, self.base):
-            table.setflags(write=False)  # one table serves every window of a check
-        self.size = len(self.w)
-        self.first = 0  # index of the first entry in the whole table
-
-    def index(self, x, w):
-        """Table index of each pair (x[i], w[i]); -1 where the pair is absent."""
-        row = w - self.w_lo
-        inside = (row >= 0) & (row < len(self.start))
-        row = np.where(inside, row, 0)
-        start = self.start[row]
-        inside &= (x >= start) & (x <= self.x_hi)
-        return np.where(inside, self.base[row] + x - start, -1)
-
-
-class _Run:
-    """Entries lo..hi-1 of a pair table, hi cut at its end."""
-
-    def __init__(self, table, lo, hi):
-        hi = min(hi, table.size)
-        self.x, self.w, self.size = table.x[lo:hi], table.w[lo:hi], hi - lo
-        self.first = table.first + lo
-
-
-def _outer(terms, start=0):
-    """Mixed-radix outer sum of per-coordinate terms, coordinate 0 slowest,
-    plus ``start``."""
-    total = np.array([start], dtype=np.int64)
-    for term in terms:
-        total = np.add.outer(total, term)
-    return total.ravel()
-
-
-class _Block:
-    """The rows of one window whose first infinite source coordinate is p.
-
-    A position in the block is the mixed-radix number of its free
-    coordinates' pair-table indices, coordinate 0 slowest; the forced
-    offset -z - (x[0] + ... + x[p-1]) and the tail follow from them, so
-    the p = 0 block has one position.  ``indicator`` flags the
-    positions that are rows of the window.  A part of a block is a block
-    whose pair tables are runs of the block's; ``start`` is its first
-    position in the block.
-    """
-
-    def __init__(self, spec, p, axes, start=0):
-        self.spec, self.p, self.start = spec, p, start
-        self.axes = tuple(axes[:p])
-        self.shape = tuple(a.size for a in self.axes)
-        self.size = math.prod(self.shape)
-        self.strides = [math.prod(self.shape[i + 1:]) for i in range(len(self.axes))]
-
-    def parts(self):
-        """The block as consecutive parts of at most ``_CHUNK`` positions, in
-        position order.  Coordinate d is the slowest whose stride is at most
-        ``_CHUNK``: a part takes one entry of each slower coordinate and a
-        run of entries of d.  A block of at most ``_CHUNK`` positions is its
-        own one part."""
-        if self.size <= _CHUNK:
-            yield self
-            return
-        d = next(i for i, stride in enumerate(self.strides) if stride <= _CHUNK)
-        step = _CHUNK // self.strides[d]
-        choices = [[_Run(a, i, i + 1) for i in range(a.size)] for a in self.axes[:d]]
-        choices.append([_Run(self.axes[d], i, i + step) for i in range(0, self.shape[d], step)])
-        for runs in itertools.product(*choices):
-            start = self.start + sum((r.first - a.first) * stride for r, a, stride
-                                     in zip(runs, self.axes, self.strides))
-            yield _Block(self.spec, self.p, [*runs, *self.axes[d + 1:]], start)
-
-    def indicator(self):
-        s, p = self.spec, self.p
-        if p == s.n:
-            return np.ones(self.size, dtype=bool)
-        forced = _outer((-a.x for a in self.axes), -s.z)
-        r = s.ranges[p]
-        return (forced >= r.x_lo) & (forced <= r.x_hi)
-
-    def rows(self, positions):
-        """The raw (z, x, w) rows at ``positions``, in Python ints; a row's
-        forced offset may lie outside the window where ``indicator`` is
-        false."""
-        s, p, n = self.spec, self.p, self.spec.n
-        x = np.zeros((len(positions), n), dtype=np.int64)
-        w = np.zeros((len(positions), p), dtype=np.int64)
-        digits = np.unravel_index(positions, self.shape) if self.axes else ()
-        for i, (a, d) in enumerate(zip(self.axes, digits)):
-            x[:, i], w[:, i] = a.x[d], a.w[d]
-        if p < n:  # before the degree: at p = 0, x[0] is the forced offset
-            x[:, p] = -s.z - x[:, :p].sum(axis=1)
-        z = s.z + x[:, 0] if s.shear else np.full(len(positions), s.z, dtype=np.int64)
-        tail = (INF,) * (n - p)
-        return [(zr, tuple(xr), tuple(wr) + tail)
-                for zr, xr, wr in zip(z.tolist(), x.tolist(), w.tolist())]
+# Most pairs one pair table, and most positions one block that
+# ``enumerate_stratum`` lists, may have.
+_LIMIT = 2 ** 18
 
 
 def _axis_size(x_lo, x_hi, w_lo, w_hi):
-    """Pairs in ``_Axis(x_lo, x_hi, w_lo, w_hi)``, counted in closed form:
+    """Pairs in ``_table(x_lo, x_hi, w_lo, w_hi)``, counted in closed form:
     x_hi + w + 1 (where positive) for each w below -x_lo, and
-    x_hi - x_lo + 1 for every other w."""
+    x_hi - x_lo + 1 for every other w.  More than ``_LIMIT`` are refused."""
     a, b = max(w_lo, -x_hi), min(w_hi, -x_lo - 1)
     short = (b - a + 1) * (2 * x_hi + 2 + a + b) // 2 if a <= b else 0
-    return short + max(w_hi - max(w_lo, -x_lo) + 1, 0) * max(x_hi - x_lo + 1, 0)
+    size = short + max(w_hi - max(w_lo, -x_lo) + 1, 0) * max(x_hi - x_lo + 1, 0)
+    if size > _LIMIT:
+        raise OutOfRange(f"a window coordinate of {size} pairs exceeds the limit "
+                         f"of {_LIMIT}; use a smaller window")
+    return size
 
 
-def _block_sizes(spec):
-    """The size of each block of a window by increasing p, leaving out each
-    p whose infinite source or zero tail offsets the window excludes.  Sizes
-    are counted, not built, so a window too large to rank is refused before
-    any table of it exists."""
+def _table(x_lo, x_hi, w_lo, w_hi):
+    """The pair table of one coordinate: every (x, w) with w_lo <= w <= w_hi
+    and max(x_lo, -w) <= x <= x_hi, ordered by w, then x, as one run
+    (w, first x, last x) per w that has a pair."""
+    ws = range(max(w_lo, -x_hi), w_hi + 1) if _axis_size(x_lo, x_hi, w_lo, w_hi) else ()
+    return tuple((w, max(x_lo, -w), x_hi) for w in ws)
+
+
+def _blocks(spec):
+    """The blocks of a window: for each p where the window has rows whose
+    first infinite source coordinate is p, the range (lo, hi) of their sum
+    x[0] + ... + x[p-1].  The forced offset -z - sum lies in coordinate p's
+    offset range and every later offset is 0; at p = n the range holds
+    every sum the tables make."""
+    rs, n = spec.ranges, spec.n
+    return {p: (-spec.z - rs[p].x_hi, -spec.z - rs[p].x_lo) if p < n else
+            (sum(r.x_lo for r in rs), sum(r.x_hi for r in rs))
+            for p in range(n + 1)
+            if (p == n or rs[p].w_inf) and all(r.x_lo <= 0 <= r.x_hi for r in rs[p + 1:])}
+
+
+def _raw(spec, p, pairs):
+    """The raw (z, x, w) row of block p whose coordinates before p are the
+    (w, x) ``pairs``; its forced offset may lie outside the window."""
     n = spec.n
-    if max(abs(v) for r in spec.ranges for v in (spec.z, *r[:4])) > _VALUE_LIMIT:
-        raise OutOfRange("window values must stay within +-2**40 to be ranked exactly")
-    axes = [_axis_size(*r[:4]) for r in spec.ranges]
-    sizes = {}
-    for p in range(n + 1):
-        if p < n and not spec.ranges[p].w_inf:
-            continue
-        if any(r.x_lo > 0 or r.x_hi < 0 for r in spec.ranges[p + 1:]):
-            continue
-        sizes[p] = math.prod(axes[:p])
-        if sizes[p] > _BLOCK_LIMIT:
-            raise OutOfRange(f"a window block of {sizes[p]} positions exceeds "
-                             f"the limit of {_BLOCK_LIMIT} (2**29); use a smaller window")
-    return sizes
+    x = [v for _, v in pairs] + [0] * (n - p)
+    if p < n:  # before the degree: at p = 0, x[0] is the forced offset
+        x[p] = -spec.z - sum(x[:p])
+    z = spec.z + x[0] if spec.shear else spec.z
+    return z, tuple(x), tuple(w for w, _ in pairs) + (INF,) * (n - p)
 
 
-def _blocks(spec, tables=None):
-    """The blocks of ``_block_sizes``, sharing one pair table per coordinate.
-
-    ``tables`` maps each (x_lo, x_hi, w_lo, w_hi) of a range to its pair table;
-    a table is built the first time its range is asked for, so the windows
-    of one check that share a dict share a table wherever their ranges
-    agree.  Without one, the window's tables are its own."""
-    sizes = _block_sizes(spec)
-    tables = {} if tables is None else tables
-    axes = []
-    for r in spec.ranges[:max(sizes, default=0)]:
-        key = r[:4]
-        if key not in tables:
-            tables[key] = _Axis(*key)
-        axes.append(tables[key])
-    return {p: _Block(spec, p, axes) for p in sizes}
+def _count(spec, blocks):
+    """The number of rows of a window.  ``sums`` counts the pair prefixes
+    by offset sum, one coordinate at a time: coordinate p adds, at each x,
+    the w_hi - max(w_lo, -x) + 1 sources it pairs with."""
+    total, start, sums = 0, 0, [1]  # sums[i]: the prefixes summing to start + i
+    for p in range(spec.n + 1):
+        if p in blocks:
+            lo, hi = blocks[p]
+            total += sum(sums[max(lo - start, 0):max(hi - start + 1, 0)])
+        if p < spec.n:
+            x_lo, x_hi, w_lo, w_hi, _ = spec.ranges[p]
+            first = max(x_lo, -w_hi)
+            step = [max(w_hi - max(w_lo, -x) + 1, 0)
+                    for x in range(first, x_hi + 1)] if w_lo <= w_hi else []
+            out = [0] * (len(sums) + len(step) - 1) if step else []
+            for i, v in enumerate(step):
+                out[i:i + len(sums)] = [o + v * u for o, u in zip(out[i:i + len(sums)], sums)]
+            start, sums = start + first, out
+    return total
 
 
 @dataclass(frozen=True)
@@ -580,12 +468,16 @@ class _Action:
     pin: bool = False
     shear: bool = False
 
+    def source(self, w):
+        """The new source value of the coordinate it changes (inf stays inf)."""
+        return 0 if self.pin else w + self.dw
+
     def row(self, raw):
         """The image of one raw row."""
         z, x, w = raw
         c = self.coord
         x = _put(x, c, x[c] + self.dx)
-        w = _put(w, c, 0 if self.pin else w[c] + self.dw)
+        w = _put(w, c, self.source(w[c]))
         return (self.z + raw[1][0] if self.shear else self.z, x, w)
 
     def box(self, spec):
@@ -599,173 +491,178 @@ class _Action:
         return _recoord(spec, c, self.dx, w_range, self.z)
 
 
-def _same_degree(a, t, x0):
-    """Whether the image under action a of a row with first offset x0 has
-    the degree that window t derives from the image's first offset."""
+def _degree_gap(a, t, x0):
+    """The degree of the image under action a of a row with first offset
+    x0, less the degree that window t derives from the image's first
+    offset: zero when they agree."""
     x0_image = x0 + a.dx if a.coord == 0 else x0
-    return (a.z + x0 if a.shear else a.z) == (t.z + x0_image if t.shear else t.z)
+    return (a.z + x0 if a.shear else a.z) - (t.z + x0_image if t.shear else t.z)
 
 
-def _lookup(i, da, a, ca, t):
-    """Coordinate i of a window under action a, looked up in the pair table
-    ``ca`` of coordinate i of window t.
-
-    Returns the index in ``ca`` of each entry's image, -1 where no entry
-    holds it or, at coordinate 0, where the image degree is not t's.  An
-    untouched coordinate on t's own table is its own lookup.
-    """
-    untouched = i != a.coord or not (a.dx or a.dw or a.pin)
-    x2, w2 = da.x, da.w
-    if not untouched:
-        x2 = x2 + a.dx
-        w2 = np.zeros_like(w2) if a.pin else w2 + a.dw
-    idx = np.arange(da.size, dtype=np.int64) if untouched and da is ca else ca.index(x2, w2)
-    if i == 0:
-        idx = np.where(_same_degree(a, t, da.x), idx, -1)
-    return idx
+# --- the per-axis image check -------------------------------------------------
 
 
-def _image_ranks(db, a, cb, lookups=None):
-    """Position in block cb of the image of every position of a part of
-    block db, as a function of the part (db itself is a part of db).
-
-    -1 marks an image that no position of cb holds.  ``lookups`` keeps the
-    ``_lookup`` of each free coordinate, which does not depend on p: one
-    dict serves every block pair of one source and codomain, so a check
-    maps and looks up each coordinate once.  A part's ranks are the
-    mixed-radix outer sum of the lookups, scaled by cb's strides, over the
-    part's runs; the p = 0 block, with no free coordinate, has the one
-    rank 0.  The image degree must equal the one cb derives from the
-    image's first offset, tested by the lookup of coordinate 0 or, at
-    p = 0, once for the forced x[0] = -s.z.  The image's forced offset
-    must equal cb's too; it exceeds cb's by the same number
-    t.z - s.z + a.dx at every position of the pair.
-    """
-    def none(part):
-        return np.full(part.size, -1, dtype=np.int64)
-
-    if cb is None or not cb.size or not db.size:
-        return none
-    s, t, p, c = db.spec, cb.spec, db.p, a.coord
-    if (c > p and a.dx) or (c >= p and a.pin):
-        return none  # the image leaves the infinite tail
-    if p < s.n and t.z - s.z + a.dx:
-        return none  # no image has the forced offset cb gives it
-    if not p and not _same_degree(a, t, -s.z):
-        return none  # the image degree is not the one cb gives it
-    lookups = {} if lookups is None else lookups
-    invalid = -(cb.size + 1)  # keeps every sum that includes it negative
-    terms = []
-    for i, (da, ca, stride) in enumerate(zip(db.axes, cb.axes, cb.strides)):
-        if i not in lookups:
-            lookups[i] = _lookup(i, da, a, ca, t)
-        terms.append(np.where(lookups[i] >= 0, lookups[i] * stride, invalid))
-
-    def part_ranks(part):
-        runs = [slice(pa.first - da.first, pa.first - da.first + pa.size)
-                for pa, da in zip(part.axes, db.axes)]
-        return _outer(term[r] for term, r in zip(terms, runs))
-    return part_ranks
-
-
-def _first_moved(db, a, keep):
-    """First kept position of db whose target the action changes, or None."""
-    c = a.coord
-    if c < db.p:
-        axis = db.axes[c]
-        w2 = 0 if a.pin else axis.w + a.dw
-        bad = a.dx + w2 != axis.w
-        if not bad.any():
+def _first(axes, lo, hi):
+    """The first row in position order, as its (w, x) pairs, with one pair
+    from each axis and an offset sum in lo..hi; None if there is none.  An
+    axis is a list of runs (w, first x, last x) in table order.  Coordinate
+    by coordinate, it takes the first pair from which the sorted sums of
+    the later axes can still reach the range."""
+    reach = [[0]]
+    for runs in reversed(axes[1:]):
+        xs = {x for _, a, b in runs for x in range(a, b + 1)}
+        reach.append(sorted({s + x for s in reach[-1] for x in xs}))
+    pairs = []
+    for runs, sums in zip(axes, reversed(reach)):
+        pair = next(((w, x) for w, a, b in runs for x in range(a, b + 1)
+                     if (i := bisect.bisect_left(sums, lo - x)) < len(sums)
+                     and sums[i] <= hi - x), None)
+        if pair is None:
             return None
-        shape = [1] * db.p
-        shape[c] = -1
-        hit = (keep.reshape(db.shape) & bad.reshape(shape)).ravel()
-    elif a.pin:
-        hit = keep  # an infinite source coordinate pinned to 0
-    else:
-        return None
-    return int(np.argmax(hit)) if hit.any() else None
+        pairs.append(pair)
+        lo, hi = lo - pair[1], hi - pair[1]
+    return pairs if lo <= 0 <= hi else None
+
+
+def _without(span, cut):
+    """The parts of the range ``span`` outside the range ``cut``."""
+    (lo, hi), (a, b) = span, cut
+    return [r for r in ((lo, min(hi, a - 1)), (max(lo, b + 1), hi)) if r[0] <= r[1]]
+
+
+def _carry(a, t, i, runs):
+    """Split the runs of a source pair table at coordinate i by whether
+    action a carries each pair to a pair of t's table i, at i = 0 with the
+    degree that t gives the image: the runs it loses, and the image runs
+    of the rest."""
+    r = t.ranges[i]
+    dx = a.dx if i == a.coord else 0
+    lost, images = [], []
+    for w, lo, hi in runs:
+        v = a.source(w) if i == a.coord else w
+        first, last = max(lo, r.x_lo - dx, -v - dx), min(hi, r.x_hi - dx)
+        if not r.w_lo <= v <= r.w_hi:
+            last = first - 1
+        if i == 0:  # the degree gap moves with x[0] by a.shear - t.shear
+            gap, slope = _degree_gap(a, t, first), a.shear - t.shear
+            first, last = ((max(first, first - gap * slope), min(last, first - gap * slope))
+                           if slope else (first, last if not gap else first - 1))
+        lost += [(w, *s) for s in _without((lo, hi), (first, last))] if first <= last else [
+            (w, lo, hi)]
+        images += [(v, first + dx, last + dx)] if first <= last else []
+    return lost, images
+
+
+def _cover(runs, images):
+    """Split the runs of a pair table by how many image runs hold each
+    pair: the runs none holds, those held at least once, and those held
+    at least twice."""
+    edges = {}
+    for w, a, b in images:
+        edges.setdefault(w, []).extend(((a, 1), (b + 1, -1)))
+    missed, hit, twice = [], [], []
+    for w, lo, hi in runs:
+        depth, x = 0, lo
+        for at, step in sorted(edges.get(w, ())) + [(hi + 1, 0)]:
+            if at > x:
+                (hit if depth else missed).append((w, x, at - 1))
+                if depth > 1:
+                    twice.append((w, x, at - 1))
+                x = at
+            depth += step
+    return missed, hit, twice
+
+
+def _split_coordinate(sources):
+    """The one coordinate whose source range the windows of ``sources``
+    differ in, or None.  Any list whose windows differ in more, or whose
+    actions differ, is refused."""
+    (s, a), *rest = sources
+    differ = {i for t, _ in rest for i, (r, q) in enumerate(zip(t.ranges, s.ranges)) if r != q}
+    if len(differ) > 1 or any((b, t.z, t.shear, [r[:2] for r in t.ranges])
+                              != (a, s.z, s.shear, [r[:2] for r in s.ranges]) for t, b in rest):
+        raise OutOfRange("the sources of one image check may differ in one "
+                         "coordinate's source range only")
+    return min(differ, default=None)
 
 
 def _image_check(sources, cod):
-    """Map every (window, action) source into the window ``cod``.
+    """Map every (window, action) source into the window ``cod``, axis by axis.
 
-    The windows share pair tables, and each source keeps its coordinate
-    lookups for all its blocks.  Blocks are compared one p at a time, and
-    every block is walked in parts, which bounds memory by a few bytes per
-    position of the largest codomain block and the arrays of one part.
-    Each valid image rank marks its position in a one-byte hit map, and
-    ``placed`` counts the ranks marked.  The codomain rows are hit exactly
-    once each when the hit map equals cod's indicator, no two ranks shared
-    a position (``placed`` equals the codomain's row count) and no kept
-    source row has an invalid image.  Only a block that fails walks its
-    sources again, counting the hits of each position up to 2 in one byte,
-    to name the failure.  Returns the number of source rows, the number of
-    codomain rows, and the first raw row found of each failure kind:
-    "moved" (a source row whose target the action changes), "collision",
-    "outside" (an image that is not a codomain row) and "uncovered".
+    Block p of a window is the product of its pair tables before p, cut to
+    the rows whose offset sum lies in one range (``_blocks``).  An action
+    changes one coordinate, so a row's image is the tuple of its pairs'
+    images (``_carry``), and its sum moves by dx when that coordinate is
+    before p.  The sources differ at most in one coordinate j's source
+    range (``_split_coordinate``), so a codomain row whose sum is a kept
+    image sum is hit by the product over its pairs of the source pairs that
+    reach each (``_cover``, over every source at j), times the number of
+    sources with block p when j >= p.  The rest of a block is one scalar
+    test.  So each failure kind is a row with given pair sets and sum
+    ranges, found by ``_first``, and the counts of rows are exact sums of
+    convolved counts (``_count``).
+
+    Returns the number of source rows, the number of codomain rows, and
+    the first raw row of each failure kind: "moved" (a source row whose
+    target the action changes), "outside" (the image of a source row that
+    is not a codomain row), "collision" and "uncovered" (codomain rows hit
+    twice or more, and not at all).  First is by p, then by source, then in
+    position order (w[0], x[0], w[1], x[1], ...).
     """
-    tables = {}
-    cod_blocks = _blocks(cod, tables)
-    sources = [(_blocks(spec, tables), a, {}) for spec, a in sources]
-    rows = size = 0
+    j = _split_coordinate(sources)
+    (s, a), t, c, n = sources[0], cod, sources[0][1].coord, cod.n
+    windows = [(t, None), *sources]
+    tables = {key: _table(*key) for key in dict.fromkeys(
+        r[:4] for spec, _ in windows for r in spec.ranges)}
+    blocks = [_blocks(spec) for spec, _ in windows]
+    carried = {(i, r): _carry(a, t, i, tables[r[:4]]) for i, r in dict.fromkeys(
+        (i, r) for spec, _ in sources for i, r in enumerate(spec.ranges))}
+    covers = [_cover(tables[t.ranges[i][:4]], [
+        image for spec, _ in (sources if i == j else sources[:1])
+        for image in carried[i, spec.ranges[i]][1]]) for i in range(n)]
     found = {}
 
-    def images(p, cb):
-        """Each part of each source block at p, with its action, the flags of
-        its positions, and the position in cb of each kept row's image."""
-        for blocks, a, lookups in sources:
-            db = blocks.get(p)
-            if db is None:
-                continue
-            rank = _image_ranks(db, a, cb, lookups)
-            for part in db.parts():
-                keep = part.indicator()
-                ranks = rank(part)
-                if not keep.all():
-                    ranks = ranks[keep]
-                yield a, part, keep, ranks
+    def note(kind, spec, p, axes, span, swaps=(), spans=(), image=lambda raw: raw):
+        """Record as ``kind`` the first row of block p of ``spec``, over the
+        rows with axis i swapped for the runs of an (i, runs) of ``swaps``
+        and sum in ``span``, and those with no swap and sum in ``spans``."""
+        queries = [(axes[:i] + [runs] + axes[i + 1:], span) for i, runs in swaps if runs]
+        rows = [row for x, (lo, hi) in queries + [(axes, r) for r in spans]
+                if kind not in found and (row := _first(x, lo, hi)) is not None]
+        if rows:
+            found[kind] = image(_raw(spec, p, min(rows)))
 
-    for p in range(cod.n + 1):
-        cb = cod_blocks.get(p)
-        cod_parts = list(cb.parts()) if cb else []
-        spans = [slice(q.start, q.start + q.size) for q in cod_parts]
-        member = np.zeros(sum(q.size for q in cod_parts), dtype=bool)
-        for q, span in zip(cod_parts, spans):
-            member[span] = q.indicator()
-        members = int(np.count_nonzero(member))
-        size += members
-        hit = np.zeros(len(member), dtype=bool)
-        placed = 0
-        for a, part, keep, ranks in images(p, cb):
-            rows += len(ranks)
-            if "moved" not in found:
-                r = _first_moved(part, a, keep)
-                if r is not None:
-                    found["moved"] = part.rows([r])[0]
-            bad = ranks < 0
-            if bad.any():
-                if "outside" not in found:
-                    r = int(np.flatnonzero(keep)[np.argmax(bad)])
-                    found["outside"] = a.row(part.rows([r])[0])
-                ranks = ranks[~bad]
-            hit[ranks] = True
-            placed += len(ranks)
-        if placed != members or not all(np.array_equal(hit[s], member[s]) for s in spans):
-            counts = np.zeros(len(member), dtype=np.uint8)
-            for *_, ranks in images(p, cb):
-                at, hits = np.unique(ranks[ranks >= 0], return_counts=True)
-                counts[at] = np.minimum(counts[at] + np.minimum(hits, 2), 2)
-            for kind, where in (("collision", lambda c, m: (c > 1) & m),
-                                ("outside", lambda c, m: (c > 0) & ~m),
-                                ("uncovered", lambda c, m: (c == 0) & m)):
-                for span in spans:
-                    if kind in found:
-                        break
-                    flags = where(counts[span], member[span])
-                    if flags.any():
-                        found[kind] = cb.rows([span.start + int(np.argmax(flags))])[0]
-    return rows, size, found
+    for p in range(n + 1):
+        have = [(spec, b[p]) for (spec, _), b in zip(sources, blocks[1:]) if p in b]
+        kept, box = have[0][1] if have else None, blocks[0].get(p)
+        shift = a.dx if c < p else 0
+        fits = (box and not ((c > p and a.dx) or (c >= p and a.pin))  # stays in the tail
+                and (p == n or not t.z - s.z + a.dx)  # the forced offset is t's
+                and (p or not _degree_gap(a, t, -s.z)))  # the p = 0 degree is t's
+        for spec, _ in have:
+            axes = [tables[r[:4]] for r in spec.ranges[:p]]
+            if c < p:
+                moves = [r for r in axes[c] if a.dx + a.source(r[0]) != r[0]]
+                note("moved", spec, p, axes, kept, [(c, moves)])
+            elif a.pin:  # an infinite source pinned to 0
+                note("moved", spec, p, axes, kept, spans=[kept])
+            lost = [(i, carried[i, r][0]) for i, r in enumerate(spec.ranges[:p])]
+            note("outside", spec, p, axes, kept, lost if fits else (), _without(
+                kept, (box[0] - shift, box[1] - shift)) if fits else [kept], a.row)
+        if not box:
+            continue
+        axes = [tables[r[:4]] for r in t.ranges[:p]]
+        times = len(have) if j is None or j >= p else min(len(have), 1)
+        # the sums of the images that land in the box; (1, 0) is the empty range
+        image = (kept[0] + shift, kept[1] + shift) if fits and times else (1, 0)
+        note("uncovered", t, p, axes, box, [(i, cover[0]) for i, cover in enumerate(covers[:p])],
+             _without(box, image))
+        both = (max(box[0], image[0]), min(box[1], image[1]))
+        note("collision", t, p, [cover[1] for cover in covers[:p]], both,
+             [(i, cover[2]) for i, cover in enumerate(covers[:p])] if times == 1 else (),
+             [both] if times > 1 else ())
+    counts = [_count(spec, b) for (spec, _), b in zip(windows, blocks)]
+    return sum(counts[1:]), counts[0], found
 
 
 def _element_json(raw):

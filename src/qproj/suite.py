@@ -300,7 +300,8 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=DEFAULT_WINDOW):
     for kind, n, k, j, l in checks:
         sources, cod = groupoid._check_setup(kind, n, k, j, l, window)
         for spec in [cod, *(spec for spec, _ in sources)]:
-            groupoid._block_sizes(spec)
+            for r in spec.ranges:
+                groupoid._axis_size(*r[:4])
     return [groupoid.verify_partition(n, k, j, window) if kind == "partition"
             else groupoid.verify_bijection(kind, n, k=k, j=j, l=l, window=window)
             for kind, n, k, j, l in checks]
@@ -433,7 +434,9 @@ def effective_jobs(requested=None):
 
 
 def run_all(seed=DEFAULT_SEED, jobs=None):
-    """Every family in order; fan out over processes when jobs > 1."""
+    """Every family in order; fan out over processes when jobs > 1.  The
+    seed is checked before any family runs."""
+    integer(seed, "random seed", error=OutOfRange)
     jobs = effective_jobs(jobs)
     if jobs <= 1:
         return [r for name in GROUP_NAMES for r in run_group(name, seed)]

@@ -159,16 +159,18 @@ class TestValidationExitCode:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [("--n", "5"), ("--n", "5", "--map", "gamma", "--k", "1"),
+    @pytest.mark.parametrize("argv", [("--n", "1", "--window", "500"),
+                                      ("--n", "3", "--map", "gamma", "--k", "1",
+                                       "--window", "500"),
                                       ("--n", "1", "--map", "t", "--window", "1000000")],
                              ids=" ".join)
     def test_oversized_window_is_refused(self, capsys, argv):
-        """The library's default window is too large from n = 5 on, and a window of
-        10**6 at n = 1: one error line, before any table is built."""
+        """A window of 500 or of 10**6 has a pair table of more than 2**18
+        pairs: one error line, before any table is built."""
         code, out, err = run_cli(capsys, "groupoid-verify", *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: a window block of ") and len(err.splitlines()) == 1
-        assert "exceeds the limit of 536870912" in err
+        assert err.startswith("error: a window coordinate of ") and len(err.splitlines()) == 1
+        assert "exceeds the limit of 262144" in err
 
 
 class TestVerifiers:
@@ -186,6 +188,15 @@ class TestVerifiers:
         blob = json.loads(out)
         assert set(blob) == REPORT_KEYS
         assert blob["check"] == "partition" and blob["pass"]
+
+    def test_n4_sweep_matches_committed_digest(self, capsys):
+        """The 256 records of the n = 4 sweep at the default window, checked
+        per axis, are the bytes committed in tests/groupoid_verify_n4.sha256."""
+        code, out, _ = run_cli(capsys, "groupoid-verify", "--n", "4", "--format", "json")
+        digest, *argv = (REPO / "tests" / "groupoid_verify_n4.sha256").read_text().split()
+        assert argv == ["groupoid-verify", "--n", "4", "--format", "json"]
+        assert code == 0 and len(out.splitlines()) == 256
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_all_maps_small(self, capsys):
         code, out, _ = run_cli(capsys, "groupoid-verify", "--n", "1",
@@ -397,13 +408,15 @@ CALCULATOR_COMMANDS = [
     ("k0", "--n", "3", "--exactness"),
     ("linebundle", "--n", "2", "--k", "3"),
     ("oracle-verify", "--n-max", "2", "--k-max", "4"),
+    ("groupoid-verify", "--n", "2"),
     ("--help",),
 ]
 
 
 class TestCalculatorsWithoutNumpy:
-    """The calculators, oracle-verify and the package import never load
-    numpy, the groupoid engine or the process pool."""
+    """The calculators, oracle-verify, groupoid-verify and the package
+    import never load numpy; the package import and the calculators load
+    no groupoid engine or process pool either."""
 
     @pytest.mark.parametrize("argv", CALCULATOR_COMMANDS, ids=" ".join)
     def test_same_output_with_numpy_blocked(self, argv):

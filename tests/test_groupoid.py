@@ -3,8 +3,8 @@
 import dataclasses
 import itertools
 
-import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from qproj import suite
 from qproj.errors import (
@@ -21,20 +21,18 @@ from qproj.groupoid import (
     GroupoidElement,
     TElement,
     _Action,
-    _Axis,
-    _Run,
     _axis_size,
-    _block_sizes,
     _blocks,
     _check_setup,
     _first_inf,
-    _first_moved,
     _image_check,
-    _image_ranks,
     _iter_raw,
     _partition_setup,
+    _put,
     _recoord,
+    _split_coordinate,
     _stratum_spec,
+    _table,
     canonicalize,
     compose,
     enumerate_stratum,
@@ -187,7 +185,7 @@ def reference_tally(n, k, window):
 
 
 def box_rows(spec):
-    """The rows of a window by brute force, independent of the rank engine:
+    """The rows of a window by brute force, independent of the image check:
     every offset vector and source in the window's box, the source
     collapsed after its first inf, kept when it is a groupoid element,
     primed in a sheared window."""
@@ -243,82 +241,50 @@ def reference_partition(n, k, j, window):
     return len(full_rows), len(piece_rows), ok
 
 
-def rank_row(block, raw):
-    """Position of a raw row in a block or part, or None when no position
-    holds it.  Each free coordinate's pair is searched for entry by entry in
-    its pair table or run, so the ranking shares no code with the engine's
-    lookups; the degree and the forced offset are then checked."""
-    z, x, w = raw
-    s, p = block.spec, block.p
-    if _first_inf(w) != p or any(v is not INF for v in w[p:]) or any(x[p + 1:]):
-        return None
-    r = 0
-    for a, stride, xi, wi in zip(block.axes, block.strides, x, w):
-        entries = np.flatnonzero((a.x == xi) & (a.w == wi))
-        if not len(entries):
-            return None
-        r += int(entries[0]) * stride
-    if z != (s.z + x[0] if s.shear else s.z):
-        return None
-    if p < s.n and x[p] != -s.z - sum(x[:p]):
-        return None
-    return r
+def position(raw):
+    """The sort key of a raw row in its window: its block p, then
+    (w[0], x[0], ..., w[p-1], x[p-1]), the pair-table order."""
+    _, x, w = raw
+    p = _first_inf(w)
+    return p, [(w[i], x[i]) for i in range(p)]
 
 
-def reference_image_check(sources, cod):
-    """The image check as it counted images before the hit map: int64
-    ``np.bincount`` counts of the valid image ranks, compared with the
-    codomain's indicator.  Returns the same (rows, size, found) triple.
+def element_image_check(sources, cod):
+    """The image check from the rows of ``box_rows`` alone, as the same
+    (rows, size, found) triple.
 
-    It shares no pair table and no lookup with the engine.  Each window's
-    blocks are built on tables of their own, so no coordinate is its own
-    lookup.  Up to n = 2 the image of each kept row is ranked one row at a
-    time by ``rank_row``; at n = 3 by ``_image_ranks`` with no lookups kept
-    between block pairs."""
-    cod_blocks = _blocks(cod)
-    sources = [(_blocks(spec), a) for spec, a in sources]
-    rows = size = 0
+    Each source row is mapped by its action, in order of block, then
+    source, then position.  Its image is a codomain row when it is one of
+    the codomain's rows with the same first infinite source: pinning an
+    infinite source moves its target, and its image counts as outside.
+    "moved" and "outside" name the first source row whose target moves and
+    the image of the first one that is not a codomain row; "collision" and
+    "uncovered" the first codomain row, in position order, hit twice or
+    more and not at all."""
+    codomain = sorted(box_rows(cod), key=position)
+    hits = dict.fromkeys(codomain, 0)
+    rows = sorted((((position(raw)[0], i, position(raw)[1]), raw, action)
+                   for i, (spec, action) in enumerate(sources) for raw in box_rows(spec)),
+                  key=lambda row: row[0])
     found = {}
-    for p in range(cod.n + 1):
-        cb = cod_blocks.get(p)
-        member = cb.indicator() if cb else np.zeros(0, dtype=bool)
-        size += int(np.count_nonzero(member))
-        counts = np.zeros(len(member), dtype=np.int64)
-        for blocks, a in sources:
-            db = blocks.get(p)
-            if db is None:
-                continue
-            keep = db.indicator()
-            if cod.n <= 2:
-                images = [a.row(raw) for raw in db.rows(np.flatnonzero(keep))]
-                ranks = [None if cb is None else rank_row(cb, raw) for raw in images]
-                ranks = np.array([-1 if r is None else r for r in ranks], dtype=np.int64)
-            else:
-                ranks = _image_ranks(db, a, cb)(db)[keep]
-            rows += len(ranks)
-            if "moved" not in found:
-                r = _first_moved(db, a, keep)
-                if r is not None:
-                    found["moved"] = db.rows([r])[0]
-            bad = ranks < 0
-            if bad.any():
-                if "outside" not in found:
-                    r = int(np.flatnonzero(keep)[np.argmax(bad)])
-                    found["outside"] = a.row(db.rows([r])[0])
-                ranks = ranks[~bad]
-            counts += np.bincount(ranks, minlength=len(member))
-        if not np.array_equal(counts, member):
-            for kind, hit in (("collision", (counts > 1) & member),
-                              ("outside", (counts > 0) & ~member),
-                              ("uncovered", (counts == 0) & member)):
-                if kind not in found and hit.any():
-                    found[kind] = cb.rows([int(np.argmax(hit))])[0]
-    return rows, size, found
+    for _, raw, action in rows:
+        image = action.row(raw)
+        if raw_target(image) != raw_target(raw):
+            found.setdefault("moved", raw)
+        if image in hits and _first_inf(image[2]) == _first_inf(raw[2]):
+            hits[image] += 1
+        else:
+            found.setdefault("outside", image)
+    for kind, test in (("collision", lambda k: k > 1), ("uncovered", lambda k: k == 0)):
+        first = next((raw for raw in codomain if test(hits[raw])), None)
+        if first is not None:
+            found[kind] = first
+    return len(rows), len(codomain), found
 
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Check every ``_image_check`` call against ``reference_image_check``;
+    """Check every ``_image_check`` call against ``element_image_check``;
     yields the list of checked calls."""
     import qproj.groupoid as G
 
@@ -327,35 +293,47 @@ def engine_calls(monkeypatch):
     def checked(sources, cod):
         got = real(sources, cod)
         calls.append(got)
-        assert got == reference_image_check(sources, cod), (sources, cod)
+        assert got == element_image_check(sources, cod), (sources, cod)
         return got
 
     monkeypatch.setattr(G, "_image_check", checked)
     yield calls
 
 
+def cut_into_parts(sources, size):
+    """Each source window cut along coordinate 0 into parts of at most
+    ``size`` source values, in place and in order, the last part of each
+    keeping its infinite source.  The rows of a block keep their order,
+    since position order starts with w[0]; a list whose windows already
+    differ at another coordinate is left whole."""
+    if _split_coordinate(sources) not in (None, 0):
+        return sources
+    parts = []
+    for spec, action in sources:
+        r = spec.ranges[0]
+        cuts = [r._replace(w_lo=lo, w_hi=min(lo + size - 1, r.w_hi), w_inf=False)
+                for lo in range(r.w_lo, r.w_hi + 1, size)] or [r]
+        cuts[-1] = cuts[-1]._replace(w_inf=r.w_inf)
+        parts += [(dataclasses.replace(spec, ranges=_put(spec.ranges, 0, q)), action)
+                  for q in cuts]
+    return parts
+
+
 @pytest.fixture(params=[1, 7])
 def small_parts(request, monkeypatch):
-    """Parts of 1 and of 7 positions, so that part boundaries fall inside
-    the small windows of the tests."""
+    """Every image check run on its source windows cut into parts of 1 and
+    of 7 source values, so that each map goes through the count over
+    several sources that the partition uses."""
     import qproj.groupoid as G
 
-    monkeypatch.setattr(G, "_CHUNK", request.param)
+    real = G._image_check
+    monkeypatch.setattr(G, "_image_check", lambda sources, cod: real(
+        cut_into_parts(sources, request.param), cod))
     return request.param
 
 
 def box_keys(spec):
     return {raw_key(r) for r in box_rows(spec)}
-
-
-def window_positions(spec):
-    """Global position of every block start, and the window's indicator."""
-    offsets, flags, start = {}, [], 0
-    for p, block in _blocks(spec).items():
-        offsets[p] = start
-        flags.append(block.indicator())
-        start += block.size
-    return offsets, np.concatenate(flags)
 
 
 class TestMembership:
@@ -717,71 +695,32 @@ class TestEnumeration:
     ]
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
-    def test_array_engine_matches_reference(self, n, z, kw):
+    def test_enumeration_lists_box_rows_in_position_order(self, n, z, kw):
+        # block by block, each block in pair-table order (w[0], x[0], ...)
         spec = spec_with(n, z, 3, **kw)
-        reference = box_rows(spec)
-        blocks = _blocks(spec)
-        offsets, indicator = window_positions(spec)
-        ranked = []
-        for raw in reference:
-            p = _first_inf(raw[2])
-            r = rank_row(blocks[p], raw)
-            assert r is not None, raw
-            ranked.append((offsets[p] + r, raw))
-        ranked.sort()
-        positions = [pos for pos, _ in ranked]
-        # distinct positions, all flagged, and nothing else
-        assert len(set(positions)) == len(positions)
-        assert indicator[positions].all()
-        assert int(indicator.sum()) == len(reference)
-        # unranking every flagged position gives back the rows in rank
-        # order, and the element-level enumeration lists them in that order
-        unranked = []
-        for p, block in blocks.items():
-            for r in np.flatnonzero(block.indicator()):
-                unranked.append(block.rows([int(r)])[0])
-        in_rank_order = [raw_key(raw) for _, raw in ranked]
-        assert [raw_key(r) for r in unranked] == in_rank_order
-        assert [raw_key(r) for r in _iter_raw(spec)] == in_rank_order
+        assert list(_iter_raw(spec)) == sorted(box_rows(spec), key=position)
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
-    def test_one_position_parts_keep_rank_order(self, monkeypatch, n, z, kw):
-        import qproj.groupoid as G
-
-        monkeypatch.setattr(G, "_CHUNK", 1)
-        self.test_array_engine_matches_reference(n, z, kw)
+    def test_identity_check_counts_box_rows(self, n, z, kw):
+        # the window into itself under the identity: every row hit once
+        spec = spec_with(n, z, 3, **kw)
+        identity = _Action(z=spec.z, shear=spec.shear)
+        size = len(box_rows(spec))
+        assert _image_check([(spec, identity)], spec) == (size, size, {})
 
     @pytest.mark.parametrize("chunk", [1, 7, 30])
     @pytest.mark.parametrize("n,z,kw", SPECS)
-    def test_parts_tile_the_block(self, monkeypatch, chunk, n, z, kw):
-        # consecutive parts of at most _CHUNK positions, each ranking,
-        # unranking and flagging its positions as the block does
-        import qproj.groupoid as G
-
-        monkeypatch.setattr(G, "_CHUNK", chunk)
-        for block in _blocks(spec_with(n, z, 3, **kw)).values():
-            parts = list(block.parts())
-            assert [q.start for q in parts] == list(itertools.accumulate(
-                [0] + [q.size for q in parts[:-1]]))
-            assert sum(q.size for q in parts) == block.size
-            assert parts == [block] or all(q.size <= chunk for q in parts)
-            assert np.array_equal(np.concatenate([q.indicator() for q in parts]),
-                                  block.indicator())
-            for q in parts:
-                everywhere = list(range(q.size))
-                assert q.rows(everywhere) == block.rows([q.start + r for r in everywhere])
-                assert [rank_row(q, row) for row in q.rows(everywhere)] == everywhere
-
-    @pytest.mark.parametrize("n,z,kw", SPECS)
-    def test_table_ranks_match_row_ranks(self, n, z, kw):
-        # the outer-sum ranking of the identity map, the p = 0 block
-        # included, equals row-by-row ranking
+    def test_parts_tile_the_block(self, chunk, n, z, kw):
+        # cut into parts along coordinate 0, each block lists the parts'
+        # rows of that block in order, and the identity from the parts into
+        # the window hits every row once
         spec = spec_with(n, z, 3, **kw)
         identity = _Action(z=spec.z, shear=spec.shear)
-        for block in _blocks(spec).values():
-            everywhere = list(range(block.size))
-            assert [rank_row(block, row) for row in block.rows(everywhere)] == everywhere
-            assert _image_ranks(block, identity, block)(block).tolist() == everywhere
+        parts = cut_into_parts([(spec, identity)], chunk)
+        listed = [raw for part, _ in parts for raw in _iter_raw(part)]
+        assert sorted(listed, key=lambda raw: _first_inf(raw[2])) == list(_iter_raw(spec))
+        size = len(box_rows(spec))
+        assert _image_check(parts, spec) == (size, size, {})
 
     def test_window_type(self):
         assert len(enumerate_stratum(1, 0, window=2)) == 13
@@ -808,7 +747,7 @@ class TestShearedWindow:
         # every gamma row of the default sweep, and at n = 4
         for n, k in itertools.product(range(1, 5), range(-4, 5)):
             [(dom, _)], cod = _check_setup("gamma", n, k, None, None, 8)
-            assert _block_sizes(cod) == _block_sizes(dom), (n, k)
+            assert _blocks(cod) == _blocks(dom), (n, k)
 
 
 class TestVerifiers:
@@ -882,16 +821,18 @@ class TestVerifiers:
         assert len(engine_calls) == len(reports)
 
     def test_engine_matches_counting_reference_at_n3(self, engine_calls):
-        reports = ([verify_bijection("gamma", 3, k=k, window=3) for k in range(-4, 5)]
-                   + [verify_bijection("theta-shift", 3, k=k, j=j, window=3)
+        reports = ([verify_bijection("gamma", 3, k=k, window=2) for k in range(-4, 5)]
+                   + [verify_bijection("theta-shift", 3, k=k, j=j, window=2)
                       for k in range(1, 5) for j in range(3)])
         assert all(r.passed for r in reports)
         assert len(engine_calls) == len(reports)
 
-    def test_huge_values_are_refused(self):
-        # offsets near 2**62 would wrap int64 sums; refused, never ranked
-        with pytest.raises(OutOfRange):
-            verify_bijection("theta-shift", 3, k=2 ** 62, j=0, window=1)
+    def test_huge_values_are_decided(self):
+        # offsets near 2**62 would wrap int64 sums; Python ints count them
+        report = verify_bijection("theta-shift", 3, k=2 ** 62, j=0, window=1)
+        assert report.passed, report.to_json()
+        sizes = reference_bijection("theta-shift", 3, k=2 ** 62, j=0, window=1)
+        assert (report.domain_size, report.image_size, True) == sizes
 
     def test_failure_path_reports_counterexample(self, monkeypatch):
         # force a mispaired codomain window: the identity action into a
@@ -911,9 +852,9 @@ class TestVerifiers:
 
 @pytest.mark.usefixtures("small_parts")
 class TestVerifiersInParts(TestVerifiers):
-    """Every verifier test, the engine against the whole-block reference
-    and the failure path included, with part boundaries inside the
-    windows."""
+    """Every verifier test, the engine against the element-level reference
+    and the failure path included, with each source window cut into
+    parts."""
 
 
 def test_each_map_carries_its_domain_window_onto_its_codomain(monkeypatch):
@@ -971,41 +912,58 @@ class TestWindowEdges:
         assert report.passed, report.to_json()
         assert (report.domain_size, report.image_size) == (full_size, piece_size)
 
+    def test_the_windows_once_refused_are_decided(self):
+        # n = 5 at the default window: blocks of up to 2.2e10 rows
+        assert verify_partition(5, 4, 0, window=8).passed
+        report = verify_bijection("gamma", 5, k=1, window=8)
+        assert report.passed and report.domain_size == report.image_size > 2 * 10 ** 10
+
     @pytest.mark.parametrize("call", [
-        lambda: verify_partition(5, 4, 0, window=8),
-        lambda: verify_bijection("gamma", 5, k=1, window=8),
         lambda: enumerate_stratum(5, 1, window=8),
-    ], ids=["partition n=5", "gamma n=5", "enumeration n=5"])
+        lambda: enumerate_stratum(2, 0, window=30),
+    ], ids=["enumeration n=5", "enumeration n=2 W=30"])
     def test_oversized_block_refused(self, call):
-        """A block too large to check in memory is refused before any array
-        of its size is built."""
+        """A block too large to list is refused before any row is listed."""
         with pytest.raises(OutOfRange, match=r"block of \d+ positions exceeds "
-                                              r"the limit of 536870912"):
+                                              r"the limit of 262144"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: verify_partition(1, 1, 0, window=500),
+        lambda: verify_bijection("gamma", 3, k=1, window=500),
+        lambda: windowed_terminal_counts(1, 1, window=500),
+    ], ids=["partition", "gamma", "terminal tally"])
+    def test_oversized_table_refused(self, call):
+        """A pair table over the limit is refused, counted before it is built."""
+        with pytest.raises(OutOfRange, match=r"coordinate of \d+ pairs exceeds "
+                                              r"the limit of 262144"):
             call()
 
     def test_axis_size_counts_the_pair_table(self):
-        """The closed-form count equals the built table's size on every range
-        with bounds in -6..6, empty ranges included."""
+        """The closed-form count equals the number of pairs, and the table
+        lists them in (w, x) order, on every range with bounds in -6..6,
+        empty ranges included."""
         bounds = range(-6, 7)
-        for ranges in itertools.product(bounds, repeat=4):
-            assert _axis_size(*ranges) == _Axis(*ranges).size, ranges
+        for x_lo, x_hi, w_lo, w_hi in itertools.product(bounds, repeat=4):
+            pairs = [(x, w) for w in range(w_lo, w_hi + 1)
+                     for x in range(max(x_lo, -w), x_hi + 1)]
+            table = _table(x_lo, x_hi, w_lo, w_hi)
+            assert _axis_size(x_lo, x_hi, w_lo, w_hi) == len(pairs)
+            assert [(x, w) for w, lo, hi in table for x in range(lo, hi + 1)] == pairs
 
-    def test_memory_is_bounded_by_the_codomain_maps_and_one_part(self):
-        """A check holds at most three bytes per position of its largest
-        codomain block and 32 bytes per position of one part."""
+    def test_memory_does_not_grow_with_the_rows(self):
+        """A check holds its pair tables and a few runs per table row, not
+        its rows."""
         import tracemalloc
 
-        import qproj.groupoid as G
-
-        largest = max(_block_sizes(_partition_setup(3, 4, 0, 8)[0]).values())
         tracemalloc.start()
         try:
             report = verify_partition(3, 4, 0, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed
-        assert peak < 3 * largest + 32 * G._CHUNK
+        assert report.passed and report.domain_size > 2 * 10 ** 6
+        assert peak < 64 * 1024
 
     def test_oversized_sweep_is_refused_before_any_check_runs(self, monkeypatch):
         import qproj.groupoid as G
@@ -1014,71 +972,61 @@ class TestWindowEdges:
         calls = []
         real = G._image_check
         monkeypatch.setattr(G, "_image_check", lambda *a: calls.append(a) or real(*a))
-        with pytest.raises(OutOfRange, match="exceeds the limit of 536870912"):
-            suite.groupoid_checks(n_max=5)
+        with pytest.raises(OutOfRange, match="exceeds the limit of 262144"):
+            suite.groupoid_checks(n_max=1, window=500)
         assert calls == []
 
     def test_block_limit_admits_a_block_of_its_size(self, monkeypatch):
+        # the one limit bounds a listed block and a pair table
         import qproj.groupoid as G
 
-        largest = max(b.size for b in _blocks(_partition_setup(2, 1, 0, 2)[0]).values())
-        monkeypatch.setattr(G, "_BLOCK_LIMIT", largest)
+        sources, cod = _check_setup("partition", 2, 1, 0, None, 2)
+        largest = max(_axis_size(*r[:4]) for spec in [cod, *(s for s, _ in sources)]
+                      for r in spec.ranges)
+        monkeypatch.setattr(G, "_LIMIT", largest)
         assert verify_partition(2, 1, 0, 2).passed
-        monkeypatch.setattr(G, "_BLOCK_LIMIT", largest - 1)
-        with pytest.raises(OutOfRange, match=f"block of {largest} positions"):
+        monkeypatch.setattr(G, "_LIMIT", largest - 1)
+        with pytest.raises(OutOfRange, match=f"coordinate of {largest} pairs"):
             verify_partition(2, 1, 0, 2)
+        block = _axis_size(-2, 2, 0, 2) ** 2  # the p = 2 block of n = 2, W = 2
+        monkeypatch.setattr(G, "_LIMIT", block)
+        assert len(enumerate_stratum(2, 0, window=2)) == len(box_rows(_stratum_spec(2, 0, 2)))
+        monkeypatch.setattr(G, "_LIMIT", block - 1)
+        with pytest.raises(OutOfRange, match=f"block of {block} positions"):
+            enumerate_stratum(2, 0, window=2)
 
 
 class TestSharedTables:
-    """One pair table per distinct range and one lookup per coordinate in a
-    check, on tables no window can write to."""
-
-    @staticmethod
-    def ranges(spec):
-        return [r[:4] for r in spec.ranges]
+    """One pair table per distinct range and one per-axis carry per source
+    range in a check, on tables no window can edit."""
 
     @pytest.mark.parametrize("kind,n,k,j,W", [
-        ("theta-shift", 6, 1, 2, 1),  # 12 tables and 20 lookups before sharing
-        ("gamma", 5, 2, None, 2),  # 10 and 15
-        ("partition", 5, 3, 1, 2),  # 25 and 57
+        ("theta-shift", 6, 1, 2, 1),  # 12 tables and 6 carries before sharing
+        ("gamma", 5, 2, None, 2),  # 10 and 5
+        ("partition", 5, 3, 1, 2),  # 25 and 20
     ])
     def test_tables_and_lookups_once_per_check(self, monkeypatch, kind, n, k, j, W):
         import qproj.groupoid as G
 
-        work = {"builds": 0, "lookups": 0}
-        build, index = _Axis.__init__, _Axis.index
-
-        def counted_build(self, *ranges):
-            work["builds"] += 1
-            build(self, *ranges)
-
-        def counted_index(self, x, w):
-            work["lookups"] += 1
-            return index(self, x, w)
-
-        monkeypatch.setattr(_Axis, "__init__", counted_build)
-        monkeypatch.setattr(_Axis, "index", counted_index)
+        builds, carries = [], []
+        table, carry = G._table, G._carry
+        monkeypatch.setattr(G, "_table", lambda *key: builds.append(key) or table(*key))
+        monkeypatch.setattr(G, "_carry", lambda a, t, i, runs: carries.append(
+            (i, runs)) or carry(a, t, i, runs))
         assert G._verify(kind, n, k, j, None, W).passed
         sources, cod = _check_setup(kind, n, k, j, None, W)
-        distinct = {r for spec in [cod, *(spec for spec, _ in sources)]
-                    for r in self.ranges(spec)}
-        needed = sum((i == a.coord and bool(a.dx or a.dw or a.pin))
-                     or self.ranges(spec)[i] != self.ranges(cod)[i]
-                     for spec, a in sources for i in range(n))
-        assert work["builds"] <= len(distinct)
-        assert work["lookups"] <= needed
+        distinct = {r[:4] for spec in [cod, *(spec for spec, _ in sources)]
+                    for r in spec.ranges}
+        assert sorted(builds) == sorted(distinct)
+        assert len(carries) == len({(i, r) for spec, _ in sources
+                                    for i, r in enumerate(spec.ranges)})
 
     def test_pair_tables_are_read_only(self):
         # the windows of one check share tables, so no window may edit one
-        sources, cod = _check_setup("theta-shift", 3, 1, 0, None, 2)
-        tables = {}
-        table = _blocks(cod, tables)[3].axes[1]
-        assert _blocks(sources[0][0], tables)[3].axes[1] is table
-        for view, names in ((table, ("x", "w", "start", "base")),
-                            (_Run(table, 1, 4), ("x", "w"))):
-            for name in names:
-                with pytest.raises(ValueError, match="read-only"):
-                    getattr(view, name)[0] += 1
+        table = _table(-2, 2, 0, 2)
+        assert table == ((0, 0, 2), (1, -1, 2), (2, -2, 2))
+        with pytest.raises(TypeError):
+            table[0] = (0, 0, 0)
 
 
 class TestMutations:
@@ -1086,7 +1034,7 @@ class TestMutations:
 
     @pytest.fixture(autouse=True)
     def against_reference(self, engine_calls):
-        # every broken case also gives the counting engine's triple
+        # every broken case also gives the element-level reference's triple
         yield
         assert engine_calls
 
@@ -1226,32 +1174,98 @@ class TestMutations:
 
     def test_collision_only_the_count_catches(self, monkeypatch):
         # the overlapping piece hits every row of the full window, one of
-        # them twice: the hit map equals the indicator, and only the number
-        # of images placed shows the overlap
+        # them twice: nothing is uncovered or outside, and only how often a
+        # pair is reached shows the overlap
         import qproj.groupoid as G
 
         full, pieces = _partition_setup(2, 2, 0, 3)
         pieces[0] = _recoord(_stratum_spec(2, 2, 3), 0, 0, (1, 5, True))
-        surplus = 0
-        for p, cb in _blocks(full).items():
-            member, hit = cb.indicator(), np.zeros(cb.size, dtype=bool)
-            for piece in pieces:
-                db = _blocks(piece).get(p)
-                if db is not None:
-                    ranks = _image_ranks(db, _Action(z=2), cb)(db)[db.indicator()]
-                    hit[ranks[ranks >= 0]] = True
-                    surplus += np.count_nonzero(ranks >= 0)
-            surplus -= np.count_nonzero(member)
-            assert np.array_equal(hit, member)
-        assert surplus > 0
+        piece_rows = [raw_key(r) for piece in pieces for r in box_rows(piece)]
+        assert set(piece_rows) == box_keys(full) and len(piece_rows) > len(box_keys(full))
+        _, _, found = _image_check([(piece, _Action(z=2)) for piece in pieces], full)
+        assert set(found) == {"collision"}
         monkeypatch.setattr(G, "_partition_setup", lambda *args: (full, pieces))
         report = G.verify_partition(2, 2, 0, window=3)
         assert report.counterexample["kind"] == "overlap"
 
 
+@pytest.mark.parametrize("change", [
+    lambda r: r._replace(w_hi=r.w_hi + 1),  # a second coordinate's source range
+    lambda r: r._replace(x_hi=r.x_hi - 1),  # an offset range: another kept range
+], ids=["source range", "offset range"])
+def test_sources_that_differ_twice_are_refused(change):
+    # the per-axis count needs the pieces to differ at one coordinate's
+    # source range only; any other list is refused, never guessed
+    full, pieces = _partition_setup(2, 2, 0, 3)
+    pieces[1] = dataclasses.replace(pieces[1], ranges=_put(
+        pieces[1].ranges, 1, change(pieces[1].ranges[1])))
+    with pytest.raises(OutOfRange, match="differ in one coordinate's source range"):
+        _image_check([(piece, _Action(z=2)) for piece in pieces], full)
+    with pytest.raises(OutOfRange, match="differ in one coordinate's source range"):
+        _image_check([(pieces[0], _Action(z=2)), (pieces[1], _Action(z=1))], full)
+
+
+@st.composite
+def broken_checks(draw):
+    """A check at n <= 2 and W <= 2 with one action field, one codomain
+    range or one source window changed, or a piece dropped or duplicated."""
+    n, W = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["partition", *MAP_IDS]))
+    k = j = l = None
+    if kind in ("partition", "theta-shift", "theta-peel"):
+        k, j = draw(st.integers(1, 3)), draw(st.integers(0, n - 1))
+    elif kind in ("theta-neg", "gamma"):
+        k = draw(st.integers(-3, 0 if kind == "theta-neg" else 3))
+    if kind in ("theta-peel", "theta-terminal"):
+        l = draw(st.integers(0, k - 1) if kind == "theta-peel" else st.integers(1, 3))
+    sources, cod = _check_setup(kind, n, k, j, l, W)
+
+    def changed(r):
+        field = draw(st.sampled_from(r._fields))
+        if field == "w_inf":
+            return r._replace(w_inf=not r.w_inf)
+        return r._replace(**{field: max(getattr(r, field) + draw(st.sampled_from([-1, 1])),
+                                        0 if field == "w_lo" else -99)})
+
+    how = draw(st.sampled_from(["action", "codomain", "widen", "drop", "duplicate"]))
+    i = draw(st.integers(0, len(sources) - 1))
+    if how == "action":
+        a, field = sources[0][1], draw(st.sampled_from(
+            ["z", "coord", "dx", "dw", "pin", "shear"]))
+        value = (draw(st.integers(0, n - 1)) if field == "coord"
+                 else not getattr(a, field) if field in ("pin", "shear")
+                 else getattr(a, field) + draw(st.sampled_from([-2, -1, 1, 2])))
+        sources = [(spec, dataclasses.replace(a, **{field: value})) for spec, _ in sources]
+    elif how == "codomain":
+        c = draw(st.integers(0, n - 1))
+        cod = dataclasses.replace(cod, ranges=_put(cod.ranges, c, changed(cod.ranges[c])))
+    elif how == "widen":
+        spec, a = sources[i]
+        c = j if kind == "partition" else draw(st.integers(0, n - 1))
+        r = spec.ranges[c]
+        r = draw(st.sampled_from([r._replace(w_lo=max(r.w_lo - 1, 0)),
+                                  r._replace(w_hi=r.w_hi + 1), r._replace(w_inf=True)]))
+        sources[i] = (dataclasses.replace(spec, ranges=_put(spec.ranges, c, r)), a)
+    elif how == "drop" and len(sources) > 1:
+        del sources[i]
+    elif how == "duplicate":
+        sources.insert(i, sources[i])
+    return sources, cod
+
+
+@seed(2019)
+@settings(max_examples=300, deadline=None)
+@given(broken_checks())
+def test_image_check_matches_elements(check):
+    """The per-axis check and the element-level reference give the same
+    rows, sizes and first row of each failure kind on broken checks."""
+    sources, cod = check
+    assert _image_check(sources, cod) == element_image_check(sources, cod)
+
+
 @pytest.mark.usefixtures("small_parts")
 class TestMutationsInParts(TestMutations):
-    """Every broken case with part boundaries inside the windows."""
+    """Every broken case with each source window cut into parts."""
 
 
 class TestTerminalTally:

@@ -12,12 +12,12 @@ Each operation mutant replaces one module function; it counts as caught
 when the family that should catch it, run by ``suite.run_group`` at its
 default ranges, gives a failing record of the expected check.
 
-Each engine mutant edits one line of one engine function; it counts as
-caught when the records of a small groupoid sweep, or the triple of an
-image check with a known overlap or of gamma with the shear dropped,
-change.  Every groupoid mutant is also
-run with blocks walked in parts of 7 positions, where it must be caught
-with the same records.
+Each engine mutant edits one line of one function of the image check; it
+counts as caught when the records of a small groupoid sweep, or the
+triple of an image check with a known overlap, of gamma with the shear
+dropped, or into a window with a narrower offset range, change.  Every
+groupoid mutant is also run with each source window cut into parts of
+one source value, where it must be caught with the same records.
 """
 
 import dataclasses
@@ -31,6 +31,7 @@ from qproj.errors import QprojError
 from qproj.extnat import INF
 from qproj.groupoid import MAP_IDS, enumerate_stratum
 from qproj.projections import RhoVector
+from test_groupoid import cut_into_parts
 
 # map id -> (change to its action, the only n it applies at or None,
 #            n_max of the sweep, probe: (n, degree, pins) of the elements and
@@ -99,9 +100,17 @@ def test_mutant_is_caught(monkeypatch, map_id):
     assert outputs(map_id, probe, params) != before
 
 
+def in_parts(monkeypatch):
+    """Run every image check from now on with its source windows cut into
+    parts of one source value."""
+    check = G._image_check
+    monkeypatch.setattr(G, "_image_check", lambda sources, cod: check(
+        cut_into_parts(sources, 1), cod))
+
+
 @pytest.mark.parametrize("map_id", sorted(MUTANTS))
 def test_mutant_is_caught_in_parts(monkeypatch, map_id):
-    # parts of 7 positions fail the same records, counterexamples included
+    # parts of one source value fail the same records, counterexamples included
     change, only_n, n_max, _, _ = MUTANTS[map_id]
     install(monkeypatch, map_id, change, only_n)
 
@@ -110,7 +119,7 @@ def test_mutant_is_caught_in_parts(monkeypatch, map_id):
         return [r.to_json() for r in reports if not r.passed]
 
     whole = failed()
-    monkeypatch.setattr(G, "_CHUNK", 7)
+    in_parts(monkeypatch)
     assert whole and failed() == whole
 
 
@@ -204,34 +213,39 @@ def test_operation_mutant_is_caught(monkeypatch, name):
 
 # mutant -> (the function it edits, the text it replaces, replacement)
 ENGINE_MUTANTS = {
-    # decide by the hit map alone: a row hit twice, with every row hit, passes
-    "no-placed-count": ("_image_check", "placed != members or ", ""),
-    # rank every position of a source block, rows of its window or not
-    "no-compress": ("_image_check", "if not keep.all():", "if False:"),
-    # rank the p = 0 image whatever its degree
-    "no-p0-degree-test": ("_image_ranks", "if not p and not _same_degree(a, t, -s.z):",
-                          "if False:"),
-    # rank every image of the free blocks whatever its degree
-    "no-coordinate-0-degree-test": ("_lookup", "if i == 0:", "if False:"),
+    # count no codomain pair as reached twice: an overlap goes unseen
+    "no-collision-test": ("_cover", "if depth > 1:", "if False:"),
+    # carry every pair of coordinate 0 whatever its image degree
+    "no-coordinate-0-degree-test": ("_carry", "if i == 0:", "if False:"),
+    # take the p = 0 image whatever its degree
+    "no-p0-degree-test": ("_image_check", "and (p or not _degree_gap(a, t, -s.z))",
+                          "and True"),
+    # compare no kept range of the source with the codomain's
+    "no-kept-range-test": ("_without", "if r[0] <= r[1]]", "if False]"),
 }
 
 
 def engine_probe():
     """Records of a small groupoid sweep, the image check of a partition
-    whose first piece overlaps the next one, and the image checks of gamma
-    with the shear dropped at k = 0 (only the free blocks' images leave the
-    codomain) and k = 1 (the p = 0 image leaves it first); or the type of
-    the exception raised."""
+    whose first piece overlaps the next one, the image checks of gamma with
+    the shear dropped at k = 0 (only the free blocks' images leave the
+    codomain) and k = 1 (the p = 0 image leaves it first), and the image
+    check of t into its window with coordinate 1's offsets cut to -3..0
+    (a kept range of block 1 shrinks); or the type of the exception raised."""
     full, pieces = G._partition_setup(2, 2, 0, 3)
     pieces[0] = G._recoord(G._stratum_spec(2, 2, 3), 0, 0, (1, 5, True))
+    [(window, identity)], _ = G._check_setup("t", 2, None, None, None, 3)
+    narrow = dataclasses.replace(window, ranges=G._put(
+        window.ranges, 1, window.ranges[1]._replace(x_hi=0)))
     try:
         overlap = G._image_check([(piece, G._Action(z=2)) for piece in pieces], full)
         unsheared = []
         for k in (0, 1):
             [(dom, _)], cod = G._check_setup("gamma", 2, k, None, None, 3)
             unsheared.append(G._image_check([(dom, G._Action(z=k))], cod))
+        narrowed = G._image_check([(window, identity)], narrow)
         records = [r.to_json() for r in suite.groupoid_checks(n_max=2, window=3)]
-        return records, overlap, unsheared
+        return records, overlap, unsheared, narrowed
     except Exception as err:  # a crash is caught too: verify-all exits 1
         return type(err)
 
@@ -255,13 +269,11 @@ def test_engine_mutant_is_caught(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(ENGINE_MUTANTS))
 def test_engine_mutant_is_caught_in_parts(monkeypatch, name):
-    # with parts of 7 positions the mutant gives the probe it gives on whole
-    # blocks, and the real engine does not
-    function, mutant = engine_mutant(name)
-    real = getattr(G, function)
-    monkeypatch.setattr(G, function, mutant)
+    # with parts of one source value the mutant gives the probe it gives on
+    # whole windows, and the real check does not
+    monkeypatch.setattr(G, *engine_mutant(name))
     whole = engine_probe()
-    monkeypatch.setattr(G, "_CHUNK", 7)
+    in_parts(monkeypatch)
     caught = engine_probe()
-    monkeypatch.setattr(G, function, real)
+    monkeypatch.undo()
     assert caught == whole and caught != engine_probe()

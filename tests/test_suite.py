@@ -161,6 +161,19 @@ class TestRunAll:
         assert [r.check for r in reports] == ["rho-injectivity", "hockey-stick"]
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_seed_is_refused_before_any_family_runs(self, monkeypatch, jobs):
+        # an unseeded sweep used to run nine families before the random one
+        # refused it
+        calls = []
+        monkeypatch.setattr(suite, "_FAMILIES", {
+            name: (lambda *args, name=name: calls.append(name) or [])
+            for name in suite.GROUP_NAMES})
+        monkeypatch.delenv("QPROJ_JOBS", raising=False)
+        with pytest.raises(OutOfRange, match="random seed must be an integer"):
+            suite.run_all(seed=None, jobs=jobs)
+        assert calls == []
+
     def test_jobs_do_not_change_records(self, monkeypatch):
         monkeypatch.delenv("QPROJ_JOBS", raising=False)
         serial = [r.to_json() for r in suite.run_all(jobs=1)]
