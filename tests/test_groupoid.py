@@ -701,6 +701,15 @@ class TestEnumeration:
         assert list(_iter_raw(spec)) == sorted(box_rows(spec), key=position)
 
     @pytest.mark.parametrize("n,z,kw", SPECS)
+    def test_one_position_parts_keep_rank_order(self, n, z, kw):
+        # cut into parts of one value of w[0], each part lists its own box
+        # rows in position order
+        spec = spec_with(n, z, 3, **kw)
+        identity = _Action(z=spec.z, shear=spec.shear)
+        for part, _ in cut_into_parts([(spec, identity)], 1):
+            assert list(_iter_raw(part)) == sorted(box_rows(part), key=position)
+
+    @pytest.mark.parametrize("n,z,kw", SPECS)
     def test_identity_check_counts_box_rows(self, n, z, kw):
         # the window into itself under the identity: every row hit once
         spec = spec_with(n, z, 3, **kw)
