@@ -22,9 +22,9 @@ classification:
 
 Every public name is resolved on first use (PEP 562), from the one table
 below of the names each submodule exports: ``import qproj`` loads no
-submodule, so the calculators load neither numpy nor the oracle, while
-``qproj.<name>``, ``__all__`` and ``from qproj import *`` work as for an
-eagerly imported name.
+submodule, so the calculators load neither the oracle nor the groupoid
+engine, while ``qproj.<name>``, ``__all__`` and ``from qproj import *``
+work as for an eagerly imported name.  No submodule imports numpy.
 """
 
 import importlib

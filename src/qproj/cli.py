@@ -216,8 +216,8 @@ def _emit_reports(args, reports):
     return 0 if all(r.passed for r in reports) else 2
 
 
-# Only the verifiers import groupoid and suite, and only verify-all's monoid
-# and cancellation families numpy, so the calculators start without them.
+# Only the verifiers import suite, and only groupoid-verify and verify-all
+# groupoid, so the calculators start without them.
 
 def _cmd_groupoid_verify(args):
     from . import groupoid, suite

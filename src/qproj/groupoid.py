@@ -313,6 +313,12 @@ class _WindowSpec:
     ranges: tuple
     shear: bool = False
 
+    def __post_init__(self):
+        for c, r in enumerate(self.ranges):
+            if r.w_lo < 0:
+                raise OutOfRange(f"window sources are non-negative, got w_lo={r.w_lo} "
+                                 f"at coordinate {c}")
+
     @property
     def n(self):
         return len(self.ranges)

@@ -3,16 +3,18 @@
 Each function runs one family of checks over its documented default
 ranges and returns VerifyReport records; ``run_all`` strings every family
 together (plus seeded randomized supplements) and is what the command
-line front end and the acceptance tests drive.
+line front end and the acceptance tests drive.  Each family imports the
+modules it checks, beyond ``projections``, when it runs, so that importing
+``suite`` for its defaults loads no other check's code.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-import random
 
-from . import k_theory, line_bundles, oracle, projections
+from . import projections
 from .errors import OutOfRange, integer
 from .reports import VerifyReport
 
@@ -70,8 +72,6 @@ def monoid_checks(n_max=5, k_max=20):
     """Diagonal-sum law, commutativity, associativity, and rho additivity,
     exhaustively over every ambient index up to n_max and multiplicity up
     to k_max."""
-    import numpy as np
-
     integer(n_max, "monoid n_max", 0, error=OutOfRange)
     integer(k_max, "monoid k_max", 0, error=OutOfRange)
     law_bad = add_bad = None
@@ -90,9 +90,10 @@ def monoid_checks(n_max=5, k_max=20):
 
         rhos = [projections.rho(p) for p in stock]
         mb = len(base)
-        prod = np.zeros((mb, mb), dtype=np.int32)
-        for a_i, a in enumerate(base):
-            for b_i, b in enumerate(base):
+        prod = []  # prod[a_i][b_i]: the stock id of base[a_i] + base[b_i]
+        for a in base:
+            row = []
+            for b in base:
                 c = projections.boxplus(a, b)
                 # the statement of the law, spelled out
                 if a.is_zero:
@@ -108,23 +109,37 @@ def monoid_checks(n_max=5, k_max=20):
                 if (c.j, c.k) != want and law_bad is None:
                     law_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
                                "got": c.to_json(), "want": list(want)}
-                c_i = prod[a_i, b_i] = ids[(c.j, c.k)]
+                c_i = ids[(c.j, c.k)]
+                row.append(c_i)
                 # a sum over another ambient index is not stock[c_i]
                 rho_c = rhos[c_i] if c == stock[c_i] else projections.rho(c)
                 rho_ab = rhos[ids[(a.j, a.k)]] + rhos[ids[(b.j, b.k)]]
                 if rho_ab != rho_c and add_bad is None:
                     add_bad = {"n": n, "a": a.to_json(), "b": b.to_json()}
-        comm_ok = comm_ok and bool(np.array_equal(prod, prod.T))
-        # (a + b) + c against a + (b + c), one a at a time: right[s, c] names
-        # stock[s] + c and left[a, s] names a + stock[s], for each sum s of
-        # two base classes
-        right = np.zeros((len(stock), mb), dtype=np.int32)
-        left = np.zeros((mb, len(stock)), dtype=np.int32)
-        for s in np.unique(prod):
-            right[s] = [sum_id(stock[s], b) for b in base]
-            left[:, s] = [sum_id(b, stock[s]) for b in base]
-        assoc_ok = assoc_ok and all(np.array_equal(right[prod[a_i]], left[a_i][prod])
-                                    for a_i in range(mb))
+            prod.append(row)
+        comm_ok = comm_ok and prod == [list(col) for col in zip(*prod)]
+        # (a + b) + c against a + (b + c), one a at a time: right[s] names
+        # stock[s] + c over every c and left[a_i][s] names a + stock[s], for
+        # each sum s of two base classes.  A sum that is a base class has
+        # its row and column in prod already; only the others are summed
+        # here.  Both sides are read through getters of mb ids, so they have
+        # one form: a tuple, or one id when mb == 1.
+        row_of = {ids[(b.j, b.k)]: b_i for b_i, b in enumerate(base)}
+        take = [operator.itemgetter(*row) for row in prod]
+        every = operator.itemgetter(*range(mb))
+        right = {}
+        left = [[0] * len(stock) for _ in base]
+        for s in set(itertools.chain.from_iterable(prod)):
+            if s in row_of:
+                right[s] = every(prod[row_of[s]])
+                column = [row[row_of[s]] for row in prod]
+            else:
+                right[s] = every([sum_id(stock[s], c) for c in base])
+                column = [sum_id(a, stock[s]) for a in base]
+            for row, a_s in zip(left, column):
+                row[s] = a_s
+        assoc_ok = assoc_ok and all([right[s] for s in ab] == [bc(a) for bc in take]
+                                    for ab, a in zip(prod, left))
         pairs += mb ** 2
         triples += mb ** 3
     params = {"n_max": n_max, "k_max": k_max}
@@ -163,8 +178,6 @@ def cancellation_checks(n_max=5, k_max=20):
     both absorb into the rank-one free class.  For classes of rank >= 1,
     equal sums with any common summand force equality.
     """
-    import numpy as np
-
     integer(n_max, "cancellation n_max", 1, error=OutOfRange)
     integer(k_max, "cancellation k_max", 1, error=OutOfRange)
     if n_max * k_max < 2:  # n * k_max compact classes at each n
@@ -187,31 +200,30 @@ def cancellation_checks(n_max=5, k_max=20):
 
     witnesses, witness_bad = _first_counterexample(witness_cases(), witness_test)
 
-    # wrong[a, b, c]: whether a (+) c == b (+) c disagrees with a ~ b, one
-    # block per n; in row-major order over the blocks the first True is the
-    # first counterexample, and its index the number of triples before it
-    blocks = []
+    # a (+) c == b (+) c must agree with a ~ b for every c: each pair's two
+    # rows of sums are compared whole, and only a failing pair is walked to
+    # its first c
+    cancels, cancel_bad = 0, None
     for n in range(n_max + 1):
         stock = _class_stock(n, k_max)
         positive = [p for p in stock if projections.rank(p) >= 1]
         # each sum a (+) c once, as the id of its class: equal ids, equal sums
         ids = {}
-        table = np.array([[ids.setdefault(projections.boxplus(a, c), len(ids))
-                           for c in stock] for a in positive], dtype=np.int64)
-        equiv = np.array([[projections.is_equivalent(a, b) for b in positive]
-                          for a in positive], dtype=bool)
-        wrong = (table[:, None] == table[None]) != equiv[:, :, None]
-        blocks.append((positive, stock, wrong))
-    flags = np.concatenate([wrong.ravel() for *_, wrong in blocks])
-    cancels = int(flags.argmax()) if flags.any() else flags.size
-    cancel_bad = None
-    if cancels < flags.size:
-        ends = np.cumsum([wrong.size for *_, wrong in blocks])
-        n = int(np.searchsorted(ends, cancels, side="right"))
-        positive, stock, wrong = blocks[n]
-        a_i, b_i, c_i = np.unravel_index(cancels - int(ends[n]) + wrong.size, wrong.shape)
-        cancel_bad = {"n": n, "a": positive[a_i].to_json(),
-                      "b": positive[b_i].to_json(), "c": stock[c_i].to_json()}
+        table = [[ids.setdefault(projections.boxplus(a, c), len(ids)) for c in stock]
+                 for a in positive]
+        for (a, row_a), (b, row_b) in itertools.product(zip(positive, table), repeat=2):
+            equiv = projections.is_equivalent(a, b)
+            if (row_a == row_b) if equiv else not any(map(operator.eq, row_a, row_b)):
+                cancels += len(stock)
+                continue
+            c_i = next(c_i for c_i, (x, y) in enumerate(zip(row_a, row_b))
+                       if (x == y) != equiv)
+            cancels += c_i
+            cancel_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
+                          "c": stock[c_i].to_json()}
+            break
+        if cancel_bad:
+            break
     params = {"n_max": n_max, "k_max": k_max}
     return [
         VerifyReport("cancellation-failure-witnesses", params, witness_bad is None,
@@ -222,6 +234,8 @@ def cancellation_checks(n_max=5, k_max=20):
 
 
 def _bundle_recursion_test(n, k):
+    from . import line_bundles
+
     if line_bundles.recursion_expand(n, k) != line_bundles.closed_form(n, k):
         return {"n": n, "k": k}
     return None
@@ -240,6 +254,8 @@ def bundle_recursion_checks(n_max=5, k_max=25):
 
 def hockey_stick_checks(l_max=12, k_max=40):
     """Tail-sum binomial identities with every shift, exactly."""
+    from . import line_bundles
+
     integer(l_max, "hockey-stick l_max", 2, error=OutOfRange)
     integer(k_max, "hockey-stick k_max", 1, error=OutOfRange)
     def test(l, k):
@@ -256,6 +272,8 @@ def hockey_stick_checks(l_max=12, k_max=40):
 
 def k0_checks(n_max=5, k_max=25, exact_n_max=6):
     """Restriction consistency of bundle classes, plus exactness reports."""
+    from . import k_theory, line_bundles
+
     integer(n_max, "k0 n_max", 2, error=OutOfRange)
     integer(k_max, "k0 k_max", 0, error=OutOfRange)
     integer(exact_n_max, "k0 exact_n_max", 1, error=OutOfRange)
@@ -309,6 +327,8 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=DEFAULT_WINDOW):
 
 def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
     """Numeric counting vectors from truncated ranks match the symbolic ones."""
+    from . import oracle
+
     integer(n_max, "oracle n_max", 1, error=OutOfRange)
     integer(k_max, "oracle k_max", 0, error=OutOfRange)
     if type(cutoffs) is not tuple or len(cutoffs) != 3:
@@ -348,6 +368,10 @@ def random_checks(seed=DEFAULT_SEED, samples=400):
     Cases are drawn as they are tested, so the stream a family leaves at its
     first counterexample goes on to the next family.
     """
+    import random
+
+    from . import line_bundles
+
     integer(seed, "random seed", error=OutOfRange)
     integer(samples, "random samples", 1, error=OutOfRange)
     rng = random.Random(seed)
@@ -442,8 +466,7 @@ def run_all(seed=DEFAULT_SEED, jobs=None):
         return [r for name in GROUP_NAMES for r in run_group(name, seed)]
     from concurrent.futures import ProcessPoolExecutor
 
-    # import these once here, so that the forked workers inherit them
-    import numpy  # noqa: F401
+    # import groupoid once here, so that the forked workers inherit it
     from . import groupoid  # noqa: F401
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_group, name, seed) for name in GROUP_NAMES]

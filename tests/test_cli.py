@@ -379,7 +379,8 @@ SCRIPT_WITHOUT_NUMPY = BLOCK_NUMPY + (
     "sys.argv.pop(0); runpy.run_path(sys.argv[0], run_name='__main__')")
 
 # A family that reports which heavy modules its worker already holds,
-# run twice through the process pool from a fresh interpreter.
+# run twice through the process pool from a fresh interpreter.  The pool
+# imports groupoid before it forks, and nothing imports numpy.
 FORK_PROBE = """\
 import os, sys
 from qproj import suite
@@ -415,8 +416,8 @@ CALCULATOR_COMMANDS = [
 
 class TestCalculatorsWithoutNumpy:
     """The calculators, oracle-verify, groupoid-verify and the package
-    import never load numpy; the package import and the calculators load
-    no groupoid engine or process pool either."""
+    import never load numpy; the package import, the calculators and
+    oracle-verify load no groupoid engine or process pool either."""
 
     @pytest.mark.parametrize("argv", CALCULATOR_COMMANDS, ids=" ".join)
     def test_same_output_with_numpy_blocked(self, argv):
@@ -429,6 +430,26 @@ class TestCalculatorsWithoutNumpy:
         heavy = ("numpy", "qproj.groupoid", "concurrent.futures.process")
         proc = run_child(sys.executable, "-c",
                          f"import sys, qproj, qproj.cli; "
+                         f"print([m for m in {heavy!r} if m in sys.modules])")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_oracle_verify_loads_no_groupoid(self):
+        heavy = ("numpy", "qproj.groupoid", "concurrent.futures.process")
+        proc = run_child(sys.executable, "-c",
+                         f"import sys; from qproj import cli; "
+                         f"cli.main(['oracle-verify', '--n-max', '2', '--k-max', '4']); "
+                         f"print([m for m in {heavy!r} if m in sys.modules])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_groupoid_import_loads_no_other_family(self):
+        """groupoid reads its default windows from suite, which imports the
+        modules of the other families only when they run.  -S keeps site
+        from importing random before the probe does."""
+        heavy = ("numpy", "random", "qproj.oracle", "qproj.k_theory",
+                 "qproj.line_bundles")
+        proc = run_child(sys.executable, "-S", "-c",
+                         f"import sys, qproj.groupoid; "
                          f"print([m for m in {heavy!r} if m in sys.modules])")
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
@@ -467,25 +488,36 @@ class TestCalculatorsWithoutNumpy:
 
 
 class TestForkedWorkers:
+    def assert_committed_output(self, proc):
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digest, _ = (EXPECTED / "verify_all.sha256").read_text().split()
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("flags,jobs", [((), "2"), (("-O",), "2"), ((), "1")],
                              ids=["plain", "-O", "jobs1"])
     def test_records_match_committed_output(self, flags, jobs):
         """`verify-all` from a fresh interpreter prints the committed records
         with two workers, also under -O, which strips every assert, and
         serially."""
-        proc = run_child(sys.executable, *flags, "-m", "qproj.cli", "verify-all",
-                         "--jobs", jobs, "--format", "json")
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        digest, _ = (EXPECTED / "verify_all.sha256").read_text().split()
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+        self.assert_committed_output(run_child(
+            sys.executable, *flags, "-m", "qproj.cli", "verify-all", "--jobs", jobs,
+            "--format", "json"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_records_match_committed_output_without_numpy(self, jobs):
+        """Every family, the monoid and cancellation tables included, runs
+        with numpy unimportable, serially and in forked workers."""
+        self.assert_committed_output(run_child(
+            sys.executable, "-c", CLI_WITHOUT_NUMPY, "verify-all", "--jobs", jobs,
+            "--format", "json"))
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only forked workers inherit the parent's imports")
-    def test_workers_inherit_numpy_and_groupoid(self):
-        """A task in a `run_all` worker finds numpy and groupoid imported."""
+    def test_workers_inherit_groupoid(self):
+        """A task in a `run_all` worker finds groupoid imported, and no numpy."""
         proc = run_child(sys.executable, "-c", FORK_PROBE)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['numpy', 'qproj.groupoid']\n" * 2
+        assert proc.stdout == "['qproj.groupoid']\n" * 2
 
 
 class TestDocumentedExamples:

@@ -948,6 +948,15 @@ class TestWindowEdges:
                                               r"the limit of 262144"):
             call()
 
+    def test_negative_source_bound_refused(self):
+        """No element has a negative source, so a hand-built window whose
+        source range starts below 0 is refused when it is built, before the
+        engine could take its pairs with w < 0 as rows."""
+        spec = _stratum_spec(2, 0, 2)
+        with pytest.raises(OutOfRange, match="w_lo=-1 at coordinate 1$"):
+            _recoord(spec, 1, 0, (-1, 2, True))
+        assert _recoord(spec, 1, 0, (0, 2, True)) == spec
+
     def test_axis_size_counts_the_pair_table(self):
         """The closed-form count equals the number of pairs, and the table
         lists them in (w, x) order, on every range with bounds in -6..6,
