@@ -72,22 +72,3 @@ def integer(value, what, lo=None, hi=None, error=InvalidClass):
         bounds = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
     raise error(f"{what} must be an integer{bounds}, got {value!r}")
 
-
-def read_json(record, build):
-    """The value ``build()`` makes from a JSON record, if its ``to_json()`` is
-    that record; any other record is refused with ``InvalidClass``, or with
-    the error the value's own checks raise.
-
-    >>> from qproj.projections import ProjClass
-    >>> read_json({"n": 0, "j": 0, "k": 0, "m": 1}, lambda: ProjClass(0, 0, 0))
-    Traceback (most recent call last):
-        ...
-    qproj.errors.InvalidClass: {'n': 0, 'j': 0, 'k': 0, 'm': 1} is not the record of its value
-    """
-    try:
-        value = build()
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise InvalidClass(f"malformed record: {record!r}") from exc
-    if value.to_json() != record:
-        raise InvalidClass(f"{record!r} is not the record of its value")
-    return value

@@ -9,9 +9,7 @@ for an infinite one.
 
 from __future__ import annotations
 
-from .errors import InvalidClass
-
-__all__ = ["INF", "Infinity", "is_finite", "ext_to_json", "ext_from_json"]
+__all__ = ["INF", "Infinity", "is_finite", "ext_to_json"]
 
 
 class Infinity:
@@ -101,13 +99,3 @@ def ext_to_json(value):
         raise TypeError(f"not an extended natural: {value!r}")
     return value
 
-
-def ext_from_json(obj):
-    """Inverse of ext_to_json; accepts a non-negative int or the string "inf"."""
-    if obj == "inf":
-        return INF
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise InvalidClass(f"expected an int or \"inf\", got {obj!r}")
-    if obj < 0:
-        raise InvalidClass(f"extended naturals are non-negative, got {obj}")
-    return obj

@@ -58,9 +58,8 @@ from .errors import (
     OutOfRange,
     WrongStratum,
     integer,
-    read_json,
 )
-from .extnat import INF, ext_from_json, ext_to_json, is_finite
+from .extnat import INF, ext_to_json, is_finite
 from .reports import VerifyReport
 from .suite import DEFAULT_TALLY_WINDOW, DEFAULT_WINDOW
 
@@ -169,12 +168,6 @@ class GroupoidElement:
     def to_json(self):
         record = _element_json((self.z, self.x, self.w))
         return {**record, "primed": True} if self.primed else record
-
-    @classmethod
-    def from_json(cls, obj):
-        return read_json(obj, lambda: cls(len(obj["x"]), obj["z"], obj["x"],
-                                          tuple(map(ext_from_json, obj["w"])),
-                                          obj.get("primed", False)))
 
 
 @dataclass(frozen=True)

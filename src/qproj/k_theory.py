@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass,
-                     integer, read_json)
+from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass, integer
 from .reports import VerifyReport
 
 __all__ = [
@@ -78,10 +77,6 @@ class K0Vector:
 
     def to_json(self):
         return {"n": self.n, "coords": list(self.coords)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return read_json(obj, lambda: cls(obj["n"], obj["coords"]))
 
 
 def generator(n, j):

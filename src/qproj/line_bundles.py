@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import InvalidClass, OutOfRange, UnsupportedDegree, integer, read_json
+from .errors import InvalidClass, OutOfRange, UnsupportedDegree, integer
 from .k_theory import K0Vector
 
 __all__ = [
@@ -93,10 +93,6 @@ class LineBundleDecomposition:
     def to_json(self):
         fields = {"m": self.m} if self.mult is None else {"mult": list(self.mult)}
         return {"n": self.n, "k": self.k, "kind": self.kind, **fields}
-
-    @classmethod
-    def from_json(cls, obj):
-        return read_json(obj, lambda: cls(obj["n"], obj["k"], obj.get("mult")))
 
 
 def _check_bundle_args(n, k):
@@ -198,5 +194,8 @@ def k0_class(n, k):
         raise UnsupportedDegree(
             f"no level-basis expansion is provided for degree {k} <= -2"
         )
-    return K0Vector(n, tuple(math.prod(range(k, k + j)) // math.factorial(j)
-                             for j in range(n + 1)))
+    # c_{j+1} = c_j (k + j) / (j + 1), an exact division at every step
+    coords = [1]
+    for j in range(n):
+        coords.append(coords[-1] * (k + j) // (j + 1))
+    return K0Vector(n, coords)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (CutoffTooSmall, DimensionMismatch, DimensionTooSmall, InvalidClass,
-                     OutOfRange, integer, read_json)
+                     OutOfRange, integer)
 from .extnat import INF
 from .projections import ProjClass, RhoVector
 
@@ -104,14 +104,6 @@ class DiagonalPattern:
     def to_json(self):
         factors = ["I" if f == IDENTITY else {f[0]: f[1]} for f in self.factors]
         return {"n": self.n, "factors": factors, "copies": self.copies}
-
-    @classmethod
-    def from_json(cls, obj):
-        # a {tag: depth} record with any other number of items than one
-        # raises TypeError or gives the bad factor ()
-        return read_json(obj, lambda: cls(obj["n"], [
-            IDENTITY if f == "I" else tuple(*f.items()) for f in obj["factors"]],
-            obj["copies"]))
 
 
 @dataclass(frozen=True)

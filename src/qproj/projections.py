@@ -39,8 +39,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass, integer, read_json
-from .extnat import INF, ext_from_json, ext_to_json, is_finite
+from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass, integer
+from .extnat import INF, ext_to_json, is_finite
 
 __all__ = [
     "ProjClass",
@@ -98,10 +98,6 @@ class ProjClass:
     def to_json(self):
         return {"n": self.n, "j": self.j, "k": self.k}
 
-    @classmethod
-    def from_json(cls, obj):
-        return read_json(obj, lambda: cls(obj["n"], obj["j"], obj["k"]))
-
 
 @dataclass(frozen=True)
 class RhoVector:
@@ -153,13 +149,6 @@ class RhoVector:
 
     def to_json(self):
         return [ext_to_json(e) for e in self.entries]
-
-    @classmethod
-    def from_json(cls, obj):
-        # only a list: iterating None raises TypeError, so {} is malformed
-        # rather than a vector of no levels
-        entries = obj if isinstance(obj, list) else None
-        return read_json(obj, lambda: cls(tuple(map(ext_from_json, entries))))
 
 
 def zero_class(n):

@@ -433,7 +433,7 @@ GROUP_NAMES = tuple(_FAMILIES)
 def run_group(name, seed=DEFAULT_SEED):
     """Run one named family with its default ranges."""
     if name not in _FAMILIES:
-        raise KeyError(f"unknown check group {name!r}; expected one of {GROUP_NAMES}")
+        raise OutOfRange(f"unknown check group {name!r}; expected one of {GROUP_NAMES}")
     return _FAMILIES[name](seed) if name == "random" else _FAMILIES[name]()
 
 

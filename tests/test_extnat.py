@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from qproj.extnat import INF, Infinity, ext_from_json, ext_to_json, is_finite
+from qproj.extnat import INF, Infinity, ext_to_json, is_finite
 
 
 def test_singleton():
@@ -57,12 +57,6 @@ def test_repr():
 def test_json_spelling():
     assert ext_to_json(INF) == "inf"
     assert ext_to_json(7) == 7
-    assert ext_from_json("inf") is INF
-    assert ext_from_json(7) == 7
-    with pytest.raises(ValueError):
-        ext_from_json("infinity")
-    with pytest.raises(ValueError):
-        ext_from_json(2.5)
 
 
 def test_pickle_preserves_identity():

@@ -388,6 +388,9 @@ class TestMembership:
         assert h.x[2] == -2 - 1
         with pytest.raises(NotInGroupoid):
             canonicalize(3, 2, (9, 1, 0), (4, 0, INF), primed=True)
+        for flag in ("false", 1, None):
+            with pytest.raises(InvalidClass):
+                GroupoidElement(1, 0, (0,), (0,), primed=flag)
 
     @staticmethod
     def primed_rule(n, z, x, w):
@@ -432,11 +435,12 @@ class TestMembership:
         assert h.source() == h.target() == (INF, INF)
 
     def test_json_round_trip(self):
-        for g in [canonicalize(2, 1, (0, -1), (3, INF)),
-                  canonicalize(2, 0, (5, 0), (INF, INF), primed=True),
-                  canonicalize(1, -2, (3,), (0,))]:
-            assert GroupoidElement.from_json(g.to_json()) == g
-        assert "primed" not in canonicalize(1, 0, (0,), (4,)).to_json()
+        assert [g.to_json() for g in (canonicalize(2, 1, (0, -1), (3, INF)),
+                                      canonicalize(2, 0, (5, 0), (INF, INF), primed=True),
+                                      canonicalize(1, -2, (3,), (0,)))] == [
+            {"z": 1, "x": [0, -1], "w": [3, "inf"]},
+            {"z": 0, "x": [5, 0], "w": ["inf", "inf"], "primed": True},
+            {"z": -2, "x": [3], "w": [0]}]
 
 
 class TestCompose:

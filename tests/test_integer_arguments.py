@@ -1,6 +1,5 @@
 """Every integer argument refuses a bool, a float and an out-of-range int
-with its own error class, and every JSON record reader refuses a malformed
-record with ``InvalidClass``."""
+with its own error class."""
 
 import pytest
 
@@ -139,85 +138,3 @@ def test_refused_with_its_error_class(call, value, error):
     with pytest.raises(error):
         call(value)
 
-
-READERS = [projections.ProjClass, projections.RhoVector, k_theory.K0Vector,
-           line_bundles.LineBundleDecomposition, groupoid.GroupoidElement,
-           oracle.DiagonalPattern]
-
-
-@pytest.mark.parametrize("record", [None, 5, "x", {}, ["x"]], ids=repr)
-@pytest.mark.parametrize("reader", READERS, ids=lambda cls: cls.__name__)
-def test_malformed_record_refused(reader, record):
-    with pytest.raises(InvalidClass):
-        reader.from_json(record)
-
-
-# Records of the right shape with one field of the wrong type, or without a
-# field that ``to_json`` always writes.
-BAD_FIELDS = [
-    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": "false"}),
-    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": 1}),
-    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": None}),
-    (oracle.DiagonalPattern, {"n": 0}),
-    (oracle.DiagonalPattern, {"n": 1, "factors": ["I"]}),
-    (oracle.DiagonalPattern, {"n": 1, "factors": [{"P": 2, "Pc": 1}], "copies": 1}),
-]
-
-
-@pytest.mark.parametrize("reader, record", [
-    pytest.param(reader, record, id=f"{reader.__name__} {record!r}")
-    for reader, record in BAD_FIELDS])
-def test_record_with_a_bad_or_missing_field_refused(reader, record):
-    with pytest.raises(InvalidClass):
-        reader.from_json(record)
-
-
-# Records that build a value but are not the record that value writes: a
-# field the kind of value does not have, a source that is not canonical, a
-# flag at the value that is never written, or an extra key.  Each is refused
-# with ``InvalidClass`` or with the value's own membership error.
-NOT_WRITTEN = [
-    (line_bundles.LineBundleDecomposition, {"n": 1, "k": 5, "kind": "corner", "m": 2},
-     InvalidClass),
-    (line_bundles.LineBundleDecomposition,
-     {"n": 1, "k": -2, "kind": "multiset", "mult": [1, 1]}, InvalidClass),
-    (line_bundles.LineBundleDecomposition, {"n": 1, "k": -2, "kind": "corner", "m": 3},
-     InvalidClass),
-    (groupoid.GroupoidElement, {"z": 0, "x": [0, 0], "w": ["inf", 3]}, NotInGroupoid),
-    (groupoid.GroupoidElement, {"z": 0, "x": [0], "w": [0], "primed": False}, InvalidClass),
-    (projections.ProjClass, {"n": 1, "j": 0, "k": 2, "extra": 0}, InvalidClass),
-    (k_theory.K0Vector, {"n": 0, "coords": [1], "extra": 0}, InvalidClass),
-    (oracle.DiagonalPattern, {"n": 0, "factors": [], "copies": 1, "extra": 0},
-     InvalidClass),
-]
-
-
-@pytest.mark.parametrize("reader, record, error", [
-    pytest.param(reader, record, error, id=f"{reader.__name__} {record!r}")
-    for reader, record, error in NOT_WRITTEN])
-def test_record_its_value_does_not_write_refused(reader, record, error):
-    with pytest.raises(error):
-        reader.from_json(record)
-
-
-def _stock():
-    """Values of every reader's type, each kind of field included."""
-    classes = [projections.ProjClass(n, j, k) for n in range(3) for j in range(n + 1)
-               for k in range(1 if j else 0, 3)]
-    yield from classes
-    yield from (projections.rho(p) for p in classes)
-    yield projections.RhoVector((0, INF, 7))
-    yield from (k_theory.K0Vector(n, coords) for n, coords in
-                ((0, (5,)), (2, (1, -1, 0)), (3, (0, 0, 0, -4))))
-    yield from (line_bundles.closed_form(n, k) for n in (1, 3) for k in range(-3, 4))
-    yield from (g for n in (1, 2) for g in groupoid.enumerate_stratum(n, 1, window=1))
-    yield groupoid.canonicalize(2, 0, (5, 0), (INF, INF), primed=True)
-    yield from (oracle.encode(p) for p in classes)
-    yield oracle.DiagonalPattern(3, (oracle.IDENTITY, oracle.cutoff(2), oracle.complement(4)))
-
-
-def test_every_reader_reads_back_what_its_values_write():
-    stock = list(_stock())
-    assert {type(v) for v in stock} == set(READERS)
-    for value in stock:
-        assert type(value).from_json(value.to_json()) == value

@@ -10,7 +10,8 @@ changes on some element.
 
 Each operation mutant replaces one module function; it counts as caught
 when the family that should catch it, run by ``suite.run_group`` at its
-default ranges, gives a failing record of the expected check.
+default ranges, gives a failing record of the expected check; a mutant of
+the restriction must also give the expected kind of exactness failure.
 
 Each engine mutant edits one line of one function of the image check; it
 counts as caught when the records of a small groupoid sweep, or the
@@ -26,7 +27,7 @@ import inspect
 import pytest
 
 import qproj.groupoid as G
-from qproj import line_bundles, oracle, projections, suite
+from qproj import k_theory, line_bundles, oracle, projections, suite
 from qproj.errors import QprojError
 from qproj.extnat import INF
 from qproj.groupoid import MAP_IDS, enumerate_stratum
@@ -174,6 +175,18 @@ def _level_factor_one_deeper(real):
     return mutant
 
 
+def _restriction_drops_first(real):
+    # the first coordinate dropped instead of the last
+    return lambda v: k_theory.K0Vector(real(v).n, v.coords[1:])
+
+
+def _restriction_doubles_level_0(real):
+    def mutant(v):
+        w = real(v)
+        return k_theory.K0Vector(w.n, (2 * w.coords[0], *w.coords[1:]))
+    return mutant
+
+
 # mutant -> (module, function, mutant of the real function, family, check)
 OPERATION_MUTANTS = {
     "absorption": (projections, "boxplus", _higher_absorbs, "monoid", "monoid-law"),
@@ -185,6 +198,20 @@ OPERATION_MUTANTS = {
     "window-bound": (G, "_cut", _cut_above_from_k_plus_1, "groupoid", "partition"),
     "oracle-depth": (oracle, "encode", _level_factor_one_deeper, "oracle",
                      "oracle-agreement"),
+    "restriction-drops-first": (k_theory, "nu_star", _restriction_drops_first, "k0",
+                                "k0-exactness"),
+    "restriction-doubles-level-0": (k_theory, "nu_star", _restriction_doubles_level_0,
+                                    "k0", "k0-exactness"),
+}
+
+# The counterexample of the first failing exactness record (n = 1) under each
+# restriction mutant.  A linear nu_star cannot reach "image-not-in-kernel": it
+# maps n + 1 coordinates onto n, so its kernel is never zero, and once the
+# kernel lies in the span of the one iota generator, a primitive kernel vector
+# is plus or minus that generator, which the restriction then kills.
+EXACTNESS_COUNTEREXAMPLES = {
+    "restriction-drops-first": {"kind": "kernel-not-in-image", "vector": [1, 0]},
+    "restriction-doubles-level-0": {"kind": "not-surjective", "target-level": 0},
 }
 
 # Operation mutants the default sweep cannot catch, with the reason.
@@ -197,7 +224,8 @@ OPERATION_NOT_CATCHABLE = {
 
 
 def test_every_operation_is_mutated_or_listed():
-    named = ("absorption", "rho", "binomial", "window-bound", "oracle-depth")
+    named = ("absorption", "rho", "binomial", "window-bound", "oracle-depth",
+             "restriction-drops-first")
     assert set(named) <= {*OPERATION_MUTANTS, *OPERATION_NOT_CATCHABLE}
 
 
@@ -207,6 +235,15 @@ def test_operation_mutant_is_caught(monkeypatch, name):
     monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     failed = {r.check for r in suite.run_group(family) if not r.passed}
     assert check in failed
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_COUNTEREXAMPLES))
+def test_exactness_mutant_gives_its_kind(monkeypatch, name):
+    module, attr, mutate, family, check = OPERATION_MUTANTS[name]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    first = next(r for r in suite.run_group(family) if r.check == check and not r.passed)
+    assert first.params["n"] == 1
+    assert first.counterexample == EXACTNESS_COUNTEREXAMPLES[name]
 
 
 # --- engine -------------------------------------------------------------------

@@ -67,6 +67,8 @@ class TestFactors:
         with pytest.raises(InvalidClass):
             DiagonalPattern(1, (("X", 2),))
         with pytest.raises(InvalidClass):
+            DiagonalPattern(1, (["P", 2],))
+        with pytest.raises(InvalidClass):
             DiagonalPattern(1, (IDENTITY,), copies=-1)
 
     def test_stack_validation(self):
@@ -250,13 +252,8 @@ class TestSerialization:
         pat = DiagonalPattern(3, (cutoff(2), IDENTITY, complement(4)), copies=2)
         blob = pat.to_json()
         assert blob == {"n": 3, "factors": [{"P": 2}, "I", {"Pc": 4}], "copies": 2}
-        assert DiagonalPattern.from_json(blob) == pat
 
     def test_stack_serializes_layers(self):
         stack = boxplus_patterns(encode(ProjClass(1, 1, 2)), encode(ProjClass(1, 0, 1)))
         blob = stack.to_json()
         assert len(blob["stack"]) == 2
-
-    def test_bad_factor_rejected(self):
-        with pytest.raises(InvalidClass):
-            DiagonalPattern.from_json({"n": 1, "factors": [["P", 2]]})

@@ -88,7 +88,7 @@ class TestNormalForm:
         p = ProjClass(3, 1, 2)
         assert str(p) == "P[1,2]"
         assert p.to_json() == {"n": 3, "j": 1, "k": 2}
-        assert ProjClass.from_json(p.to_json()) == p
+        assert ProjClass(**p.to_json()) == p
 
 
 class TestBoxplus:
@@ -188,7 +188,6 @@ class TestRho:
     def test_vector_json_round_trip(self):
         v = RhoVector((0, 3, INF))
         assert v.to_json() == [0, 3, "inf"]
-        assert RhoVector.from_json(v.to_json()) == v
 
 
 class TestRankAndEquivalence:
