@@ -23,12 +23,14 @@ z and keeps the plain rule with z = 0.  In windows, likewise, the primed
 rows of degree z + x[0] are the plain degree-z rows with the degree read
 as z + x[0].
 
-Four stratum bijections drive the line-bundle recursion: theta_neg
-trades a non-positive degree for depth in the first source coordinate;
-theta_shift removes k units of degree against a source coordinate that
-has at least k to give; theta_peel pays out only part of the degree and
-pins the coordinate to zero; theta_terminal forgets the degree once
-every source coordinate is pinned.  All four preserve the target.
+Four stratum bijections drive the line-bundle recursion.  Three of them
+pay d units of degree against one source coordinate j, adding d to x[j]
+and taking d from w[j]: theta_neg pays a non-positive degree into the
+first source coordinate; theta_shift pays all k units against a source
+coordinate that has at least k to give; theta_peel pays only the l units
+of a source l, which drops to zero.  theta_terminal forgets the degree
+once every source coordinate is pinned to zero.  All four preserve the
+target.
 
 Verification covers windowed strata exhaustively without listing their
 elements.  A window splits into blocks by the position p of the first
@@ -267,7 +269,8 @@ def theta_shift(g, k, j):
 
 
 def theta_peel(g, k, j, l):
-    """Pay out l < k units of degree and pin source coordinate j to zero."""
+    """Pay out l < k units of degree against source coordinate j, whose source l
+    drops to zero."""
     return _map_element("theta-peel", g, k=k, j=j, l=l)
 
 
@@ -452,41 +455,35 @@ def _count(spec, blocks):
 
 @dataclass(frozen=True)
 class _Action:
-    """Per-coordinate form of a structural map.
+    """Per-coordinate form of a structural map: a translation.
 
-    Coordinate ``coord`` gets ``dx`` added to its offset and its source
-    either shifted by ``dw`` (inf stays inf) or, with ``pin``, set to 0;
-    every other coordinate is copied.  The image degree is ``z``, plus the
-    first offset with ``shear``.
+    Coordinate ``coord`` gets ``dx`` added to its offset and ``dw`` to its
+    source (inf stays inf); every other coordinate is copied.  The target
+    stays when dx + dw = 0.  The image degree is ``z``, plus the first
+    offset with ``shear``.
     """
 
     z: int
     coord: int = 0
     dx: int = 0
     dw: int = 0
-    pin: bool = False
     shear: bool = False
-
-    def source(self, w):
-        """The new source value of the coordinate it changes (inf stays inf)."""
-        return 0 if self.pin else w + self.dw
 
     def row(self, raw):
         """The image of one raw row."""
         z, x, w = raw
         c = self.coord
         x = _put(x, c, x[c] + self.dx)
-        w = _put(w, c, self.source(w[c]))
+        w = _put(w, c, w[c] + self.dw)
         return (self.z + raw[1][0] if self.shear else self.z, x, w)
 
     def box(self, spec):
         """The window this action carries ``spec`` to: coordinate c's offset
-        range shifted by dx, its source range shifted by dw or pinned to 0
-        (an empty range stays empty), and the action's degree."""
+        range shifted by dx, its source range by dw, and the action's
+        degree."""
         c = self.coord
         r = spec.ranges[c]
-        lo, hi = r.w_lo + self.dw, r.w_hi + self.dw
-        w_range = (0, 0 if lo <= hi else -1, False) if self.pin else (lo, hi, r.w_inf)
+        w_range = (r.w_lo + self.dw, r.w_hi + self.dw, r.w_inf)
         return _recoord(spec, c, self.dx, w_range, self.z)
 
 
@@ -538,7 +535,7 @@ def _carry(a, t, i, runs):
     dx = a.dx if i == a.coord else 0
     lost, images = [], []
     for w, lo, hi in runs:
-        v = a.source(w) if i == a.coord else w
+        v = w + a.dw if i == a.coord else w
         first, last = max(lo, r.x_lo - dx, -v - dx), min(hi, r.x_hi - dx)
         if not r.w_lo <= v <= r.w_hi:
             last = first - 1
@@ -635,15 +632,12 @@ def _image_check(sources, cod):
         have = [(spec, b[p]) for (spec, _), b in zip(sources, blocks[1:]) if p in b]
         kept, box = have[0][1] if have else None, blocks[0].get(p)
         shift = a.dx if c < p else 0
-        fits = (box and not ((c > p and a.dx) or (c >= p and a.pin))  # stays in the tail
+        fits = (box and not (c > p and a.dx)  # stays in the tail
                 and (p == n or not t.z - s.z + a.dx)  # the forced offset is t's
                 and (p or not _degree_gap(a, t, -s.z)))  # the p = 0 degree is t's
         for spec, _ in have:
             axes = [tables[r[:4]] for r in spec.ranges[:p]]
-            if c < p:
-                moves = [r for r in axes[c] if a.dx + a.source(r[0]) != r[0]]
-                note("moved", spec, p, axes, kept, [(c, moves)])
-            elif a.pin:  # an infinite source pinned to 0
+            if c < p and a.dx + a.dw:  # a finite target, translated
                 note("moved", spec, p, axes, kept, spans=[kept])
             lost = [(i, carried[i, r][0]) for i, r in enumerate(spec.ranges[:p])]
             note("outside", spec, p, axes, kept, lost if fits else (), _without(
@@ -744,24 +738,18 @@ def _check_setup(kind, n, k, j, l, W, refuse=OutOfRange):
         full, pieces = _partition_setup(n, k, j, W)
         return [(piece, _Action(z=k)) for piece in pieces], full
 
-    if kind == "theta-neg":
-        k = param("k", k, hi=0)
-        dom = _stratum_spec(n, k, W)
-        cod = _recoord(_stratum_spec(n, 0, W), 0, k, (-k, -k + W, True))
-        return [(dom, _Action(z=0, coord=0, dx=k, dw=-k))], cod
-
-    if kind == "theta-shift":
-        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
-        dom = _recoord(_stratum_spec(n, k, W, pins=j), j, 0, (k, k + W, True))
-        cod = _recoord(_stratum_spec(n, 0, W, pins=j), j, k, (0, W, True))
-        return [(dom, _Action(z=0, coord=j, dx=k, dw=-k))], cod
-
-    if kind == "theta-peel":
-        k, j = param("k", k, lo=1), param("j", j, lo=0, hi=n - 1)
-        l = param("l", l, lo=0, hi=k - 1)
-        dom = _recoord(_stratum_spec(n, k, W, pins=j), j, 0, (l, l, False))
-        cod = _recoord(_stratum_spec(n, k - l, W, pins=j + 1), j, l, (0, 0, False))
-        return [(dom, _Action(z=k - l, coord=j, dx=l, pin=True))], cod
+    if kind in ("theta-neg", "theta-shift", "theta-peel"):
+        # pay d units of degree against source coordinate j, leaving k - d:
+        # theta-neg pays d = k <= 0 at j = 0 from every source, theta-shift
+        # d = k from a source >= k, theta-peel d = l from the source l
+        neg, peel = kind == "theta-neg", kind == "theta-peel"
+        k = param("k", k, hi=0) if neg else param("k", k, lo=1)
+        j = 0 if neg else param("j", j, lo=0, hi=n - 1)
+        d = param("l", l, lo=0, hi=k - 1) if peel else k
+        lo, hi, inf = (d, d, False) if peel else (max(d, 0), max(d, 0) + W, True)
+        dom = _recoord(_stratum_spec(n, k, W, pins=j), j, 0, (lo, hi, inf))
+        cod = _recoord(_stratum_spec(n, k - d, W, pins=j), j, d, (lo - d, hi - d, inf))
+        return [(dom, _Action(z=k - d, coord=j, dx=d, dw=-d))], cod
 
     if kind == "theta-terminal":
         l = param("l", l, lo=1)

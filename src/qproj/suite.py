@@ -79,21 +79,22 @@ def monoid_checks(n_max=5, k_max=20):
     pairs = triples = 0
     for n in range(n_max + 1):
         base = _class_stock(n, k_max)
-        # each sum of up to three base classes is named by its index in this
-        # stock, read from its level and multiplicity
-        stock = _class_stock(n, 3 * k_max)
-        ids = {(p.j, p.k): i for i, p in enumerate(stock)}
+        # each sum is named by its level and multiplicity, in order of first
+        # sight (base[i] is named i); classes[i] is the first class named i,
+        # over the base classes and their two-fold sums
+        classes = list(base)
+        ids = {(p.j, p.k): i for i, p in enumerate(base)}
 
         def sum_id(a, b):
             c = projections.boxplus(a, b)
-            return ids[(c.j, c.k)]
+            return ids.setdefault((c.j, c.k), len(ids))
 
-        rhos = [projections.rho(p) for p in stock]
+        rhos = [projections.rho(p) for p in base]
         mb = len(base)
-        prod = []  # prod[a_i][b_i]: the stock id of base[a_i] + base[b_i]
-        for a in base:
+        prod = []  # prod[a_i][b_i]: the name of base[a_i] + base[b_i]
+        for a_i, a in enumerate(base):
             row = []
-            for b in base:
+            for b_i, b in enumerate(base):
                 c = projections.boxplus(a, b)
                 # the statement of the law, spelled out
                 if a.is_zero:
@@ -109,33 +110,35 @@ def monoid_checks(n_max=5, k_max=20):
                 if (c.j, c.k) != want and law_bad is None:
                     law_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
                                "got": c.to_json(), "want": list(want)}
-                c_i = ids[(c.j, c.k)]
+                c_i = ids.setdefault((c.j, c.k), len(ids))
                 row.append(c_i)
-                # a sum over another ambient index is not stock[c_i]
-                rho_c = rhos[c_i] if c == stock[c_i] else projections.rho(c)
-                rho_ab = rhos[ids[(a.j, a.k)]] + rhos[ids[(b.j, b.k)]]
+                if c_i == len(classes):  # a class first seen here
+                    classes.append(c)
+                    rhos.append(projections.rho(c))
+                # a sum over another ambient index is not classes[c_i]
+                rho_c = rhos[c_i] if c == classes[c_i] else projections.rho(c)
+                rho_ab = rhos[a_i] + rhos[b_i]
                 if rho_ab != rho_c and add_bad is None:
                     add_bad = {"n": n, "a": a.to_json(), "b": b.to_json()}
             prod.append(row)
         comm_ok = comm_ok and prod == [list(col) for col in zip(*prod)]
         # (a + b) + c against a + (b + c), one a at a time: right[s] names
-        # stock[s] + c over every c and left[a_i][s] names a + stock[s], for
-        # each sum s of two base classes.  A sum that is a base class has
-        # its row and column in prod already; only the others are summed
-        # here.  Both sides are read through getters of mb ids, so they have
-        # one form: a tuple, or one id when mb == 1.
-        row_of = {ids[(b.j, b.k)]: b_i for b_i, b in enumerate(base)}
+        # classes[s] + c over every c and left[a_i][s] names a + classes[s],
+        # for each sum s of two base classes.  A sum that is a base class
+        # (s < mb) has its row and column in prod already; only the others
+        # are summed here.  Both sides are read through getters of mb ids,
+        # so they have one form: a tuple, or one id when mb == 1.
         take = [operator.itemgetter(*row) for row in prod]
         every = operator.itemgetter(*range(mb))
         right = {}
-        left = [[0] * len(stock) for _ in base]
+        left = [[0] * len(classes) for _ in base]
         for s in set(itertools.chain.from_iterable(prod)):
-            if s in row_of:
-                right[s] = every(prod[row_of[s]])
-                column = [row[row_of[s]] for row in prod]
+            if s < mb:
+                right[s] = every(prod[s])
+                column = [row[s] for row in prod]
             else:
-                right[s] = every([sum_id(stock[s], c) for c in base])
-                column = [sum_id(a, stock[s]) for a in base]
+                right[s] = every([sum_id(classes[s], c) for c in base])
+                column = [sum_id(a, classes[s]) for a in base]
             for row, a_s in zip(left, column):
                 row[s] = a_s
         assoc_ok = assoc_ok and all([right[s] for s in ab] == [bc(a) for bc in take]

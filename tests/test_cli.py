@@ -189,14 +189,23 @@ class TestVerifiers:
         assert set(blob) == REPORT_KEYS
         assert blob["check"] == "partition" and blob["pass"]
 
-    def test_n4_sweep_matches_committed_digest(self, capsys):
-        """The 256 records of the n = 4 sweep at the default window, checked
-        per axis, are the bytes committed in tests/groupoid_verify_n4.sha256."""
-        code, out, _ = run_cli(capsys, "groupoid-verify", "--n", "4", "--format", "json")
-        digest, *argv = (REPO / "tests" / "groupoid_verify_n4.sha256").read_text().split()
-        assert argv == ["groupoid-verify", "--n", "4", "--format", "json"]
-        assert code == 0 and len(out.splitlines()) == 256
+    @staticmethod
+    def matches_committed_digest(capsys, n, records):
+        """The records of the n sweep at the default window, checked per
+        axis, are the bytes committed in tests/groupoid_verify_n<n>.sha256."""
+        code, out, _ = run_cli(capsys, "groupoid-verify", "--n", str(n), "--format", "json")
+        digest, *argv = (REPO / "tests" / f"groupoid_verify_n{n}.sha256").read_text().split()
+        assert argv == ["groupoid-verify", "--n", str(n), "--format", "json"]
+        assert code == 0 and len(out.splitlines()) == records
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_n4_sweep_matches_committed_digest(self, capsys):
+        self.matches_committed_digest(capsys, 4, 256)
+
+    @pytest.mark.parametrize("n,records", [(5, 365), (6, 492)])
+    def test_wider_sweeps_match_committed_digests(self, capsys, n, records):
+        # regression pins of the engine's own output, not an independent check
+        self.matches_committed_digest(capsys, n, records)
 
     def test_all_maps_small(self, capsys):
         code, out, _ = run_cli(capsys, "groupoid-verify", "--n", "1",

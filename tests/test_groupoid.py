@@ -254,13 +254,10 @@ def element_image_check(sources, cod):
     (rows, size, found) triple.
 
     Each source row is mapped by its action, in order of block, then
-    source, then position.  Its image is a codomain row when it is one of
-    the codomain's rows with the same first infinite source: pinning an
-    infinite source moves its target, and its image counts as outside.
-    "moved" and "outside" name the first source row whose target moves and
-    the image of the first one that is not a codomain row; "collision" and
-    "uncovered" the first codomain row, in position order, hit twice or
-    more and not at all."""
+    source, then position.  "moved" and "outside" name the first source
+    row whose target moves and the image of the first one that is not a
+    codomain row; "collision" and "uncovered" the first codomain row, in
+    position order, hit twice or more and not at all."""
     codomain = sorted(box_rows(cod), key=position)
     hits = dict.fromkeys(codomain, 0)
     rows = sorted((((position(raw)[0], i, position(raw)[1]), raw, action)
@@ -271,7 +268,7 @@ def element_image_check(sources, cod):
         image = action.row(raw)
         if raw_target(image) != raw_target(raw):
             found.setdefault("moved", raw)
-        if image in hits and _first_inf(image[2]) == _first_inf(raw[2]):
+        if image in hits:
             hits[image] += 1
         else:
             found.setdefault("outside", image)
@@ -892,6 +889,7 @@ def test_each_map_carries_its_domain_window_onto_its_codomain(monkeypatch):
     for kind, [(dom, action)], cod in rows:
         assert cod.shear == (kind == "gamma")
         assert action.box(dom) == dataclasses.replace(cod, shear=False), kind
+        assert action.dx + action.dw == 0, kind  # a translation keeps x + w
 
 
 class TestWindowEdges:
@@ -1086,29 +1084,6 @@ class TestMutations:
         g = GroupoidElement(2, *raw)
         assert ref_theta_shift(g, 2, 1).target() == g.target()  # unlike the map
 
-    def test_pinned_source_collides(self, monkeypatch):
-        # pinning the source instead of shifting it forgets w[j]: rows that
-        # differ only there share an image (and their targets move)
-        dom, cod, action, found = self.break_map(
-            monkeypatch, "theta-shift", 1, k=1, j=0,
-            action=_Action(z=0, coord=0, dx=1, pin=True))
-        assert found["kind"] == "target-moved"
-        _, _, kinds = _image_check([(dom, action)], cod)
-        collision = raw_key(kinds["collision"])
-        assert self.images(dom, action).count(collision) >= 2
-        assert collision in box_keys(cod)
-
-    def test_pinning_an_infinite_source_moves_its_target(self, monkeypatch):
-        # w[0] is k or inf; pinning is harmless on the finite rows only
-        dom, _, _, found = self.break_map(
-            monkeypatch, "theta-shift", 2, k=1, j=0,
-            dom=_recoord(_stratum_spec(2, 1, 2), 0, 0, (1, 1, True)),
-            action=_Action(z=0, coord=0, dx=1, pin=True))
-        assert found["kind"] == "target-moved"
-        element = element_key(found["element"])
-        assert element in box_keys(dom)
-        assert element[2][0] == "inf"
-
     def test_a_moved_coordinate_on_the_codomain_table_is_looked_up(self, monkeypatch):
         # into the domain window itself, the coordinate the action shifts
         # shares its pair table with the codomain and is still looked up
@@ -1133,7 +1108,7 @@ class TestMutations:
         # stay, but every forced offset is off by one
         ("theta-peel", {"k": 2, "j": 0, "l": 1},
          _recoord(_stratum_spec(2, 2, 2, pins=1), 0, 1, (0, 0, False)),
-         _Action(z=2, coord=0, dx=1, pin=True)),
+         _Action(z=2, coord=0, dx=1, dw=-1)),
     ])
     def test_image_leaves_codomain(self, monkeypatch, map_id, kwargs, cod, action):
         dom, cod, action, found = self.break_map(monkeypatch, map_id, 2, cod=cod,
@@ -1253,9 +1228,9 @@ def broken_checks(draw):
     i = draw(st.integers(0, len(sources) - 1))
     if how == "action":
         a, field = sources[0][1], draw(st.sampled_from(
-            ["z", "coord", "dx", "dw", "pin", "shear"]))
+            ["z", "coord", "dx", "dw", "shear"]))
         value = (draw(st.integers(0, n - 1)) if field == "coord"
-                 else not getattr(a, field) if field in ("pin", "shear")
+                 else not a.shear if field == "shear"
                  else getattr(a, field) + draw(st.sampled_from([-2, -1, 1, 2])))
         sources = [(spec, dataclasses.replace(a, **{field: value})) for spec, _ in sources]
     elif how == "codomain":

@@ -125,8 +125,8 @@ def test_mutant_is_caught_in_parts(monkeypatch, map_id):
 
 
 def test_unpinned_peel_drifts_the_terminal_tally(monkeypatch):
-    # theta-peel shifting its source by nothing instead of pinning it
-    install(monkeypatch, "theta-peel", lambda a: {"pin": False})
+    # theta-peel leaving its source in place instead of paying it out
+    install(monkeypatch, "theta-peel", lambda a: {"dw": 0})
     reports = suite.terminal_count_checks()
     assert not all(r.passed for r in reports)
     for r in reports:
