@@ -36,6 +36,7 @@ True
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjClass:
     """Normal form of a projection class: ambient n, level j, multiplicity k.
 
@@ -79,6 +80,12 @@ class ProjClass:
     k: int
 
     def __post_init__(self):
+        n, j, k = self.n, self.j, self.k
+        # a normal form of exact ints in one test; anything else is accepted
+        # or refused by the checks below
+        if (type(n) is int and type(j) is int and type(k) is int
+                and 0 <= j <= n and (k >= 1 or j == k == 0)):
+            return
         n = integer(self.n, "ambient index n", 0)
         j = integer(self.j, "level j")
         if not 0 <= j <= n:
@@ -99,7 +106,7 @@ class ProjClass:
         return {"n": self.n, "j": self.j, "k": self.k}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RhoVector:
     """Counting vector indexed by levels 0..n, entries in Z>=0 or inf.
 
@@ -113,11 +120,15 @@ class RhoVector:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
         if not entries:
             raise DimensionMismatch("a counting vector needs at least one level")
         for e in entries:
+            if e is INF or type(e) is int and e >= 0:  # the common entries
+                continue
             if is_finite(e):
                 integer(e, "finite counting entry", 0)
 
@@ -142,7 +153,7 @@ class RhoVector:
                 f"cannot add counting vectors of lengths "
                 f"{len(self.entries)} and {len(other.entries)}"
             )
-        return RhoVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return RhoVector(tuple(map(operator.add, self.entries, other.entries)))
 
     def __repr__(self):
         return f"RhoVector(({', '.join(repr(e) for e in self.entries)}))"
@@ -167,9 +178,9 @@ def boxplus(a, b):
         raise InvalidClass("boxplus needs two projection classes")
     if a.n != b.n:
         raise DimensionMismatch(f"ambient indices differ: {a.n} vs {b.n}")
-    if a.is_zero:
+    if not a.k:
         return b
-    if b.is_zero:
+    if not b.k:
         return a
     if a.j == b.j:
         return ProjClass(a.n, a.j, a.k + b.k)

@@ -77,17 +77,18 @@ def monoid_checks(n_max=5, k_max=20):
     law_bad = add_bad = None
     comm_ok = assoc_ok = True
     pairs = triples = 0
+    boxplus = projections.boxplus
     for n in range(n_max + 1):
         base = _class_stock(n, k_max)
-        # each sum is named by its level and multiplicity, in order of first
-        # sight (base[i] is named i); classes[i] is the first class named i,
-        # over the base classes and their two-fold sums
+        # each sum is named by its ambient index, level and multiplicity, in
+        # order of first sight (base[i] is named i); classes[i] is the class
+        # named i, over the base classes and their two-fold sums
         classes = list(base)
-        ids = {(p.j, p.k): i for i, p in enumerate(base)}
+        ids = {(p.n, p.j, p.k): i for i, p in enumerate(base)}
 
         def sum_id(a, b):
-            c = projections.boxplus(a, b)
-            return ids.setdefault((c.j, c.k), len(ids))
+            c = boxplus(a, b)
+            return ids.setdefault((c.n, c.j, c.k), len(ids))
 
         rhos = [projections.rho(p) for p in base]
         mb = len(base)
@@ -95,11 +96,11 @@ def monoid_checks(n_max=5, k_max=20):
         for a_i, a in enumerate(base):
             row = []
             for b_i, b in enumerate(base):
-                c = projections.boxplus(a, b)
+                c = boxplus(a, b)
                 # the statement of the law, spelled out
-                if a.is_zero:
+                if not a.k:
                     want = (b.j, b.k)
-                elif b.is_zero:
+                elif not b.k:
                     want = (a.j, a.k)
                 elif a.j == b.j:
                     want = (a.j, a.k + b.k)
@@ -107,21 +108,25 @@ def monoid_checks(n_max=5, k_max=20):
                     want = (a.j, a.k)
                 else:
                     want = (b.j, b.k)
-                if (c.j, c.k) != want and law_bad is None:
+                if (c.n, c.j, c.k) != (n, *want) and law_bad is None:
                     law_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
                                "got": c.to_json(), "want": list(want)}
-                c_i = ids.setdefault((c.j, c.k), len(ids))
+                c_i = ids.setdefault((c.n, c.j, c.k), len(ids))
                 row.append(c_i)
                 if c_i == len(classes):  # a class first seen here
                     classes.append(c)
                     rhos.append(projections.rho(c))
-                # a sum over another ambient index is not classes[c_i]
-                rho_c = rhos[c_i] if c == classes[c_i] else projections.rho(c)
-                rho_ab = rhos[a_i] + rhos[b_i]
-                if rho_ab != rho_c and add_bad is None:
+                if rhos[a_i] + rhos[b_i] != rhos[c_i] and add_bad is None:
                     add_bad = {"n": n, "a": a.to_json(), "b": b.to_json()}
             prod.append(row)
         comm_ok = comm_ok and prod == [list(col) for col in zip(*prod)]
+        pairs += mb ** 2
+        triples += mb ** 3
+        # a two-fold sum over another ambient index cannot be summed with a
+        # base class, so associativity fails at n
+        if any(p.n != n for p in classes[mb:]):
+            assoc_ok = False
+            continue
         # (a + b) + c against a + (b + c), one a at a time: right[s] names
         # classes[s] + c over every c and left[a_i][s] names a + classes[s],
         # for each sum s of two base classes.  A sum that is a base class
@@ -143,8 +148,6 @@ def monoid_checks(n_max=5, k_max=20):
                 row[s] = a_s
         assoc_ok = assoc_ok and all([right[s] for s in ab] == [bc(a) for bc in take]
                                     for ab, a in zip(prod, left))
-        pairs += mb ** 2
-        triples += mb ** 3
     params = {"n_max": n_max, "k_max": k_max}
     return [
         VerifyReport("monoid-law", params, law_bad is None,

@@ -1,5 +1,10 @@
 """Projection normal forms, the diagonal-sum monoid, and the counting vector."""
 
+import copy
+import dataclasses
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,8 +12,9 @@ from qproj.errors import (
     DimensionMismatch,
     ExprSyntaxError,
     InvalidClass,
+    integer,
 )
-from qproj.extnat import INF
+from qproj.extnat import INF, is_finite
 from qproj.projections import (
     ProjClass,
     RhoVector,
@@ -89,6 +95,82 @@ class TestNormalForm:
         assert str(p) == "P[1,2]"
         assert p.to_json() == {"n": 3, "j": 1, "k": 2}
         assert ProjClass(**p.to_json()) == p
+
+
+class Count(int):
+    """An int subclass: accepted wherever an int is, but not by exact type."""
+
+
+# bools, floats, None, negatives, big ints, an int subclass and INF, with
+# small ints so that triples of them also reach j > n and P[j,0]
+GRID = [True, 1.5, None, -1, 0, 1, 2, 2 ** 70, Count(1), INF]
+
+
+def reference_class_check(n, j, k):
+    """ProjClass's validation before its one-test accept, check by check."""
+    n = integer(n, "ambient index n", 0)
+    j = integer(j, "level j")
+    if not 0 <= j <= n:
+        raise InvalidClass(f"level j={j} outside 0..{n}")
+    if integer(k, "multiplicity k", 0) == 0 and j != 0:
+        raise InvalidClass(
+            f"P[{j},0] is not a normal form; the zero class is P[0,0]"
+        )
+
+
+def reference_vector_check(entries):
+    """RhoVector's validation before its one-test accept, entry by entry."""
+    if not entries:
+        raise DimensionMismatch("a counting vector needs at least one level")
+    for e in entries:
+        if is_finite(e):
+            integer(e, "finite counting entry", 0)
+
+
+def outcome(make, *args):
+    """None when ``make(*args)`` accepts them, else the error's class and text."""
+    try:
+        make(*args)
+    except (InvalidClass, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestValueValidation:
+    def test_class_grid(self):
+        for args in itertools.product(GRID, repeat=3):
+            want = outcome(reference_class_check, *args)
+            assert outcome(ProjClass, *args) == want, args
+            if want is None:
+                p = ProjClass(*args)
+                assert (p.n, p.j, p.k) == args
+        assert outcome(ProjClass, 1, 2, 1) == (InvalidClass, "level j=2 outside 0..1")
+        assert outcome(ProjClass, 2, 1, 0) == (
+            InvalidClass, "P[1,0] is not a normal form; the zero class is P[0,0]")
+        assert outcome(ProjClass, Count(2), Count(1), Count(1)) is None
+
+    def test_vector_grid(self):
+        cases = [()] + [(e,) for e in GRID] + list(itertools.product(GRID, repeat=2))
+        for entries in cases:
+            want = outcome(reference_vector_check, entries)
+            assert outcome(RhoVector, entries) == want, entries
+            assert outcome(RhoVector, list(entries)) == want, entries
+            if want is None:
+                assert RhoVector(entries).entries == entries
+        assert outcome(RhoVector, (0, -1)) == (
+            InvalidClass, "finite counting entry must be an integer >= 0, got -1")
+
+    @pytest.mark.parametrize("value", [ProjClass(3, 1, 2), RhoVector((0, 2, INF))],
+                             ids=["class", "vector"])
+    def test_survives_pickle_and_copy(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                     copy.copy(value)):
+            assert twin == value and type(twin) is type(value)
+            assert hash(twin) == hash(value)
+        assert pickle.loads(pickle.dumps(RhoVector((INF,)))).entries[0] is INF
+        field = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
 
 
 class TestBoxplus:

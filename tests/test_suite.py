@@ -224,7 +224,7 @@ def reference_monoid(n_max, k_max):
                     want = (a.j, a.k + b.k)
                 else:
                     want = (min(a.j, b.j), a.k if a.j < b.j else b.k)
-                if (c.j, c.k) != want and law_bad is None:
+                if (c.n, c.j, c.k) != (n, *want) and law_bad is None:
                     law_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
                                "got": c.to_json(), "want": list(want)}
                 if (projections.rho(a) + projections.rho(b) != projections.rho(c)
@@ -379,12 +379,15 @@ def _off_above(k_max):
     return broken
 
 
-def _out_of_stock(a, b):
-    """The diagonal sum giving P[1, 100] for P[1, 1] + P[1, 1]: a class far
-    past every multiplicity that sums of base classes up to k_max reach."""
-    if not (a.is_zero or b.is_zero) and a.j == b.j == 1 and a.k == b.k == 1:
-        return ProjClass(a.n, 1, 100)
-    return BOXPLUS(a, b)
+def _out_of_stock(dn):
+    """The diagonal sum giving P[1, 100] over n + dn for P[1, 1] + P[1, 1]: a
+    class far past every multiplicity that sums of base classes up to k_max
+    reach."""
+    def broken(a, b):
+        if not (a.is_zero or b.is_zero) and a.j == b.j == 1 and a.k == b.k == 1:
+            return ProjClass(a.n + dn, 1, 100)
+        return BOXPLUS(a, b)
+    return broken
 
 
 def _equivalent_k1_k2(a, b):
@@ -404,12 +407,13 @@ BROKEN = {
     "keep-left": ("boxplus", _keep_left),
     "larger-plus-one-1": ("boxplus", _larger_plus_one(1)),
     "off-above-k-max": ("boxplus", _off_above(4)),
-    "out-of-stock": ("boxplus", _out_of_stock),
+    "out-of-stock": ("boxplus", _out_of_stock(0)),
+    "out-of-stock-ambient": ("boxplus", _out_of_stock(1)),
     "equivalent-k1-k2": ("is_equivalent", _equivalent_k1_k2),
 }
 
 # broken sums that leave the ambient index of their operands
-OTHER_AMBIENT = {"ambient-1-2"}
+OTHER_AMBIENT = {"ambient-1-2", "out-of-stock-ambient"}
 
 
 class TestTablesAgainstNestedLoops:
@@ -446,6 +450,17 @@ class TestTablesAgainstNestedLoops:
         records = reference_records(3, 4)
         assert [c for c in LAW_CHECKS if not records[c]["pass"]] == [fails]
 
+    @pytest.mark.parametrize("name", sorted(OTHER_AMBIENT))
+    def test_sums_over_another_ambient_index(self, monkeypatch, name):
+        # such a sum breaks the law, which names its ambient index, and
+        # additivity; it cannot be summed again, so associativity fails
+        # without raising
+        monkeypatch.setattr(projections, *BROKEN[name])
+        records = table_records(3, 4)
+        failed = [c for c, r in records.items() if not r["pass"]]
+        assert failed == ["monoid-law", "monoid-associativity", "rho-additivity"]
+        assert records["monoid-law"]["counterexample"]["got"]["n"] == 2
+
     def test_sums_that_are_not_base_classes(self, monkeypatch):
         # wrong only where an operand's multiplicity exceeds k_max: no base
         # pair sees it, so only associativity, whose rows of the sums that
@@ -460,9 +475,10 @@ class TestTablesAgainstNestedLoops:
 # default ranges, capped at the counts of the tables as they stand.  The
 # monoid family sums each base pair once and, for associativity, only the
 # two-fold sums that are not base classes again: 37,246 + 73,640 calls.  It
-# takes rho once of each base class and of each two-fold sum: 426 + 420.
+# takes rho once of each base class and of each two-fold sum: 426 + 420, and
+# adds the counting vectors of each base pair once: 37,246.
 CALL_BUDGETS = {
-    "monoid": {"boxplus": 110886, "rho": 846},
+    "monoid": {"boxplus": 110886, "rho": 846, "RhoVector.__add__": 37246},
     "cancellation": {"boxplus": 8820, "is_equivalent": 13250},
     "rho-injectivity": {"rho": 1056},
 }
@@ -470,12 +486,15 @@ CALL_BUDGETS = {
 
 @pytest.mark.parametrize("family", sorted(CALL_BUDGETS))
 def test_evaluate_once_call_counts(monkeypatch, family):
-    calls = dict.fromkeys(("boxplus", "rho", "is_equivalent"), 0)
+    calls = dict.fromkeys(("boxplus", "rho", "is_equivalent", "RhoVector.__add__"), 0)
     for name in calls:
-        def counted(*args, _name=name, _real=getattr(projections, name)):
+        owner, _, attr = name.rpartition(".")
+        target = getattr(projections, owner) if owner else projections
+
+        def counted(*args, _name=name, _real=getattr(target, attr)):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(projections, name, counted)
+        monkeypatch.setattr(target, attr, counted)
     assert all(r.passed for r in suite.run_group(family))
     for name, budget in CALL_BUDGETS[family].items():
         assert 0 < calls[name] <= budget, name
