@@ -21,7 +21,7 @@ import sys
 
 from . import k_theory, line_bundles
 from .errors import QprojError
-from .projections import normalize_expression, rank, rho
+from .projections import boxplus, normalize_expression, rank, rho
 
 __all__ = ["main", "build_parser"]
 
@@ -150,7 +150,6 @@ def _cmd_rho(args):
 
 
 def _cmd_boxplus(args):
-    from .projections import boxplus
     p = boxplus(normalize_expression(args.left, args.n),
                 normalize_expression(args.right, args.n))
     _print_result(args, p.to_json(), str(p))

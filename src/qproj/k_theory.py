@@ -104,8 +104,10 @@ def iota_star(n, m):
 
 # ---------------------------------------------------------------------------
 # Exact integer linear algebra.  Column-style echelon reduction over Z with a
-# recorded unimodular transform; enough to compute kernels and solve A x = b
-# for integer x on the small matrices that occur here.
+# recorded unimodular transform; each column of A is reduced stacked on the
+# matching column of the identity, so one list operation moves both.  A
+# matrix is reduced once, and its kernel and every A x = b are read from
+# that one reduction.
 
 
 def _column_echelon(rows):
@@ -116,69 +118,42 @@ def _column_echelon(rows):
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    H = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_sub(dst, src, q):
-        # column dst -= q * column src, in both H and U
-        for r in range(nrows):
-            H[r][dst] -= q * H[r][src]
-        for r in range(ncols):
-            U[r][dst] -= q * U[r][src]
-
-    def col_swap(a, b):
-        for r in range(nrows):
-            H[r][a], H[r][b] = H[r][b], H[r][a]
-        for r in range(ncols):
-            U[r][a], U[r][b] = U[r][b], U[r][a]
-
-    def col_negate(c):
-        for r in range(nrows):
-            H[r][c] = -H[r][c]
-        for r in range(ncols):
-            U[r][c] = -U[r][c]
-
+    # column c of A, then column c of the identity
+    cols = [[row[c] for row in rows] + [1 if i == c else 0 for i in range(ncols)]
+            for c in range(ncols)]
     pivot_col = 0
     for r in range(nrows):
         if pivot_col >= ncols:
             break
         while True:
-            live = [c for c in range(pivot_col, ncols) if H[r][c] != 0]
+            live = [c for c in range(pivot_col, ncols) if cols[c][r] != 0]
             if not live:
                 break
             if len(live) == 1:
                 c = live[0]
-                if c != pivot_col:
-                    col_swap(c, pivot_col)
-                if H[r][pivot_col] < 0:
-                    col_negate(pivot_col)
+                cols[c], cols[pivot_col] = cols[pivot_col], cols[c]
+                if cols[pivot_col][r] < 0:
+                    cols[pivot_col] = [-x for x in cols[pivot_col]]
                 pivot_col += 1
                 break
             # Euclid on the two smallest magnitudes in this row
-            live.sort(key=lambda c: abs(H[r][c]))
+            live.sort(key=lambda c: abs(cols[c][r]))
             small, other = live[0], live[1]
-            q = H[r][other] // H[r][small]
-            col_sub(other, small, q)
+            q = cols[other][r] // cols[small][r]
+            cols[other] = [x - q * y for x, y in zip(cols[other], cols[small])]
+    H = [[col[r] for col in cols] for r in range(nrows)]
+    U = [[col[nrows + r] for col in cols] for r in range(ncols)]
     return H, U
 
 
-def _kernel_basis(rows):
-    """Integer basis of {x : A x = 0} as a list of column vectors."""
-    H, U = _column_echelon(rows)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    basis = []
-    for c in range(ncols):
-        if all(H[r][c] == 0 for r in range(nrows)):
-            basis.append([U[r][c] for r in range(ncols)])
-    return basis
+def _kernel_basis(H, U):
+    """Integer basis of {x : A x = 0} as column vectors, from A's reduction (H, U)."""
+    return [[row[c] for row in U] for c in range(len(U)) if not any(row[c] for row in H)]
 
 
-def _solve_int(rows, b):
-    """One integer solution x of A x = b, or None if none exists."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    H, U = _column_echelon(rows)
+def _solve_int(H, U, b):
+    """One integer solution x of A x = b from A's reduction (H, U), or None."""
+    nrows, ncols = len(H), len(U)
     residue = list(b)
     y = [0] * ncols
     col = 0
@@ -203,16 +178,17 @@ def _in_span(vectors, target):
     if not vectors:
         return all(t == 0 for t in target)
     rows = [[vec[r] for vec in vectors] for r in range(len(target))]
-    return _solve_int(rows, target) is not None
+    return _solve_int(*_column_echelon(rows), target) is not None
 
 
 def check_exactness(n):
     """Verify exactness at the middle of restriction against ideal inclusion.
 
-    Builds the matrix of nu_star from its action on the basis, computes an
-    integer kernel basis, and checks kernel = image(iota_star) by mutual
-    containment, plus surjectivity of nu_star by solving for every target
-    generator.  n = 0 has nothing to restrict to and passes vacuously.
+    Builds the matrix of nu_star from its action on the basis and reduces
+    it once.  From that reduction it reads an integer kernel basis, checked
+    against image(iota_star) by mutual containment, and solves for every
+    target generator to check that nu_star is onto.  n = 0 has nothing to
+    restrict to and passes vacuously.
     """
     if integer(n, "ambient index", 0) == 0:
         return VerifyReport(
@@ -225,7 +201,8 @@ def check_exactness(n):
     columns = [nu_star(generator(n, j)).coords for j in range(n + 1)]
     rows = [[columns[c][r] for c in range(n + 1)] for r in range(n)]
 
-    kernel = _kernel_basis(rows)
+    reduced = _column_echelon(rows)
+    kernel = _kernel_basis(*reduced)
     iota_gens = [list(iota_star(n, 1).coords)]
 
     counterexample = None
@@ -245,7 +222,7 @@ def check_exactness(n):
     if counterexample is None:
         for j in range(n):
             e_j = [1 if r == j else 0 for r in range(n)]
-            if _solve_int(rows, e_j) is None:
+            if _solve_int(*reduced, e_j) is None:
                 counterexample = {"kind": "not-surjective", "target-level": j}
                 break
 

@@ -15,8 +15,10 @@ strips one unit of degree at a time:
     (k, j)  ->  (0, j)  +  sum over l = 1..k of (l, j + 1)
 
 with every stratum at the deepest level collapsing to a single terminal
-class.  The tail sums that make the two agree are hockey-stick binomial
-identities, checked exactly by ``hockey_stick``.
+class.  ``recursion_expand`` fills the strata (1..k, j) level by level,
+from the deepest level up, with running sums and no binomial; it keeps no
+state between calls.  The tail sums that make the two agree are
+hockey-stick binomial identities, checked exactly by ``hockey_stick``.
 
 >>> closed_form(2, 2).mult
 (1, 2, 3)
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import InvalidClass, OutOfRange, UnsupportedDegree, integer
@@ -112,25 +113,6 @@ def closed_form(n, k):
     return LineBundleDecomposition(n, k, [binomial(k + j - 1, j) for j in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
-def _terminal_counts(n, k, j):
-    """Multiplicity vector of terminal classes reached from stratum (k, j).
-
-    Memoized on (n, k, j); the cache is only ever written with the value
-    it would recompute, so concurrent readers are safe.
-    """
-    if k == 0:
-        return tuple(1 if i == j else 0 for i in range(n + 1))
-    if j == n:
-        # the deepest level collapses in a single terminal step
-        return tuple(1 if i == n else 0 for i in range(n + 1))
-    total = list(_terminal_counts(n, 0, j))
-    for l in range(1, k + 1):
-        for i, c in enumerate(_terminal_counts(n, l, j + 1)):
-            total[i] += c
-    return tuple(total)
-
-
 def recursion_expand(n, k):
     """Expand the degree-k bundle by repeated peeling; k >= 1 required.
 
@@ -140,7 +122,14 @@ def recursion_expand(n, k):
     _check_bundle_args(n, k)
     if k < 1:
         raise OutOfRange(f"the peeling recursion starts at degree >= 1, got {k}")
-    return LineBundleDecomposition(n, k, _terminal_counts(n, k, 0))
+    # strata[l - 1] counts the terminal classes reached from stratum (l, j),
+    # for l = 1..k, filled from the deepest level j = n up to j = 0
+    strata = [[0] * n + [1]] * k
+    for j in reversed(range(n)):
+        # (l, j) -> (0, j) + (1, j + 1) + ... + (l, j + 1), a running sum
+        running = [1 if i == j else 0 for i in range(n + 1)]
+        strata = [running := [a + b for a, b in zip(running, below)] for below in strata]
+    return LineBundleDecomposition(n, k, strata[-1])
 
 
 class HockeyStickResult(NamedTuple):

@@ -39,6 +39,69 @@ def int_matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def twin_loop_echelon(rows):
+    """Column echelon reduction keeping separate H and U in step, column by column.
+
+    The reference for ``_column_echelon``: the same operations in the same
+    order, each applied by one loop over H and one over U.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    H = [list(r) for r in rows]
+    U = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_sub(dst, src, q):
+        for r in range(nrows):
+            H[r][dst] -= q * H[r][src]
+        for r in range(ncols):
+            U[r][dst] -= q * U[r][src]
+
+    def col_swap(a, b):
+        for r in range(nrows):
+            H[r][a], H[r][b] = H[r][b], H[r][a]
+        for r in range(ncols):
+            U[r][a], U[r][b] = U[r][b], U[r][a]
+
+    def col_negate(c):
+        for r in range(nrows):
+            H[r][c] = -H[r][c]
+        for r in range(ncols):
+            U[r][c] = -U[r][c]
+
+    pivot_col = 0
+    for r in range(nrows):
+        if pivot_col >= ncols:
+            break
+        while True:
+            live = [c for c in range(pivot_col, ncols) if H[r][c] != 0]
+            if not live:
+                break
+            if len(live) == 1:
+                c = live[0]
+                if c != pivot_col:
+                    col_swap(c, pivot_col)
+                if H[r][pivot_col] < 0:
+                    col_negate(pivot_col)
+                pivot_col += 1
+                break
+            live.sort(key=lambda c: abs(H[r][c]))
+            small, other = live[0], live[1]
+            q = H[r][other] // H[r][small]
+            col_sub(other, small, q)
+    return H, U
+
+
+def assert_column_echelon(H):
+    """Positive pivots, one column further right per pivot row, each alone to its right."""
+    col = 0
+    for row in H:
+        if col < len(row) and row[col] != 0:
+            assert row[col] > 0
+            col += 1
+        # a pivot row is zero right of its pivot, any other row from the next pivot column on
+        assert not any(row[col:])
+
+
 class TestVectors:
     def test_construction_and_equality(self):
         v = K0Vector(2, (1, -2, 3))
@@ -98,6 +161,12 @@ class TestEchelon:
         assert int_matmul(rows, U) == H
 
     @pytest.mark.parametrize("rows", CASES)
+    def test_matches_twin_loop_reference(self, rows):
+        H, U = _column_echelon(rows)
+        assert (H, U) == twin_loop_echelon(rows)
+        assert_column_echelon(H)
+
+    @pytest.mark.parametrize("rows", CASES)
     def test_transform_is_unimodular(self, rows):
         _, U = _column_echelon(rows)
         assert abs(int_det(U)) == 1
@@ -113,32 +182,34 @@ class TestEchelon:
         H, U = _column_echelon(rows)
         assert int_matmul(rows, U) == H
         assert abs(int_det(U)) == 1
+        assert_column_echelon(H)
+        assert (H, U) == twin_loop_echelon(rows)
 
 
 class TestSolve:
     def test_known_solution(self):
-        assert _solve_int([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+        assert _solve_int(*_column_echelon([[2, 0], [0, 3]]), [4, 9]) == [2, 3]
 
     def test_divisibility_obstruction(self):
-        assert _solve_int([[2]], [3]) is None
+        assert _solve_int(*_column_echelon([[2]]), [3]) is None
 
     def test_inconsistent(self):
-        assert _solve_int([[1, 1], [1, 1]], [0, 1]) is None
+        assert _solve_int(*_column_echelon([[1, 1], [1, 1]]), [0, 1]) is None
 
     def test_underdetermined(self):
-        x = _solve_int([[1, 1]], [5])
+        x = _solve_int(*_column_echelon([[1, 1]]), [5])
         assert x is not None and x[0] + x[1] == 5
 
     def test_kernel_of_projection(self):
         # dropping the last coordinate of Z^3: kernel is the last axis
         rows = [[1, 0, 0], [0, 1, 0]]
-        basis = _kernel_basis(rows)
+        basis = _kernel_basis(*_column_echelon(rows))
         assert len(basis) == 1
         v = basis[0]
         assert v[0] == 0 and v[1] == 0 and abs(v[2]) == 1
 
     def test_full_rank_kernel_is_trivial(self):
-        assert _kernel_basis([[2, 1], [1, 1]]) == []
+        assert _kernel_basis(*_column_echelon([[2, 1], [1, 1]])) == []
 
     def test_in_span(self):
         assert _in_span([[2, 0], [0, 3]], [4, 3])

@@ -1,5 +1,7 @@
 """Line bundle decompositions: closed form, peeling recursion, binomial identities."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,6 +118,20 @@ class TestRecursion:
         for n in range(1, 6):
             for k in range(1, 26):
                 assert recursion_expand(n, k) == closed_form(n, k)
+        # large degrees, where a recursion quadratic in k would take seconds
+        for n, k in ((6, 1000), (2, 5000)):
+            assert recursion_expand(n, k) == closed_form(n, k)
+
+    def test_uses_no_binomial(self, monkeypatch):
+        """The peeling reference stays independent of the closed form."""
+        def refuse(*args):
+            raise AssertionError("the peeling recursion computed a binomial")
+
+        monkeypatch.setattr(line_bundles, "binomial", refuse)
+        monkeypatch.setattr(math, "comb", refuse)
+        for n in range(1, 5):
+            for k in range(1, 10):
+                assert recursion_expand(n, k).mult == peel_by_hand(n, k)
 
     @settings(max_examples=40)
     @given(st.integers(1, 7), st.integers(1, 50))
