@@ -433,24 +433,41 @@ def _raw(spec, p, pairs):
 
 
 def _count(spec, blocks):
-    """The number of rows of a window.  ``sums`` counts the pair prefixes
-    by offset sum, one coordinate at a time: coordinate p adds, at each x,
-    the w_hi - max(w_lo, -x) + 1 sources it pairs with."""
-    total, start, sums = 0, 0, [1]  # sums[i]: the prefixes summing to start + i
+    """The number of rows of a window, in exact packed-integer products.
+
+    ``sums`` counts the pair prefixes by offset sum, one B-bit digit per
+    sum from ``start`` on.  A digit counts a subset of the window's
+    prefixes, so it stays below 2**(B - 1) and no product carries.
+    Coordinate p multiplies ``sums`` by the polynomial of its pair table,
+    whose digit at x counts the sources x pairs with: each full run
+    (w >= -x_lo) adds the digits 1 over x_lo..x_hi, and the short runs
+    (w below -x_lo) add them over -w..x_hi.  A block's rows are the digit
+    sum of its window of digits, which is that window's residue modulo
+    2**B - 1, since 2**B is 1 there and the sum is smaller."""
+    sizes = [_axis_size(*r[:4]) for r in spec.ranges]
+    B = math.prod(size or 1 for size in sizes).bit_length() + 1
+    X = 1 << B
+
+    def ones(m):  # the digits 1, ..., 1: m of them
+        return ((1 << B * m) - 1) // (X - 1)
+
+    total, start, sums = 0, 0, 1
     for p in range(spec.n + 1):
         if p in blocks:
-            lo, hi = blocks[p]
-            total += sum(sums[max(lo - start, 0):max(hi - start + 1, 0)])
-        if p < spec.n:
-            x_lo, x_hi, w_lo, w_hi, _ = spec.ranges[p]
-            first = max(x_lo, -w_hi)
-            step = [max(w_hi - max(w_lo, -x) + 1, 0)
-                    for x in range(first, x_hi + 1)] if w_lo <= w_hi else []
-            out = [0] * (len(sums) + len(step) - 1) if step else []
-            for i, v in enumerate(step):
-                out[i:i + len(sums)] = [o + v * u for o, u in zip(out[i:i + len(sums)], sums)]
-            start, sums = start + first, out
-    return total
+            lo, hi = max(blocks[p][0], start), blocks[p][1]
+            if lo <= hi:
+                total += (sums >> B * (lo - start) & (1 << B * (hi - lo + 1)) - 1) % (X - 1)
+        if p == spec.n or not sizes[p]:
+            return total
+        x_lo, x_hi, w_lo, w_hi, _ = spec.ranges[p]
+        first = max(x_lo, -w_hi)
+        full = max(w_hi - max(w_lo, -x_lo) + 1, 0)
+        table = full * ones(x_hi - x_lo + 1) << B * (x_lo - first) if full else 0
+        a, b = max(w_lo, -x_hi), min(w_hi, -x_lo - 1)
+        if a <= b:  # the runs -w..x_hi for w = a..b, summed in closed form
+            m, span = b - a + 1, x_hi - first + 1
+            table += ((m << B * span) - (ones(m) << B * (-b - first))) // (X - 1)
+        start, sums = start + first, sums * table
 
 
 @dataclass(frozen=True)
@@ -595,8 +612,9 @@ def _image_check(sources, cod):
     reach each (``_cover``, over every source at j), times the number of
     sources with block p when j >= p.  The rest of a block is one scalar
     test.  So each failure kind is a row with given pair sets and sum
-    ranges, found by ``_first``, and the counts of rows are exact sums of
-    convolved counts (``_count``).
+    ranges, found by ``_first``, and each window's count of rows is read
+    from exact products of packed-digit polynomials, one per pair table
+    (``_count``).
 
     Returns the number of source rows, the number of codomain rows, and
     the first raw row of each failure kind: "moved" (a source row whose

@@ -152,25 +152,30 @@ def _kernel_basis(H, U):
 
 
 def _solve_int(H, U, b):
-    """One integer solution x of A x = b from A's reduction (H, U), or None."""
+    """One integer solution x of A x = b from A's reduction (H, U), or None.
+
+    Solves H y = b down the pivots, then x = U y.  A pivot column is zero
+    above its pivot row, so each step updates only the rows from the
+    pivot down, and a zero quotient updates none."""
     nrows, ncols = len(H), len(U)
     residue = list(b)
-    y = [0] * ncols
+    y = {}  # the nonzero entries of y, by column
     col = 0
     for r in range(nrows):
         if col < ncols and H[r][col] != 0:
-            if residue[r] % H[r][col] != 0:
+            q, rest = divmod(residue[r], H[r][col])
+            if rest:
                 return None
-            q = residue[r] // H[r][col]
-            y[col] = q
-            for rr in range(nrows):
-                residue[rr] -= q * H[rr][col]
+            if q:
+                y[col] = q
+                for rr in range(r, nrows):
+                    residue[rr] -= q * H[rr][col]
             col += 1
         elif residue[r] != 0:
             return None
     if any(residue):
         return None
-    return [sum(U[i][c] * y[c] for c in range(ncols)) for i in range(ncols)]
+    return [sum(row[c] * q for c, q in y.items()) for row in U]
 
 
 def _in_span(vectors, target):

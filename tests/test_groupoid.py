@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -24,15 +25,18 @@ from qproj.groupoid import (
     _axis_size,
     _blocks,
     _check_setup,
+    _count,
     _first_inf,
     _image_check,
     _iter_raw,
     _partition_setup,
     _put,
+    _Range,
     _recoord,
     _split_coordinate,
     _stratum_spec,
     _table,
+    _WindowSpec,
     canonicalize,
     compose,
     enumerate_stratum,
@@ -205,6 +209,28 @@ def box_rows(spec):
                 continue
             rows.append((z, x, w))
     return rows
+
+
+def convolved_count(spec, blocks):
+    """The number of rows of a window by list convolution: the reference
+    for ``_count``'s packed products.  ``sums`` counts the pair prefixes by
+    offset sum, one coordinate at a time: coordinate p adds, at each x, the
+    w_hi - max(w_lo, -x) + 1 sources it pairs with."""
+    total, start, sums = 0, 0, [1]  # sums[i]: the prefixes summing to start + i
+    for p in range(spec.n + 1):
+        if p in blocks:
+            lo, hi = blocks[p]
+            total += sum(sums[max(lo - start, 0):max(hi - start + 1, 0)])
+        if p < spec.n:
+            x_lo, x_hi, w_lo, w_hi, _ = spec.ranges[p]
+            first = max(x_lo, -w_hi)
+            step = [max(w_hi - max(w_lo, -x) + 1, 0)
+                    for x in range(first, x_hi + 1)] if w_lo <= w_hi else []
+            out = [0] * (len(sums) + len(step) - 1) if step else []
+            for i, v in enumerate(step):
+                out[i:i + len(sums)] = [o + v * u for o, u in zip(out[i:i + len(sums)], sums)]
+            start, sums = start + first, out
+    return total
 
 
 def spec_with(n, z, W, pins=0, shear=False, over=None):
@@ -1014,6 +1040,64 @@ class TestWindowEdges:
         monkeypatch.setattr(G, "_LIMIT", block - 1)
         with pytest.raises(OutOfRange, match=f"block of {block} positions"):
             enumerate_stratum(2, 0, window=2)
+
+
+@st.composite
+def count_windows(draw, n_max, w_max):
+    """A window of n <= n_max coordinates whose ranges lie near -W..W and
+    0..W, W <= w_max: offset ranges of either sign, of both or empty, and
+    finite source ranges empty or not, each with or without inf."""
+    n, W = draw(st.integers(1, n_max)), draw(st.integers(1, w_max))
+    ranges = []
+    for _ in range(n):
+        x_lo = draw(st.integers(-W - 1, W))
+        x_hi = draw(st.integers(x_lo - 1, W + 1))
+        w_lo = draw(st.integers(0, W))
+        w_hi = draw(st.integers(w_lo - 1, W + 1))
+        ranges.append(_Range(x_lo, x_hi, w_lo, w_hi, draw(st.booleans())))
+    return _WindowSpec(draw(st.integers(-2 * W, 2 * W)), tuple(ranges), draw(st.booleans()))
+
+
+class TestCount:
+    """``_count`` against the rows of ``box_rows`` and against the list
+    convolution it replaces."""
+
+    @pytest.mark.parametrize("n,z,kw", [
+        (2, 0, {"over": {1: {"w_lo": 3, "w_hi": 2}}}),  # no finite source
+        (2, 1, {"over": {0: {"w_lo": 3, "w_hi": 2, "w_inf": False}}}),  # no pair at all
+        (2, 0, {"over": {1: {"x_lo": -3, "x_hi": -2, "w_hi": 1}}}),  # max(x_lo, -w_hi) > x_hi
+        (3, -1, {"over": {1: {"x_lo": 1, "x_hi": 3}}}),  # positive offsets only
+        (3, 2, {"over": {0: {"x_lo": -3, "x_hi": -1}, 2: {"x_hi": -2}}}),  # negative only
+        (2, 0, {"over": {0: {"x_hi": -4}}}),  # x_lo > x_hi
+    ])
+    def test_edge_ranges(self, n, z, kw):
+        spec = spec_with(n, z, 3, **kw)
+        blocks = _blocks(spec)
+        assert _count(spec, blocks) == len(box_rows(spec)) == convolved_count(spec, blocks)
+
+    @pytest.mark.parametrize("n,W", [(1, 60), (3, 60), (6, 8)])
+    def test_one_block_holds_every_prefix(self, n, W):
+        # with every source pinned, block n holds every prefix, so the one
+        # digit read is the product of the axis sizes, the widest a digit gets
+        spec = _stratum_spec(n, 1, W, pins=n)
+        assert list(_blocks(spec)) == [n]
+        assert _count(spec, _blocks(spec)) == (W + 1) ** n
+
+    @seed(2019)
+    @settings(max_examples=150, deadline=None)
+    @given(count_windows(n_max=3, w_max=2))
+    def test_matches_box_rows(self, spec):
+        assert _count(spec, _blocks(spec)) == len(box_rows(spec))
+
+    @seed(2019)
+    @settings(max_examples=150, deadline=None)
+    @given(count_windows(n_max=6, w_max=60))
+    def test_matches_convolved_count(self, spec):
+        blocks = _blocks(spec)
+        count = _count(spec, blocks)
+        assert count == convolved_count(spec, blocks)
+        if not any(r.w_inf for r in spec.ranges):  # one block, every prefix
+            assert count == math.prod(_axis_size(*r[:4]) for r in spec.ranges)
 
 
 class TestSharedTables:

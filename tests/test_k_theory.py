@@ -1,7 +1,9 @@
 """Level-basis K-group vectors and the exact integer linear algebra under them."""
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from qproj.errors import (
     DimensionMismatch,
@@ -89,6 +91,32 @@ def twin_loop_echelon(rows):
             q = H[r][other] // H[r][small]
             col_sub(other, small, q)
     return H, U
+
+
+def full_residue_solve(H, U, b):
+    """``_solve_int`` by whole-column updates: the reference for its sparse form.
+
+    Every pivot column, zero quotient or not, is subtracted from the whole
+    residue, and x is the full product U y.
+    """
+    nrows, ncols = len(H), len(U)
+    residue = list(b)
+    y = [0] * ncols
+    col = 0
+    for r in range(nrows):
+        if col < ncols and H[r][col] != 0:
+            if residue[r] % H[r][col] != 0:
+                return None
+            q = residue[r] // H[r][col]
+            y[col] = q
+            for rr in range(nrows):
+                residue[rr] -= q * H[rr][col]
+            col += 1
+        elif residue[r] != 0:
+            return None
+    if any(residue):
+        return None
+    return [sum(U[i][c] * y[c] for c in range(ncols)) for i in range(ncols)]
 
 
 def assert_column_echelon(H):
@@ -210,6 +238,26 @@ class TestSolve:
 
     def test_full_rank_kernel_is_trivial(self):
         assert _kernel_basis(*_column_echelon([[2, 1], [1, 1]])) == []
+
+    @pytest.mark.parametrize("rows", TestEchelon.CASES)
+    def test_matches_full_residue_reference(self, rows):
+        # every target with entries in -4..4, solvable or not
+        reduced = _column_echelon(rows)
+        for b in itertools.product(range(-4, 5), repeat=len(rows)):
+            assert _solve_int(*reduced, b) == full_residue_solve(*reduced, b), (rows, b)
+
+    @seed(2019)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=ncols + 1, max_size=ncols + 1),
+        min_size=1, max_size=6)))
+    def test_random_matches_full_residue_reference(self, augmented):
+        # the last column of each row is the target's entry
+        rows, b = [row[:-1] for row in augmented], [row[-1] for row in augmented]
+        reduced = _column_echelon(rows)
+        x = _solve_int(*reduced, b)
+        assert x == full_residue_solve(*reduced, b)
+        assert x is None or int_matmul(rows, [[v] for v in x]) == [[v] for v in b]
 
     def test_in_span(self):
         assert _in_span([[2, 0], [0, 3]], [4, 3])

@@ -16,9 +16,10 @@ the restriction must also give the expected kind of exactness failure.
 Each engine mutant edits one line of one function of the image check; it
 counts as caught when the records of a small groupoid sweep, or the
 triple of an image check with a known overlap, of gamma with the shear
-dropped, or into a window with a narrower offset range, change.  Every
-groupoid mutant is also run with each source window cut into parts of
-one source value, where it must be caught with the same records.
+dropped, into a window with a narrower offset range, or on a one-row
+window, change.  Every groupoid mutant is also run with each source
+window cut into parts of one source value, where it must be caught with
+the same records.
 """
 
 import dataclasses
@@ -259,6 +260,10 @@ ENGINE_MUTANTS = {
                           "and True"),
     # compare no kept range of the source with the codomain's
     "no-kept-range-test": ("_without", "if r[0] <= r[1]]", "if False]"),
+    # pack the row counts in digits two bits too narrow for the widest count
+    "narrow-count-digit": ("_count", ".bit_length() + 1", ".bit_length() - 1"),
+    # count no pair of the runs that start above x_lo
+    "no-short-runs": ("_count", "if a <= b:", "if False:"),
 }
 
 
@@ -266,9 +271,11 @@ def engine_probe():
     """Records of a small groupoid sweep, the image check of a partition
     whose first piece overlaps the next one, the image checks of gamma with
     the shear dropped at k = 0 (only the free blocks' images leave the
-    codomain) and k = 1 (the p = 0 image leaves it first), and the image
-    check of t into its window with coordinate 1's offsets cut to -3..0
-    (a kept range of block 1 shrinks); or the type of the exception raised."""
+    codomain) and k = 1 (the p = 0 image leaves it first), the image check
+    of t into its window with coordinate 1's offsets cut to -3..0 (a kept
+    range of block 1 shrinks), and the identity on the one-row window of
+    x = w = (0,), whose count digits are two bits wide; or the type of the
+    exception raised."""
     full, pieces = G._partition_setup(2, 2, 0, 3)
     pieces[0] = G._recoord(G._stratum_spec(2, 2, 3), 0, 0, (1, 5, True))
     [(window, identity)], _ = G._check_setup("t", 2, None, None, None, 3)
@@ -281,8 +288,10 @@ def engine_probe():
             [(dom, _)], cod = G._check_setup("gamma", 2, k, None, None, 3)
             unsheared.append(G._image_check([(dom, G._Action(z=k))], cod))
         narrowed = G._image_check([(window, identity)], narrow)
+        one_row = G._WindowSpec(0, (G._Range(0, 0, 0, 0, False),))
+        single = G._image_check([(one_row, G._Action(z=0))], one_row)
         records = [r.to_json() for r in suite.groupoid_checks(n_max=2, window=3)]
-        return records, overlap, unsheared, narrowed
+        return records, overlap, unsheared, narrowed, single
     except Exception as err:  # a crash is caught too: verify-all exits 1
         return type(err)
 
