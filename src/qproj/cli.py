@@ -19,9 +19,7 @@ import argparse
 import json
 import sys
 
-from . import k_theory, line_bundles
 from .errors import QprojError
-from .projections import boxplus, normalize_expression, rank, rho
 
 __all__ = ["main", "build_parser"]
 
@@ -136,13 +134,18 @@ def _print_result(args, payload, table_text):
         print(table_text)
 
 
+# Each command imports the modules it runs when it runs, so that a command
+# loads none of the others' code.
+
 def _cmd_normalize(args):
+    from .projections import normalize_expression
     p = normalize_expression(args.expr, args.n)
     _print_result(args, p.to_json(), str(p))
     return 0
 
 
 def _cmd_rho(args):
+    from .projections import normalize_expression, rho
     vec = rho(normalize_expression(args.expr, args.n))
     table = "[" + ", ".join(str(e) for e in vec) + "]"
     _print_result(args, vec.to_json(), table)
@@ -150,6 +153,7 @@ def _cmd_rho(args):
 
 
 def _cmd_boxplus(args):
+    from .projections import boxplus, normalize_expression
     p = boxplus(normalize_expression(args.left, args.n),
                 normalize_expression(args.right, args.n))
     _print_result(args, p.to_json(), str(p))
@@ -168,9 +172,11 @@ def _cmd_k0(args):
         raise _UsageError("k0 needs exactly one of: EXPR, --bundle, "
                           "--generator, --iota, --nu, --exactness")
     if args.expr is not None:
+        from .projections import normalize_expression, rank
         r = rank(normalize_expression(args.expr, args.n))
         _print_result(args, {"rank": r}, str(r))
         return 0
+    from . import k_theory, line_bundles
     if args.bundle is not None:
         v = line_bundles.k0_class(args.n, args.bundle)
     elif args.generator is not None:
@@ -192,7 +198,8 @@ def _cmd_k0(args):
 
 
 def _cmd_linebundle(args):
-    dec = line_bundles.closed_form(args.n, args.k)
+    from .line_bundles import closed_form
+    dec = closed_form(args.n, args.k)
     if dec.kind == "corner":
         table = (f"degree {args.k} over n={args.n}: corner projection at "
                  f"depth {dec.m}")
@@ -214,9 +221,6 @@ def _emit_reports(args, reports):
             print(r.line())
     return 0 if all(r.passed for r in reports) else 2
 
-
-# Only the verifiers import suite, and only groupoid-verify and verify-all
-# groupoid, so the calculators start without them.
 
 def _cmd_groupoid_verify(args):
     from . import groupoid, suite

@@ -1,6 +1,9 @@
-"""Error types raised by the calculator modules."""
+"""Error types raised by the calculator modules, the one integer check, and
+the base of the immutable value classes."""
 
 from __future__ import annotations
+
+import operator
 
 
 class QprojError(Exception):
@@ -72,3 +75,66 @@ def integer(value, what, lo=None, hi=None, error=InvalidClass):
         bounds = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
     raise error(f"{what} must be an integer{bounds}, got {value!r}")
 
+
+class Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in the order its
+    constructor takes them, each constructor parameter named as its field.
+    Its ``__init__`` checks and normalizes the arguments and stores each
+    field with ``self._store(name, value)``, the one way past the refusing
+    ``__setattr__``.  So every value is built by its own validating
+    constructor: directly, by ``replace`` and by unpickling or copying
+    (``__reduce__``).  Two values are equal when they are of the same class
+    with equal fields, and the hash follows the fields.
+
+    >>> class Pair(Value):
+    ...     __slots__ = ("a", "b")
+    ...     def __init__(self, a, b=0):
+    ...         self._store("a", integer(a, "a"))
+    ...         self._store("b", integer(b, "b"))
+    >>> Pair(1).replace(b=2)
+    Pair(a=1, b=2)
+    >>> Pair(1).a = 3
+    Traceback (most recent call last):
+        ...
+    AttributeError: Pair is immutable: cannot set 'a'
+    """
+
+    __slots__ = ()
+    _store = object.__setattr__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields in one C call, for the comparisons of the hot loops; a
+        # single field is returned bare
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def _fields(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(self._fields().values())
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked by the constructor."""
+        return type(self)(**{**self._fields(), **changes})

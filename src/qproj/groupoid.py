@@ -49,8 +49,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     DegreeNonZero,
@@ -58,6 +57,7 @@ from .errors import (
     NotComposable,
     NotInGroupoid,
     OutOfRange,
+    Value,
     WrongStratum,
     integer,
 )
@@ -129,33 +129,31 @@ def _validate_member(n, z, x, w, primed):
             )
 
 
-@dataclass(frozen=True)
-class GroupoidElement:
+class GroupoidElement(Value):
     """A canonical groupoid element; build through ``canonicalize``.
 
     Direct construction re-validates, so no invalid element can exist.
     """
 
-    n: int
-    z: int
-    x: tuple
-    w: tuple
-    primed: bool = False
+    __slots__ = ("n", "z", "x", "w", "primed")
 
-    def __post_init__(self):
-        n = integer(self.n, "coordinate count", 1)
-        z = integer(self.z, "degree")
-        if not isinstance(self.primed, bool):
-            raise InvalidClass(f"primed must be true or false, got {self.primed!r}")
-        x = tuple(integer(v, "offset") for v in self.x)
-        w = tuple(self.w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", w)
+    def __init__(self, n, z, x, w, primed=False):
+        n = integer(n, "coordinate count", 1)
+        z = integer(z, "degree")
+        if not isinstance(primed, bool):
+            raise InvalidClass(f"primed must be true or false, got {primed!r}")
+        x = tuple(integer(v, "offset") for v in x)
+        w = tuple(w)
         if len(x) != n or len(w) != n:
             raise InvalidClass(f"need {n} offsets and {n} source coordinates")
         if w != _collapse(w):
             raise NotInGroupoid("source is not in canonical form; use canonicalize")
-        _validate_member(n, z, x, w, self.primed)
+        _validate_member(n, z, x, w, primed)
+        self._store("n", n)
+        self._store("z", z)
+        self._store("x", x)
+        self._store("w", w)
+        self._store("primed", primed)
 
     def source(self):
         return self.w
@@ -172,18 +170,16 @@ class GroupoidElement:
         return {**record, "primed": True} if self.primed else record
 
 
-@dataclass(frozen=True)
-class TElement:
+class TElement(Value):
     """A degree-free element: the plain membership rule at degree zero."""
 
-    n: int
-    x: tuple
-    w: tuple
+    __slots__ = ("n", "x", "w")
 
-    def __post_init__(self):
-        probe = GroupoidElement(self.n, 0, self.x, self.w)
-        object.__setattr__(self, "x", probe.x)
-        object.__setattr__(self, "w", probe.w)
+    def __init__(self, n, x, w):
+        probe = GroupoidElement(n, 0, x, w)
+        self._store("n", probe.n)
+        self._store("x", probe.x)
+        self._store("w", probe.w)
 
     source = GroupoidElement.source
     target = GroupoidElement.target
@@ -283,20 +279,15 @@ def theta_terminal(g, l):
 # Windowed enumeration.
 
 
-class _Range(NamedTuple):
+class _Range(namedtuple("_Range", "x_lo x_hi w_lo w_hi w_inf")):
     """The rows of one coordinate of a window: offsets x_lo..x_hi, finite
     sources w_lo..w_hi, and an infinite source when ``w_inf``.  The first
     four fields are the range of the coordinate's pair table."""
 
-    x_lo: int
-    x_hi: int
-    w_lo: int
-    w_hi: int
-    w_inf: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _WindowSpec:
+class _WindowSpec(Value):
     """One stratum window: its degree z and one ``_Range`` per coordinate.
 
     ``shear`` marks the codomain of gamma_iso: its rows are primed elements
@@ -305,15 +296,16 @@ class _WindowSpec:
     offset is -z - (x[0] + ... + x[p-1]) either way.
     """
 
-    z: int
-    ranges: tuple
-    shear: bool = False
+    __slots__ = ("z", "ranges", "shear")
 
-    def __post_init__(self):
-        for c, r in enumerate(self.ranges):
+    def __init__(self, z, ranges, shear=False):
+        for c, r in enumerate(ranges):
             if r.w_lo < 0:
                 raise OutOfRange(f"window sources are non-negative, got w_lo={r.w_lo} "
                                  f"at coordinate {c}")
+        self._store("z", z)
+        self._store("ranges", ranges)
+        self._store("shear", shear)
 
     @property
     def n(self):
@@ -346,8 +338,8 @@ def _recoord(spec, c, dx, w_range, z=None):
     range replaced by ``w_range`` = (lo, hi, inf_ok), at degree z (default:
     the window's)."""
     r = spec.ranges[c]
-    return replace(spec, z=spec.z if z is None else z,
-                   ranges=_put(spec.ranges, c, _Range(r.x_lo + dx, r.x_hi + dx, *w_range)))
+    return spec.replace(z=spec.z if z is None else z,
+                        ranges=_put(spec.ranges, c, _Range(r.x_lo + dx, r.x_hi + dx, *w_range)))
 
 
 def _iter_raw(spec):
@@ -470,8 +462,7 @@ def _count(spec, blocks):
         start, sums = start + first, sums * table
 
 
-@dataclass(frozen=True)
-class _Action:
+class _Action(Value):
     """Per-coordinate form of a structural map: a translation.
 
     Coordinate ``coord`` gets ``dx`` added to its offset and ``dw`` to its
@@ -480,11 +471,14 @@ class _Action:
     offset with ``shear``.
     """
 
-    z: int
-    coord: int = 0
-    dx: int = 0
-    dw: int = 0
-    shear: bool = False
+    __slots__ = ("z", "coord", "dx", "dw", "shear")
+
+    def __init__(self, z, coord=0, dx=0, dw=0, shear=False):
+        self._store("z", integer(z, "image degree", error=OutOfRange))
+        self._store("coord", integer(coord, "translated coordinate", 0, error=OutOfRange))
+        self._store("dx", integer(dx, "offset translation", error=OutOfRange))
+        self._store("dw", integer(dw, "source translation", error=OutOfRange))
+        self._store("shear", shear)
 
     def row(self, raw):
         """The image of one raw row."""
@@ -797,7 +791,8 @@ _FAILURE_NAMES = {
 def _verify(kind, n, k, j, l, window=DEFAULT_WINDOW, kinds=_PARAMETERS):
     """One check of a kind in ``kinds``: its sources ranked into its codomain
     by one image check.  A partition records the full window as its domain
-    and the pieces as its image."""
+    and the pieces as its image.  A record with no failing row still fails,
+    as a size mismatch, when its two row counts differ."""
     n = integer(n, "coordinate count", 1)
     W = integer(window, "window bound", 1, error=OutOfRange)
     if kind not in kinds:
@@ -808,6 +803,8 @@ def _verify(kind, n, k, j, l, window=DEFAULT_WINDOW, kinds=_PARAMETERS):
     else:
         check, params = "bijection", {"map": kind, "n": n, "k": k, "j": j, "l": l, "W": W}
     counterexample = _counterexample(found, _FAILURE_NAMES[check])
+    if counterexample is None and rows != size:
+        counterexample = {"kind": "size-mismatch"}
     return VerifyReport(check, params, counterexample is None, domain_size=rows,
                         image_size=size, counterexample=counterexample)
 

@@ -18,10 +18,8 @@ here because the odd groups vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass, integer
-from .reports import VerifyReport
+from .errors import (DimensionMismatch, DimensionTooSmall, IndexOutOfRange, InvalidClass,
+                     Value, integer)
 
 __all__ = [
     "K0Vector",
@@ -32,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class K0Vector:
+class K0Vector(Value):
     """Element of the even K-group of the projective n-space, in coordinates.
 
     ``coords`` has length n + 1, one integer per level 0..n.
@@ -42,19 +39,19 @@ class K0Vector:
     K0Vector(n=2, coords=(1, 0, 3))
     """
 
-    n: int
-    coords: tuple
+    __slots__ = ("n", "coords")
 
-    def __post_init__(self):
-        n = integer(self.n, "ambient index", 0)
-        coords = tuple(self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, n, coords):
+        n = integer(n, "ambient index", 0)
+        coords = tuple(coords)
         if len(coords) != n + 1:
             raise DimensionMismatch(
                 f"need {n + 1} coordinates over n={n}, got {len(coords)}"
             )
         for c in coords:
             integer(c, "coordinate")
+        self._store("n", n)
+        self._store("coords", coords)
 
     def __add__(self, other):
         if not isinstance(other, K0Vector):
@@ -195,6 +192,8 @@ def check_exactness(n):
     target generator to check that nu_star is onto.  n = 0 has nothing to
     restrict to and passes vacuously.
     """
+    from .reports import VerifyReport
+
     if integer(n, "ambient index", 0) == 0:
         return VerifyReport(
             check="k0-exactness",

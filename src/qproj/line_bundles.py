@@ -29,10 +29,9 @@ True
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
-from .errors import InvalidClass, OutOfRange, UnsupportedDegree, integer
+from .errors import InvalidClass, OutOfRange, UnsupportedDegree, Value, integer
 from .k_theory import K0Vector
 
 __all__ = [
@@ -52,8 +51,7 @@ def binomial(k, j):
     return math.comb(k, integer(j, "binomial index j", 0, k, OutOfRange))
 
 
-@dataclass(frozen=True)
-class LineBundleDecomposition:
+class LineBundleDecomposition(Value):
     """Decomposition of the degree-k line bundle into the projection stock.
 
     For k <= 0 it is a single corner projection of depth m = -k (m = 0
@@ -61,22 +59,22 @@ class LineBundleDecomposition:
     of level classes, ``mult`` giving one multiplicity per level 0..n.
     """
 
-    n: int
-    k: int
-    mult: Optional[tuple] = None
+    __slots__ = ("n", "k", "mult")
 
-    def __post_init__(self):
-        n = integer(self.n, "ambient index", 1)
-        if (integer(self.k, "degree") <= 0) != (self.mult is None):
+    def __init__(self, n, k, mult=None):
+        n = integer(n, "ambient index", 1)
+        if (integer(k, "degree") <= 0) != (mult is None):
             raise InvalidClass("a degree k <= 0 has no multiplicities, and k >= 1 needs "
-                               f"them; got k={self.k}, mult={self.mult!r}")
-        if self.mult is not None:
-            mult = tuple(self.mult)
-            object.__setattr__(self, "mult", mult)
+                               f"them; got k={k}, mult={mult!r}")
+        if mult is not None:
+            mult = tuple(mult)
             if len(mult) != n + 1:
                 raise InvalidClass(f"need {n + 1} multiplicities over n={n}, got {len(mult)}")
             for c in mult:
                 integer(c, "multiplicity", 0)
+        self._store("n", n)
+        self._store("k", k)
+        self._store("mult", mult)
 
     @property
     def kind(self):
@@ -132,10 +130,7 @@ def recursion_expand(n, k):
     return LineBundleDecomposition(n, k, strata[-1])
 
 
-class HockeyStickResult(NamedTuple):
-    lhs: int
-    rhs: int
-    equal: bool
+HockeyStickResult = namedtuple("HockeyStickResult", "lhs rhs equal")
 
 
 def hockey_stick(l, k):

@@ -30,10 +30,8 @@ RhoVector((0, 2, inf))
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (CutoffTooSmall, DimensionMismatch, DimensionTooSmall, InvalidClass,
-                     OutOfRange, integer)
+                     OutOfRange, Value, integer)
 from .extnat import INF
 from .projections import ProjClass, RhoVector
 
@@ -72,8 +70,7 @@ def _check_factor(f):
     integer(f[1], "factor depth", 1)
 
 
-@dataclass(frozen=True)
-class DiagonalPattern:
+class DiagonalPattern(Value):
     """A diagonal projection on ``copies`` stacked tensor powers.
 
     ``factors`` lists one axis factor per tensor slot; ``copies`` is the
@@ -81,21 +78,21 @@ class DiagonalPattern:
     zero (annihilated) pattern.
     """
 
-    n: int
-    factors: tuple
-    copies: int = 1
+    __slots__ = ("n", "factors", "copies")
 
-    def __post_init__(self):
-        integer(self.n, "axis count", 0)
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
-        if len(factors) != self.n:
+    def __init__(self, n, factors, copies=1):
+        integer(n, "axis count", 0)
+        factors = tuple(factors)
+        if len(factors) != n:
             raise DimensionMismatch(
-                f"expected {self.n} axis factors, got {len(factors)}"
+                f"expected {n} axis factors, got {len(factors)}"
             )
         for f in factors:
             _check_factor(f)
-        integer(self.copies, "copies", 0)
+        integer(copies, "copies", 0)
+        self._store("n", n)
+        self._store("factors", factors)
+        self._store("copies", copies)
 
     @property
     def is_annihilated(self):
@@ -106,15 +103,13 @@ class DiagonalPattern:
         return {"n": self.n, "factors": factors, "copies": self.copies}
 
 
-@dataclass(frozen=True)
-class PatternStack:
+class PatternStack(Value):
     """A formal diagonal sum of patterns over the same axis count."""
 
-    patterns: tuple
+    __slots__ = ("patterns",)
 
-    def __post_init__(self):
-        patterns = tuple(self.patterns)
-        object.__setattr__(self, "patterns", patterns)
+    def __init__(self, patterns):
+        patterns = tuple(patterns)
         if not patterns:
             raise InvalidClass("a stack needs at least one pattern")
         for p in patterns:
@@ -124,6 +119,7 @@ class PatternStack:
         for p in patterns[1:]:
             if p.n != first:
                 raise DimensionMismatch("stacked patterns must share the axis count")
+        self._store("patterns", patterns)
 
     @property
     def n(self):

@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-
-from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass, integer
+from .errors import DimensionMismatch, ExprSyntaxError, InvalidClass, Value, integer
 from .extnat import INF, ext_to_json, is_finite
 
 __all__ = [
@@ -58,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class ProjClass:
+class ProjClass(Value):
     """Normal form of a projection class: ambient n, level j, multiplicity k.
 
     Instances are immutable value objects.  The zero class is spelled
@@ -75,25 +72,24 @@ class ProjClass:
     qproj.errors.InvalidClass: level j=3 outside 0..2
     """
 
-    n: int
-    j: int
-    k: int
+    __slots__ = ("n", "j", "k")
 
-    def __post_init__(self):
-        n, j, k = self.n, self.j, self.k
+    def __init__(self, n, j, k):
         # a normal form of exact ints in one test; anything else is accepted
         # or refused by the checks below
-        if (type(n) is int and type(j) is int and type(k) is int
+        if not (type(n) is int and type(j) is int and type(k) is int
                 and 0 <= j <= n and (k >= 1 or j == k == 0)):
-            return
-        n = integer(self.n, "ambient index n", 0)
-        j = integer(self.j, "level j")
-        if not 0 <= j <= n:
-            raise InvalidClass(f"level j={j} outside 0..{n}")
-        if integer(self.k, "multiplicity k", 0) == 0 and j != 0:
-            raise InvalidClass(
-                f"P[{j},0] is not a normal form; the zero class is P[0,0]"
-            )
+            n = integer(n, "ambient index n", 0)
+            j = integer(j, "level j")
+            if not 0 <= j <= n:
+                raise InvalidClass(f"level j={j} outside 0..{n}")
+            if integer(k, "multiplicity k", 0) == 0 and j != 0:
+                raise InvalidClass(
+                    f"P[{j},0] is not a normal form; the zero class is P[0,0]"
+                )
+        self._store("n", n)
+        self._store("j", j)
+        self._store("k", k)
 
     @property
     def is_zero(self):
@@ -106,8 +102,7 @@ class ProjClass:
         return {"n": self.n, "j": self.j, "k": self.k}
 
 
-@dataclass(frozen=True, slots=True)
-class RhoVector:
+class RhoVector(Value):
     """Counting vector indexed by levels 0..n, entries in Z>=0 or inf.
 
     Addition is entrywise and saturates at infinity, mirroring the
@@ -117,13 +112,11 @@ class RhoVector:
     RhoVector((0, 2, inf))
     """
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = self.entries
+    def __init__(self, entries):
         if type(entries) is not tuple:
             entries = tuple(entries)
-            object.__setattr__(self, "entries", entries)
         if not entries:
             raise DimensionMismatch("a counting vector needs at least one level")
         for e in entries:
@@ -131,10 +124,7 @@ class RhoVector:
                 continue
             if is_finite(e):
                 integer(e, "finite counting entry", 0)
-
-    @property
-    def n(self):
-        return len(self.entries) - 1
+        self._store("entries", entries)
 
     def __len__(self):
         return len(self.entries)

@@ -8,18 +8,28 @@ is None on success and a small JSON-ready dict on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from .errors import InvalidClass, OutOfRange, Value, integer
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    check: str
-    params: dict = field(default_factory=dict)
-    passed: bool = True
-    domain_size: Optional[int] = None
-    image_size: Optional[int] = None
-    counterexample: Optional[Any] = None
+class VerifyReport(Value):
+    """One check's record; ``passed`` is a bool and each size None or a
+    count, so the JSON record holds exactly those."""
+
+    __slots__ = ("check", "params", "passed", "domain_size", "image_size", "counterexample")
+
+    def __init__(self, check, params=None, passed=True, domain_size=None, image_size=None,
+                 counterexample=None):
+        if type(passed) is not bool:
+            raise InvalidClass(f"passed must be true or false, got {passed!r}")
+        for name, size in (("domain size", domain_size), ("image size", image_size)):
+            if size is not None:
+                integer(size, name, 0, error=OutOfRange)
+        self._store("check", check)
+        self._store("params", {} if params is None else params)
+        self._store("passed", passed)
+        self._store("domain_size", domain_size)
+        self._store("image_size", image_size)
+        self._store("counterexample", counterexample)
 
     def to_json(self):
         return {

@@ -477,6 +477,20 @@ class TestCalculatorsWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("argv", CALCULATOR_COMMANDS, ids=" ".join)
+    def test_command_starts_without_dataclasses(self, argv):
+        """No command loads dataclasses, inspect or typing, and the
+        projection calculators load no K-theory, line-bundle or report
+        code.  -S keeps site from importing modules before the probe does."""
+        heavy = ["dataclasses", "inspect", "typing"]
+        if argv[0] in ("normalize", "rho", "boxplus"):
+            heavy += ["qproj.k_theory", "qproj.line_bundles", "qproj.reports"]
+        probe = ("import sys\nfrom qproj import cli\ntry:\n    cli.main(sys.argv[1:])\n"
+                 f"finally:\n    print([m for m in {heavy!r} if m in sys.modules])")
+        proc = run_child(sys.executable, "-S", "-c", probe, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_lazy_names_resolve(self):
         probe = ("from qproj import *; import qproj; "
                  "print([n for n in qproj.__all__ if n not in globals()]); "

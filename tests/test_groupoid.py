@@ -1,6 +1,5 @@
 """Groupoid elements, structural maps, and the windowed verification engine."""
 
-import dataclasses
 import itertools
 import math
 
@@ -238,7 +237,7 @@ def spec_with(n, z, W, pins=0, shear=False, over=None):
     coordinate, set: windows that no check builds."""
     spec = _stratum_spec(n, z, W, pins, shear)
     over = over or {}
-    return dataclasses.replace(spec, ranges=tuple(
+    return spec.replace(ranges=tuple(
         r._replace(**over.get(c, {})) for c, r in enumerate(spec.ranges)))
 
 
@@ -337,7 +336,7 @@ def cut_into_parts(sources, size):
         cuts = [r._replace(w_lo=lo, w_hi=min(lo + size - 1, r.w_hi), w_inf=False)
                 for lo in range(r.w_lo, r.w_hi + 1, size)] or [r]
         cuts[-1] = cuts[-1]._replace(w_inf=r.w_inf)
-        parts += [(dataclasses.replace(spec, ranges=_put(spec.ranges, 0, q)), action)
+        parts += [(spec.replace(ranges=_put(spec.ranges, 0, q)), action)
                   for q in cuts]
     return parts
 
@@ -914,7 +913,7 @@ def test_each_map_carries_its_domain_window_onto_its_codomain(monkeypatch):
     assert {kind for kind, *_ in rows} == set(MAP_IDS)
     for kind, [(dom, action)], cod in rows:
         assert cod.shear == (kind == "gamma")
-        assert action.box(dom) == dataclasses.replace(cod, shear=False), kind
+        assert action.box(dom) == cod.replace(shear=False), kind
         assert action.dx + action.dw == 0, kind  # a translation keeps x + w
 
 
@@ -1278,7 +1277,7 @@ def test_sources_that_differ_twice_are_refused(change):
     # the per-axis count needs the pieces to differ at one coordinate's
     # source range only; any other list is refused, never guessed
     full, pieces = _partition_setup(2, 2, 0, 3)
-    pieces[1] = dataclasses.replace(pieces[1], ranges=_put(
+    pieces[1] = pieces[1].replace(ranges=_put(
         pieces[1].ranges, 1, change(pieces[1].ranges[1])))
     with pytest.raises(OutOfRange, match="differ in one coordinate's source range"):
         _image_check([(piece, _Action(z=2)) for piece in pieces], full)
@@ -1316,17 +1315,17 @@ def broken_checks(draw):
         value = (draw(st.integers(0, n - 1)) if field == "coord"
                  else not a.shear if field == "shear"
                  else getattr(a, field) + draw(st.sampled_from([-2, -1, 1, 2])))
-        sources = [(spec, dataclasses.replace(a, **{field: value})) for spec, _ in sources]
+        sources = [(spec, a.replace(**{field: value})) for spec, _ in sources]
     elif how == "codomain":
         c = draw(st.integers(0, n - 1))
-        cod = dataclasses.replace(cod, ranges=_put(cod.ranges, c, changed(cod.ranges[c])))
+        cod = cod.replace(ranges=_put(cod.ranges, c, changed(cod.ranges[c])))
     elif how == "widen":
         spec, a = sources[i]
         c = j if kind == "partition" else draw(st.integers(0, n - 1))
         r = spec.ranges[c]
         r = draw(st.sampled_from([r._replace(w_lo=max(r.w_lo - 1, 0)),
                                   r._replace(w_hi=r.w_hi + 1), r._replace(w_inf=True)]))
-        sources[i] = (dataclasses.replace(spec, ranges=_put(spec.ranges, c, r)), a)
+        sources[i] = (spec.replace(ranges=_put(spec.ranges, c, r)), a)
     elif how == "drop" and len(sources) > 1:
         del sources[i]
     elif how == "duplicate":

@@ -19,10 +19,11 @@ triple of an image check with a known overlap, of gamma with the shear
 dropped, into a window with a narrower offset range, or on a one-row
 window, change.  Every groupoid mutant is also run with each source
 window cut into parts of one source value, where it must be caught with
-the same records.
+the same records.  A row count that is wrong while no row fails, from the
+narrowed count digit or from one codomain row too many, must fail its
+record as a size mismatch.
 """
 
-import dataclasses
 import inspect
 
 import pytest
@@ -70,7 +71,7 @@ def install(monkeypatch, map_id, change, only_n=None):
     def broken(kind, n, k, j, l, W, **kw):
         sources, cod = real(kind, n, k, j, l, W, **kw)
         if kind == map_id and only_n in (None, n):
-            sources = [(dom, dataclasses.replace(a, **change(a))) for dom, a in sources]
+            sources = [(dom, a.replace(**change(a))) for dom, a in sources]
         return sources, cod
 
     monkeypatch.setattr(G, "_check_setup", broken)
@@ -172,7 +173,7 @@ def _level_factor_one_deeper(real):
             return pattern
         factors = list(pattern.factors)
         factors[p.j - 1] = oracle.cutoff(p.k + 1)
-        return dataclasses.replace(pattern, factors=tuple(factors))
+        return pattern.replace(factors=tuple(factors))
     return mutant
 
 
@@ -279,7 +280,7 @@ def engine_probe():
     full, pieces = G._partition_setup(2, 2, 0, 3)
     pieces[0] = G._recoord(G._stratum_spec(2, 2, 3), 0, 0, (1, 5, True))
     [(window, identity)], _ = G._check_setup("t", 2, None, None, None, 3)
-    narrow = dataclasses.replace(window, ranges=G._put(
+    narrow = window.replace(ranges=G._put(
         window.ranges, 1, window.ranges[1]._replace(x_hi=0)))
     try:
         overlap = G._image_check([(piece, G._Action(z=2)) for piece in pieces], full)
@@ -323,3 +324,26 @@ def test_engine_mutant_is_caught_in_parts(monkeypatch, name):
     caught = engine_probe()
     monkeypatch.undo()
     assert caught == whole and caught != engine_probe()
+
+
+def test_narrow_count_digit_fails_as_size_mismatch(monkeypatch):
+    # the narrowed digit miscounts some windows but finds no failing row
+    monkeypatch.setattr(G, *engine_mutant("narrow-count-digit"))
+    reports = suite.run_group("groupoid")
+    unequal = [r for r in reports if r.domain_size != r.image_size]
+    assert unequal
+    assert all(r.counterexample == {"kind": "size-mismatch"} for r in unequal)
+    assert all(r.passed for r in reports if r.domain_size == r.image_size)
+
+
+def test_codomain_miscount_fails_every_record_after_its_rows(monkeypatch):
+    # one codomain row too many on every check: a record that a map mutant
+    # fails by a row keeps that row, and every other record fails by its sizes
+    install(monkeypatch, "theta-shift", MUTANTS["theta-shift"][0])
+    by_rows = [r.counterexample for r in suite.run_group("groupoid")]
+    check = G._image_check
+    monkeypatch.setattr(G, "_image_check", lambda sources, cod: (
+        lambda rows, size, found: (rows, size + 1, found))(*check(sources, cod)))
+    miscounted = [r.counterexample for r in suite.run_group("groupoid")]
+    assert any(by_rows) and not all(by_rows)
+    assert miscounted == [c or {"kind": "size-mismatch"} for c in by_rows]

@@ -1,7 +1,6 @@
 """Projection normal forms, the diagonal-sum monoid, and the counting vector."""
 
 import copy
-import dataclasses
 import itertools
 import pickle
 
@@ -168,9 +167,6 @@ class TestValueValidation:
             assert twin == value and type(twin) is type(value)
             assert hash(twin) == hash(value)
         assert pickle.loads(pickle.dumps(RhoVector((INF,)))).entries[0] is INF
-        field = dataclasses.fields(value)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, field, getattr(value, field))
 
 
 class TestBoxplus:
