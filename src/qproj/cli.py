@@ -176,9 +176,10 @@ def _cmd_k0(args):
         r = rank(normalize_expression(args.expr, args.n))
         _print_result(args, {"rank": r}, str(r))
         return 0
-    from . import k_theory, line_bundles
+    from . import k_theory
     if args.bundle is not None:
-        v = line_bundles.k0_class(args.n, args.bundle)
+        from .line_bundles import k0_class
+        v = k0_class(args.n, args.bundle)
     elif args.generator is not None:
         v = k_theory.generator(args.n, args.generator)
     elif args.iota is not None:
@@ -256,6 +257,10 @@ def _cmd_verify_all(args):
 
 
 def main(argv=None):
+    # exact ints of any length: lift the int/str digit limit for the run
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -266,6 +271,9 @@ def main(argv=None):
     except Exception as exc:  # a fault in qproj itself: one line, not a traceback
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -321,9 +321,9 @@ def _stratum_spec(n, z, W, pins=0, shear=False):
 
 def _in_box(spec, raw):
     """Whether a member row lies in the window's degree, offset and source
-    ranges; pure Python, one row."""
+    ranges; the window is a ``_check_setup`` domain, never sheared."""
     z, x, w = raw
-    return (z == (spec.z + x[0] if spec.shear else spec.z)
+    return (z == spec.z
             and all(r.x_lo <= v <= r.x_hi and (r.w_lo <= u <= r.w_hi if is_finite(u)
                                                else r.w_inf)
                     for v, u, r in zip(x, w, spec.ranges)))
@@ -840,10 +840,13 @@ def windowed_terminal_counts(n, k, window=DEFAULT_TALLY_WINDOW):
     and one piece per shortfall l; each piece is pushed by its map's action
     into the box the action carries it to (a theta-peel box is the next
     node).  Every cut and push is one exact image check.  Returns the
-    number of terminal degree-zero copies reached at every level together
-    with a conservation report (no element lost or duplicated along the
-    way).  The copy counts are structural and do not depend on the window.
+    number of terminal degree-zero copies reached at every level (they do
+    not depend on the window) and the terminal-counts record, which fails
+    on an element lost or duplicated along the way, then on counts other
+    than ``line_bundles.recursion_expand(n, k).mult``.
     """
+    from . import line_bundles
+
     n = integer(n, "coordinate count", 1)
     k = integer(k, "degree")
     if k < 1:
@@ -851,13 +854,11 @@ def windowed_terminal_counts(n, k, window=DEFAULT_TALLY_WINDOW):
     W = integer(window, "window bound", 1, error=OutOfRange)
     counts = [0] * (n + 1)
     image_size = 0
-    drift = False
+    checked = []  # (rows, size, found) of every image check
 
     def check(sources, box):
-        nonlocal drift
-        rows, size, found = _image_check(sources, box)
-        drift = drift or bool(found) or rows != size
-        return size
+        checked.append(_image_check(sources, box))
+        return checked[-1][1]
 
     def push(piece, map_id, kk=None, jj=None, l=None):
         """The box the map's action carries ``piece`` to, and its size."""
@@ -882,37 +883,20 @@ def windowed_terminal_counts(n, k, window=DEFAULT_TALLY_WINDOW):
         return size
 
     domain_size = expand(_stratum_spec(n, k, W), 0)
-    conserved = not drift and image_size == domain_size
-    report = VerifyReport(
-        check="terminal-tally",
-        params={"n": n, "k": k, "W": W, "counts": counts},
-        passed=conserved,
-        domain_size=domain_size,
-        image_size=image_size,
-        counterexample=None if conserved else {"kind": "element-count-drift"},
-    )
-    return tuple(counts), report
+    counts, expected = tuple(counts), line_bundles.recursion_expand(n, k).mult
+    if image_size != domain_size or any(found or rows != size for rows, size, found in checked):
+        counterexample = {"kind": "element-count-drift"}
+    elif counts != expected:
+        counterexample = {"kind": "multiplicity-mismatch", "counts": list(counts),
+                          "expected": list(expected)}
+    else:
+        counterexample = None
+    report = VerifyReport("terminal-counts", {"n": n, "k": k, "W": W},
+                          counterexample is None, domain_size=domain_size,
+                          image_size=image_size, counterexample=counterexample)
+    return counts, report
 
 
 def verify_terminal_counts(n, k, window=DEFAULT_TALLY_WINDOW):
-    """Compare the windowed terminal tally against the symbolic multiset."""
-    from .line_bundles import recursion_expand
-
-    counts, report = windowed_terminal_counts(n, k, window)
-    expected = recursion_expand(n, k).mult
-    passed = report.passed and counts == expected
-    counterexample = report.counterexample
-    if counterexample is None and counts != expected:
-        counterexample = {
-            "kind": "multiplicity-mismatch",
-            "counts": list(counts),
-            "expected": list(expected),
-        }
-    return VerifyReport(
-        check="terminal-counts",
-        params={"n": n, "k": k, "W": report.params["W"]},
-        passed=passed,
-        domain_size=report.domain_size,
-        image_size=report.image_size,
-        counterexample=counterexample,
-    )
+    """The terminal-counts record of ``windowed_terminal_counts``."""
+    return windowed_terminal_counts(n, k, window)[1]

@@ -32,7 +32,6 @@ import math
 from collections import namedtuple
 
 from .errors import InvalidClass, OutOfRange, UnsupportedDegree, Value, integer
-from .k_theory import K0Vector
 
 __all__ = [
     "binomial",
@@ -173,6 +172,7 @@ def k0_class(n, k):
     >>> [k0_class(3, k).coords for k in (2, 0, -1)]
     [(1, 2, 3, 4), (1, 0, 0, 0), (1, -1, 0, 0)]
     """
+    from .k_theory import K0Vector
     _check_bundle_args(n, k)
     if k <= -2:
         raise UnsupportedDegree(

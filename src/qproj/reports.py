@@ -11,9 +11,23 @@ from __future__ import annotations
 from .errors import InvalidClass, OutOfRange, Value, integer
 
 
+class _Params(dict):
+    """A report's params: a read-only dict, pickled and copied as a plain one."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a report's params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 class VerifyReport(Value):
     """One check's record; ``passed`` is a bool and each size None or a
-    count, so the JSON record holds exactly those."""
+    count, so the JSON record holds exactly those; ``params`` is a read-only copy."""
 
     __slots__ = ("check", "params", "passed", "domain_size", "image_size", "counterexample")
 
@@ -25,7 +39,7 @@ class VerifyReport(Value):
             if size is not None:
                 integer(size, name, 0, error=OutOfRange)
         self._store("check", check)
-        self._store("params", {} if params is None else params)
+        self._store("params", _Params(() if params is None else params))
         self._store("passed", passed)
         self._store("domain_size", domain_size)
         self._store("image_size", image_size)

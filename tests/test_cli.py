@@ -5,6 +5,7 @@ import importlib
 import importlib.metadata
 import inspect
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -85,6 +86,57 @@ class TestCalculators:
                                    "mult": [1, 3, 6]}
         code, out, _ = run_cli(capsys, "linebundle", "--n", "2", "--k", "2")
         assert "6 classes" in out and "3 x P[2,1]" in out
+
+
+class TestLongIntegers:
+    """Exact integers longer than Python's int/str digit limit (4,300 digits
+    by default) are parsed and printed, and ``main`` restores the limit."""
+
+    @staticmethod
+    def digit_limit():
+        return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+    def run(self, capsys, *argv):
+        before = self.digit_limit()
+        code, out, err = run_cli(capsys, *argv)
+        assert self.digit_limit() == before
+        return code, out, err
+
+    def test_long_multiplicity(self, capsys):
+        nines = "9" * 5000
+        assert self.run(capsys, "normalize", "--n", "2", f"P[1,{nines}]") == (
+            0, f"P[1,{nines}]\n", "")
+
+    def test_long_sum(self, capsys):
+        nines = "9" * 4300
+        code, out, err = self.run(capsys, "normalize", "--n", "2",
+                                  f"P[1,{nines}] (+) P[1,{nines}]", "--format", "json")
+        # 2 * (10**4300 - 1), 4,301 digits
+        assert (code, err) == (0, "")
+        assert out == '{"n": 2, "j": 1, "k": 1' + "9" * 4299 + '8}\n'
+
+    def test_long_linebundle(self, capsys):
+        k = 10 ** 2200  # C(k + 1, 2) has 4,400 digits
+        code, json_out, _ = self.run(capsys, "linebundle", "--n", "2", "--k", str(k),
+                                     "--format", "json")
+        assert code == 0
+        code, table, _ = self.run(capsys, "linebundle", "--n", "2", "--k", str(k))
+        assert code == 0
+        mult = [math.comb(k + j - 1, j) for j in range(3)]
+        limit = self.digit_limit()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(mult[2])) == 4400
+            assert json.loads(json_out)["mult"] == mult
+            assert table.endswith(f"{mult[1]} x P[1,1] (+) {mult[2]} x P[2,1]\n")
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    def test_limit_restored_after_a_refusal(self, capsys):
+        code, _, err = self.run(capsys, "normalize", "--n", "-1", "P[0,1]")
+        assert code == 1 and err.startswith("error: ")
 
 
 class TestValidationExitCode:
@@ -490,6 +542,20 @@ class TestCalculatorsWithoutNumpy:
         proc = run_child(sys.executable, "-S", "-c", probe, *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("argv,unused", [
+        *((c, "qproj.line_bundles") for c in CALCULATOR_COMMANDS
+          if c[0] == "k0" and "--bundle" not in c),
+        *((c, "qproj.k_theory") for c in CALCULATOR_COMMANDS if c[0] == "linebundle"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_command_loads_only_what_it_calls(self, argv, unused):
+        """k0 loads line_bundles only for --bundle, and linebundle loads no
+        K-theory code."""
+        probe = ("import sys\nfrom qproj import cli\ntry:\n    cli.main(sys.argv[1:])\n"
+                 f"finally:\n    print({unused!r} in sys.modules)")
+        proc = run_child(sys.executable, "-S", "-c", probe, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_lazy_names_resolve(self):
         probe = ("from qproj import *; import qproj; "

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -778,6 +779,23 @@ class TestShearedWindow:
             engine = sorted(map(raw_key, _iter_raw(sheared)), key=repr)
             assert engine == sorted(map(raw_key, plain), key=repr), (z, W)
 
+    def test_no_source_window_is_sheared(self):
+        # _in_box reads a domain window's degree as its constant z: no check
+        # has a sheared source, over every kind at n <= 4 and |k|, j, l <= 4
+        import qproj.groupoid as G
+
+        accepted = set()
+        for kind, takes in G._PARAMETERS.items():
+            values = [range(-4, 5) if name in takes else [None] for name in "kjl"]
+            for n, (k, j, l) in itertools.product(range(1, 5), itertools.product(*values)):
+                try:
+                    sources, _ = _check_setup(kind, n, k, j, l, 8)
+                except OutOfRange:
+                    continue
+                accepted.add(kind)
+                assert not any(spec.shear for spec, _ in sources), (kind, n, k, j, l)
+        assert accepted == set(G._PARAMETERS)
+
     def test_gamma_codomain_has_the_domains_blocks(self):
         # every gamma row of the default sweep, and at n = 4
         for n, k in itertools.product(range(1, 5), range(-4, 5)):
@@ -1010,16 +1028,30 @@ class TestWindowEdges:
         assert report.passed and report.domain_size > 2 * 10 ** 6
         assert peak < 64 * 1024
 
-    def test_oversized_sweep_is_refused_before_any_check_runs(self, monkeypatch):
+    def test_oversized_sweep_is_refused_by_its_first_oversized_check(self, monkeypatch):
+        """A sweep has no sizing pass of its own: its checks run in record
+        order, the first with a pair table over the limit refuses it before
+        that table is built, and the sweep returns no record."""
         import qproj.groupoid as G
-        from qproj import suite
 
-        calls = []
-        real = G._image_check
-        monkeypatch.setattr(G, "_image_check", lambda *a: calls.append(a) or real(*a))
+        tables, records = [], []
+        table, report = G._table, G.VerifyReport
+        monkeypatch.setattr(G, "_table", lambda *r: tables.append(table(*r)) or tables[-1])
+        monkeypatch.setattr(G, "VerifyReport",
+                            lambda *a, **kw: records.append(report(*a, **kw)) or records[-1])
+        # at W = 500 the first check's first table is over the limit
         with pytest.raises(OutOfRange, match="exceeds the limit of 262144"):
             suite.groupoid_checks(n_max=1, window=500)
-        assert calls == []
+        assert tables == [] and records == []
+        # at W = 416 partition(1, 1, 0) fits and partition(1, 2, 0), the
+        # second check, is the first over the limit
+        with pytest.raises(OutOfRange) as first:
+            verify_partition(1, 2, 0, 416)
+        del records[:]
+        with pytest.raises(OutOfRange) as sweep:
+            suite.groupoid_checks(n_max=3, window=416)
+        assert str(sweep.value) == str(first.value)
+        assert [(r.check, r.params["k"], r.passed) for r in records] == [("partition", 1, True)]
 
     def test_block_limit_admits_a_block_of_its_size(self, monkeypatch):
         # the one limit bounds a listed block and a pair table
@@ -1400,6 +1432,40 @@ class TestTerminalTally:
         _, report = G.windowed_terminal_counts(1, 1, window=2)
         assert report.domain_size == report.image_size
         assert report.counterexample == {"kind": "element-count-drift"}
+
+    def test_wrong_multiplicities_fail_the_tally(self, monkeypatch):
+        # the tally's record compares its counts with the symbolic multiset
+        from qproj import line_bundles
+
+        monkeypatch.setattr(line_bundles, "recursion_expand",
+                            lambda n, k: types.SimpleNamespace(mult=(1, 3, 2)))
+        counts, report = windowed_terminal_counts(2, 2, 3)
+        assert counts == (1, 2, 3) and not report.passed
+        assert report.domain_size == report.image_size
+        assert report.counterexample == {"kind": "multiplicity-mismatch",
+                                         "counts": [1, 2, 3], "expected": [1, 3, 2]}
+
+    def test_drift_comes_before_a_mismatch(self, monkeypatch):
+        import qproj.groupoid as G
+        from qproj import line_bundles
+
+        real = G._image_check
+        monkeypatch.setattr(G, "_image_check", lambda sources, box: (*real(sources, box)[:2],
+                                                                     {"moved": None}))
+        monkeypatch.setattr(line_bundles, "recursion_expand",
+                            lambda n, k: types.SimpleNamespace(mult=(2, 2)))
+        _, report = G.windowed_terminal_counts(1, 1, window=2)
+        assert report.counterexample == {"kind": "element-count-drift"}
+
+    def test_tally_record_is_the_verify_record(self):
+        # over the terminal family's range: one record, named terminal-counts
+        records = suite.terminal_count_checks()
+        assert records and all(r.check == "terminal-counts" and r.passed for r in records)
+        for r in records:
+            n, k, W = r.params["n"], r.params["k"], r.params["W"]
+            counts, report = windowed_terminal_counts(n, k, W)
+            assert report == r == verify_terminal_counts(n, k, W)
+            assert counts == recursion_expand(n, k).mult
 
     def test_verify_wrapper(self):
         report = verify_terminal_counts(2, 3, window=5)

@@ -102,3 +102,30 @@ def test_no_order_and_no_sum_unless_defined(value, bad, error):
     if not isinstance(value, (RhoVector, K0Vector)):
         with pytest.raises(TypeError):
             value + value  # noqa: B015
+
+
+def test_report_params_are_a_read_only_copy():
+    """A later write to the caller's dict does not reach the record, and a
+    write to the record's params is refused; every copy keeps the bytes."""
+    import json
+
+    params = {"n": 2, "W": 8}
+    report = VerifyReport("demo", params, True, 4, 4)
+    params["n"] = 9
+    writes = [lambda p: p.__setitem__("n", 9), lambda p: p.__delitem__("n"),
+              lambda p: p.update(n=9), lambda p: p.setdefault("k", 1),
+              lambda p: p.pop("n"), lambda p: p.popitem(), lambda p: p.clear(),
+              lambda p: p.__ior__({"n": 9})]
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write(report.params)
+    assert report.params == {"n": 2, "W": 8}
+    blob = json.dumps(report.to_json())
+    assert blob == ('{"check": "demo", "params": {"n": 2, "W": 8}, "domain_size": 4, '
+                    '"image_size": 4, "pass": true, "counterexample": null}')
+    for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                 copy.deepcopy(report), report.replace()):
+        assert twin == report and json.dumps(twin.to_json()) == blob
+        with pytest.raises(TypeError, match="read-only"):
+            twin.params["n"] = 9
+    assert report.replace(params={"n": 3}).params == {"n": 3}
