@@ -78,24 +78,19 @@ def monoid_checks(n_max=5, k_max=20):
     comm_ok = assoc_ok = True
     pairs = triples = 0
     boxplus = projections.boxplus
+    name = operator.attrgetter("n", "j", "k")
     for n in range(n_max + 1):
         base = _class_stock(n, k_max)
         # each sum is named by its ambient index, level and multiplicity, in
         # order of first sight (base[i] is named i); classes[i] is the class
         # named i, over the base classes and their two-fold sums
         classes = list(base)
-        ids = {(p.n, p.j, p.k): i for i, p in enumerate(base)}
-
-        def sum_id(a, b):
-            c = boxplus(a, b)
-            return ids.setdefault((c.n, c.j, c.k), len(ids))
-
-        rhos = [projections.rho(p) for p in base]
+        ids = {name(p): i for i, p in enumerate(base)}
         mb = len(base)
         prod = []  # prod[a_i][b_i]: the name of base[a_i] + base[b_i]
-        for a_i, a in enumerate(base):
+        for a in base:
             row = []
-            for b_i, b in enumerate(base):
+            for b in base:
                 c = boxplus(a, b)
                 # the statement of the law, spelled out
                 if not a.k:
@@ -108,46 +103,60 @@ def monoid_checks(n_max=5, k_max=20):
                     want = (a.j, a.k)
                 else:
                     want = (b.j, b.k)
-                if (c.n, c.j, c.k) != (n, *want) and law_bad is None:
+                key = name(c)
+                if key != (n, *want) and law_bad is None:
                     law_bad = {"n": n, "a": a.to_json(), "b": b.to_json(),
                                "got": c.to_json(), "want": list(want)}
-                c_i = ids.setdefault((c.n, c.j, c.k), len(ids))
+                c_i = ids.setdefault(key, len(ids))
                 row.append(c_i)
                 if c_i == len(classes):  # a class first seen here
                     classes.append(c)
-                    rhos.append(projections.rho(c))
-                if rhos[a_i] + rhos[b_i] != rhos[c_i] and add_bad is None:
-                    add_bad = {"n": n, "a": a.to_json(), "b": b.to_json()}
             prod.append(row)
-        comm_ok = comm_ok and prod == [list(col) for col in zip(*prod)]
+        columns = list(zip(*prod))  # columns[b_i][a_i] == prod[a_i][b_i]
+        comm_ok = comm_ok and prod == [list(col) for col in columns]
         pairs += mb ** 2
         triples += mb ** 3
+        # take[a_i](values) picks values[s] for each name s in row a_i of
+        # prod.  Rows are read through getters of mb ids, so they have one
+        # form: a tuple, or one item when mb == 1.
+        take = [operator.itemgetter(*row) for row in prod]
+        every = operator.itemgetter(*range(mb))
+        # rho additivity one level l at a time: the level-l entries of row
+        # a_i's sums, picked by take[a_i], against the row of rho_l(a) +
+        # rho_l(b) over every base class b, formed once per value of rho_l(a).
+        # Only a row that disagrees is walked, by RhoVector.__add__, to its
+        # first failing pair; a vector of another length fails or raises
+        # there, so then every row is walked.
+        rhos = [projections.rho(p) for p in classes]
+        walk = set(range(mb)) if len(set(map(len, rhos))) > 1 else set()
+        for level in zip(*rhos):
+            sums = {v: every([v + e for e in level[:mb]]) for v in set(level[:mb])}
+            walk.update(a_i for a_i, got in enumerate(take)
+                        if got(level) != sums[level[a_i]])
+        for a_i in sorted(walk):
+            b_i = next((b_i for b_i, c_i in enumerate(prod[a_i])
+                        if rhos[a_i] + rhos[b_i] != rhos[c_i]), None)
+            if b_i is not None:
+                add_bad = add_bad or {"n": n, "a": base[a_i].to_json(),
+                                      "b": base[b_i].to_json()}
+                break
         # a two-fold sum over another ambient index cannot be summed with a
         # base class, so associativity fails at n
         if any(p.n != n for p in classes[mb:]):
             assoc_ok = False
             continue
         # (a + b) + c against a + (b + c), one a at a time: right[s] names
-        # classes[s] + c over every c and left[a_i][s] names a + classes[s],
-        # for each sum s of two base classes.  A sum that is a base class
-        # (s < mb) has its row and column in prod already; only the others
-        # are summed here.  Both sides are read through getters of mb ids,
-        # so they have one form: a tuple, or one id when mb == 1.
-        take = [operator.itemgetter(*row) for row in prod]
-        every = operator.itemgetter(*range(mb))
-        right = {}
-        left = [[0] * len(classes) for _ in base]
-        for s in set(itertools.chain.from_iterable(prod)):
-            if s < mb:
-                right[s] = every(prod[s])
-                column = [row[s] for row in prod]
-            else:
-                right[s] = every([sum_id(classes[s], c) for c in base])
-                column = [sum_id(a, classes[s]) for a in base]
-            for row, a_s in zip(left, column):
-                row[s] = a_s
+        # classes[s] + c over every c and columns[s][a_i] names a + classes[s].
+        # A class that is a base class (s < mb) has its row and column in prod
+        # already; only the two-fold sums that are not are summed here.
+        right = [every(row) for row in prod]
+        for x in classes[mb:]:
+            x_c = map(name, map(boxplus, itertools.repeat(x), base))
+            a_x = map(name, map(boxplus, base, itertools.repeat(x)))
+            right.append(every([ids.setdefault(d, len(ids)) for d in x_c]))
+            columns.append([ids.setdefault(d, len(ids)) for d in a_x])
         assoc_ok = assoc_ok and all([right[s] for s in ab] == [bc(a) for bc in take]
-                                    for ab, a in zip(prod, left))
+                                    for ab, a in zip(prod, zip(*columns)))
     params = {"n_max": n_max, "k_max": k_max}
     return [
         VerifyReport("monoid-law", params, law_bad is None,

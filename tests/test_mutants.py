@@ -16,12 +16,14 @@ the restriction must also give the expected kind of exactness failure.
 Each engine mutant edits one line of one function of the image check; it
 counts as caught when the records of a small groupoid sweep, or the
 triple of an image check with a known overlap, of gamma with the shear
-dropped, into a window with a narrower offset range, or on a one-row
-window, change.  Every groupoid mutant is also run with each source
-window cut into parts of one source value, where it must be caught with
-the same records.  A row count that is wrong while no row fails, from the
-narrowed count digit or from one codomain row too many, must fail its
-record as a size mismatch.
+dropped, into a window with a narrower offset range, on a one-row
+window, or with its first failure next to the end of a run of pairs,
+change.  An engine mutant that can change no record is listed with the
+reason and must leave all of these as they are.  Every groupoid mutant
+is also run with each source window cut into parts of one source value,
+where it must be caught with the same records.  A row count that is
+wrong while no row fails, from the narrowed count digit or from one
+codomain row too many, must fail its record as a size mismatch.
 """
 
 import inspect
@@ -31,7 +33,7 @@ import pytest
 import qproj.groupoid as G
 from qproj import k_theory, line_bundles, oracle, projections, suite
 from qproj.errors import QprojError
-from qproj.extnat import INF
+from qproj.extnat import INF, Infinity
 from qproj.groupoid import MAP_IDS, enumerate_stratum
 from qproj.projections import RhoVector
 from test_groupoid import cut_into_parts
@@ -189,10 +191,17 @@ def _restriction_doubles_level_0(real):
     return mutant
 
 
+def _infinity_yields(real):
+    # inf + t = t for an int t: addition stops saturating from the left
+    return lambda inf, t: t if isinstance(t, int) else real(inf, t)
+
+
 # mutant -> (module, function, mutant of the real function, family, check)
 OPERATION_MUTANTS = {
     "absorption": (projections, "boxplus", _higher_absorbs, "monoid", "monoid-law"),
     "rho": (projections, "rho", _rho_without_infinity, "monoid", "rho-additivity"),
+    "saturating-addition": (Infinity, "__add__", _infinity_yields, "monoid",
+                            "rho-additivity"),
     "binomial": (line_bundles, "binomial", _binomial_off_at_1, "bundle-recursion",
                  "bundle-recursion"),
     "binomial-tail": (line_bundles, "binomial", _binomial_off_at_1, "hockey-stick",
@@ -226,8 +235,8 @@ OPERATION_NOT_CATCHABLE = {
 
 
 def test_every_operation_is_mutated_or_listed():
-    named = ("absorption", "rho", "binomial", "window-bound", "oracle-depth",
-             "restriction-drops-first")
+    named = ("absorption", "rho", "saturating-addition", "binomial", "window-bound",
+             "oracle-depth", "restriction-drops-first")
     assert set(named) <= {*OPERATION_MUTANTS, *OPERATION_NOT_CATCHABLE}
 
 
@@ -265,6 +274,23 @@ ENGINE_MUTANTS = {
     "narrow-count-digit": ("_count", ".bit_length() + 1", ".bit_length() - 1"),
     # count no pair of the runs that start above x_lo
     "no-short-runs": ("_count", "if a <= b:", "if False:"),
+    # end each run of pairs reached, or not reached, one pair too late
+    "hit-run-one-long": ("_cover", "(hit if depth else missed).append((w, x, at - 1))",
+                         "(hit if depth else missed).append((w, x, at))"),
+    # end each run of pairs reached twice one pair too late
+    "twice-run-one-long": ("_cover", "twice.append((w, x, at - 1))",
+                           "twice.append((w, x, at))"),
+    # carry the pairs on the wrong side of the one whose image degree is t's
+    "sheared-degree-sign": ("_carry", "min(last, first - gap * slope)",
+                            "min(last, first + gap * slope)"),
+}
+
+# Engine mutants that change no record, with the reason.
+ENGINE_EQUIVALENT = {
+    # an edge at x itself, where a run starts or two edges meet, then
+    # appends the empty run (w, x, x - 1); it holds no pair, and every
+    # reader of the runs (``_first``) ranges over their pairs
+    "empty-runs": ("_cover", "if at > x:", "if at >= x:"),
 }
 
 
@@ -274,14 +300,24 @@ def engine_probe():
     the shear dropped at k = 0 (only the free blocks' images leave the
     codomain) and k = 1 (the p = 0 image leaves it first), the image check
     of t into its window with coordinate 1's offsets cut to -3..0 (a kept
-    range of block 1 shrinks), and the identity on the one-row window of
-    x = w = (0,), whose count digits are two bits wide; or the type of the
-    exception raised."""
+    range of block 1 shrinks), the identity on the one-row window of
+    x = w = (0,), whose count digits are two bits wide, and three image
+    checks whose first failures sit next to the end of a run of pairs:
+    theta-neg at k = -3 acting on coordinate 1 (its first uncovered row),
+    two pieces of the degree -5 window that overlap at w[0] = 1 (block 1 has
+    no row, since its forced offset 5 - x[0] needs x[0] >= 3), and the
+    sheared identity on the degree-0 window whose first offset is 1 (every
+    image has degree 1); or the type of the exception raised."""
     full, pieces = G._partition_setup(2, 2, 0, 3)
     pieces[0] = G._recoord(G._stratum_spec(2, 2, 3), 0, 0, (1, 5, True))
     [(window, identity)], _ = G._check_setup("t", 2, None, None, None, 3)
     narrow = window.replace(ranges=G._put(
         window.ranges, 1, window.ranges[1]._replace(x_hi=0)))
+    [(neg, neg_action)], neg_cod = G._check_setup("theta-neg", 2, -3, None, None, 1)
+    below = G._stratum_spec(2, -5, 2)
+    [(small, _)], _ = G._check_setup("t", 2, None, None, None, 1)
+    first_one = small.replace(ranges=G._put(
+        small.ranges, 0, small.ranges[0]._replace(x_lo=1)))
     try:
         overlap = G._image_check([(piece, G._Action(z=2)) for piece in pieces], full)
         unsheared = []
@@ -291,15 +327,20 @@ def engine_probe():
         narrowed = G._image_check([(window, identity)], narrow)
         one_row = G._WindowSpec(0, (G._Range(0, 0, 0, 0, False),))
         single = G._image_check([(one_row, G._Action(z=0))], one_row)
+        run_ends = [
+            G._image_check([(neg, neg_action.replace(coord=1))], neg_cod),
+            G._image_check([(G._recoord(below, 0, 0, w), G._Action(z=-5))
+                            for w in ((0, 1, False), (1, 2, True))], below),
+            G._image_check([(first_one, G._Action(z=0, shear=True))], first_one)]
         records = [r.to_json() for r in suite.groupoid_checks(n_max=2, window=3)]
-        return records, overlap, unsheared, narrowed, single
+        return records, overlap, unsheared, narrowed, single, run_ends
     except Exception as err:  # a crash is caught too: verify-all exits 1
         return type(err)
 
 
 def engine_mutant(name):
     """The name of the function the mutant edits, and the edited function."""
-    function, old, new = ENGINE_MUTANTS[name]
+    function, old, new = {**ENGINE_MUTANTS, **ENGINE_EQUIVALENT}[name]
     source = inspect.getsource(getattr(G, function))
     assert source.count(old) == 1
     namespace = {}
@@ -324,6 +365,13 @@ def test_engine_mutant_is_caught_in_parts(monkeypatch, name):
     caught = engine_probe()
     monkeypatch.undo()
     assert caught == whole and caught != engine_probe()
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_EQUIVALENT))
+def test_equivalent_engine_mutant_changes_no_probe(monkeypatch, name):
+    before = engine_probe()
+    monkeypatch.setattr(G, *engine_mutant(name))
+    assert engine_probe() == before
 
 
 def test_narrow_count_digit_fails_as_size_mismatch(monkeypatch):

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qproj import k_theory, line_bundles, projections, suite
+from qproj import extnat, k_theory, line_bundles, projections, suite
 from qproj.errors import OutOfRange
-from qproj.projections import ProjClass
+from qproj.projections import ProjClass, RhoVector
 from qproj.reports import VerifyReport
 
 BOXPLUS = projections.boxplus
@@ -390,6 +390,11 @@ def _out_of_stock(dn):
     return broken
 
 
+def _rho_wrong_at(wrong_at, wrong):
+    """rho answering ``wrong(p)`` on the classes ``wrong_at`` accepts."""
+    return lambda p: wrong(p) if wrong_at(p) else RHO(p)
+
+
 def _equivalent_k1_k2(a, b):
     """Equivalence that also identifies P[j, 1] with P[j, 2]."""
     if a.j == b.j and {a.k, b.k} == {1, 2}:
@@ -410,6 +415,16 @@ BROKEN = {
     "out-of-stock": ("boxplus", _out_of_stock(0)),
     "out-of-stock-ambient": ("boxplus", _out_of_stock(1)),
     "equivalent-k1-k2": ("is_equivalent", _equivalent_k1_k2),
+    # rho(P[2,3]) over n = 3 reads 4 at level 2: the rows of the zero class
+    # and of the classes below level 2 pass, so the first failing row is P[2,1]'s
+    "rho-middle-level": ("rho", _rho_wrong_at(lambda p: (p.n, p.j, p.k) == (3, 2, 3),
+                                              lambda p: RHO(ProjClass(3, 2, 4)))),
+    # one level too many for P[1,6] over n = 3, a two-fold sum only
+    "rho-longer": ("rho", _rho_wrong_at(lambda p: (p.n, p.j, p.k) == (3, 1, 6),
+                                        lambda p: RhoVector((*RHO(p), 0)))),
+    # rho(P[j,k]) reads rho(P[j,k + 1]) for every k above k_max = 4
+    "rho-above-k-max": ("rho", _rho_wrong_at(lambda p: p.k > 4,
+                                             lambda p: RHO(ProjClass(p.n, p.j, p.k + 1)))),
 }
 
 # broken sums that leave the ambient index of their operands
@@ -461,6 +476,13 @@ class TestTablesAgainstNestedLoops:
         assert failed == ["monoid-law", "monoid-associativity", "rho-additivity"]
         assert records["monoid-law"]["counterexample"]["got"]["n"] == 2
 
+    @pytest.mark.parametrize("n_max, k_max", [(0, 0), (3, 0), (0, 1), (2, 1), (0, 5)])
+    def test_degenerate_stocks(self, n_max, k_max):
+        # at k_max = 0 the zero class is the whole stock, so each row of the
+        # pair table is one name, read bare; at n_max = 0 there is one level
+        want = reference_monoid(n_max, k_max) + reference_laws(n_max, k_max)
+        assert _records(suite.monoid_checks(n_max, k_max)) == _records(want)
+
     def test_sums_that_are_not_base_classes(self, monkeypatch):
         # wrong only where an operand's multiplicity exceeds k_max: no base
         # pair sees it, so only associativity, whose rows of the sums that
@@ -472,13 +494,17 @@ class TestTablesAgainstNestedLoops:
 
 
 # The evaluate-once tables: each family's calls of the hot operations at its
-# default ranges, capped at the counts of the tables as they stand.  The
-# monoid family sums each base pair once and, for associativity, only the
-# two-fold sums that are not base classes again: 37,246 + 73,640 calls.  It
-# takes rho once of each base class and of each two-fold sum: 426 + 420, and
-# adds the counting vectors of each base pair once: 37,246.
+# default ranges, capped at the counts of the tables as they stand; a budget
+# of 0 means no call.  The monoid family sums each base pair once and, for
+# associativity, only the two-fold sums that are not base classes again:
+# 37,246 + 73,640 calls.  It takes rho once of each base class and of each
+# two-fold sum: 426 + 420.  Rho additivity forms, at each level l, the row of
+# the sums rho_l(a) + rho_l(b) over the base classes b once per value of
+# rho_l(a): 1,415 of those additions start from infinity and 14,700 add
+# infinity to a finite value.  A passing sweep adds no counting vectors.
 CALL_BUDGETS = {
-    "monoid": {"boxplus": 110886, "rho": 846, "RhoVector.__add__": 37246},
+    "monoid": {"boxplus": 110886, "rho": 846, "Infinity.__add__": 1415,
+               "Infinity.__radd__": 14700, "RhoVector.__add__": 0},
     "cancellation": {"boxplus": 8820, "is_equivalent": 13250},
     "rho-injectivity": {"rho": 1056},
 }
@@ -486,18 +512,20 @@ CALL_BUDGETS = {
 
 @pytest.mark.parametrize("family", sorted(CALL_BUDGETS))
 def test_evaluate_once_call_counts(monkeypatch, family):
-    calls = dict.fromkeys(("boxplus", "rho", "is_equivalent", "RhoVector.__add__"), 0)
+    owners = {"": projections, "RhoVector": projections.RhoVector,
+              "Infinity": extnat.Infinity}
+    calls = dict.fromkeys(("boxplus", "rho", "is_equivalent", "RhoVector.__add__",
+                           "Infinity.__add__", "Infinity.__radd__"), 0)
     for name in calls:
         owner, _, attr = name.rpartition(".")
-        target = getattr(projections, owner) if owner else projections
 
-        def counted(*args, _name=name, _real=getattr(target, attr)):
+        def counted(*args, _name=name, _real=getattr(owners[owner], attr)):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(target, attr, counted)
+        monkeypatch.setattr(owners[owner], attr, counted)
     assert all(r.passed for r in suite.run_group(family))
     for name, budget in CALL_BUDGETS[family].items():
-        assert 0 < calls[name] <= budget, name
+        assert calls[name] <= budget and (calls[name] > 0) == (budget > 0), name
 
 
 # Each family that stops at its first counterexample, broken in at least two
