@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import QprojError
@@ -68,10 +69,10 @@ def build_parser():
     sp.set_defaults(func=_cmd_boxplus)
 
     sp = sub.add_parser("k0", help="K-group computations in the level basis")
-    sp.add_argument("expr", nargs="?", default=None,
-                    help="sphere expression; prints its free rank")
     sp.add_argument("--n", type=int, required=True, help="ambient index")
-    mode = sp.add_mutually_exclusive_group()
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("expr", nargs="?", default=None,
+                      help="sphere expression; prints its free rank")
     mode.add_argument("--bundle", type=int, metavar="K",
                       help="class of the degree-K line bundle")
     mode.add_argument("--generator", type=int, metavar="J",
@@ -119,8 +120,8 @@ def build_parser():
                     help="seed for randomized checks (default: "
                          "qproj.suite.DEFAULT_SEED)")
     sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: cpu count, capped by "
-                         "QPROJ_JOBS)")
+                    help="worker processes (default: cpu count), at most "
+                         "one per check family")
     _add_format(sp)
     sp.set_defaults(func=_cmd_verify_all)
 
@@ -165,12 +166,6 @@ def _vector_table(v):
 
 
 def _cmd_k0(args):
-    modes = [args.bundle is not None, args.generator is not None,
-             args.iota is not None, args.nu is not None, args.exactness,
-             args.expr is not None]
-    if sum(modes) != 1:
-        raise _UsageError("k0 needs exactly one of: EXPR, --bundle, "
-                          "--generator, --iota, --nu, --exactness")
     if args.expr is not None:
         from .projections import normalize_expression, rank
         r = rank(normalize_expression(args.expr, args.n))
@@ -264,7 +259,14 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, however it is buffered
+        return status
+    except BrokenPipeError:
+        # the reader of stdout left: say nothing, and point stdout at devnull
+        # so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (_UsageError, QprojError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,12 @@ for an infinite one.
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["INF", "Infinity", "is_finite", "ext_to_json"]
 
 
+@functools.total_ordering
 class Infinity:
     """The absorbing point adjoined to the non-negative integers.
 
@@ -54,25 +57,6 @@ class Infinity:
     def __lt__(self, other):
         if isinstance(other, (int, Infinity)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Infinity):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Infinity)):
-            return True
         return NotImplemented
 
     def __repr__(self):

@@ -35,7 +35,6 @@ __all__ = [
     "GROUP_NAMES",
     "run_group",
     "run_all",
-    "effective_jobs",
 ]
 
 DEFAULT_SEED = 1729
@@ -443,31 +442,14 @@ def run_group(name, seed=DEFAULT_SEED):
     return _FAMILIES[name](seed) if name == "random" else _FAMILIES[name]()
 
 
-def effective_jobs(requested=None):
-    """Worker count: the request (default: the cpu count), capped by QPROJ_JOBS.
-
-    A request or cap that is not a positive integer is refused.
-    """
-    if requested is None:
-        requested = os.cpu_count() or 1
-    integer(requested, "job count", 1, error=OutOfRange)
-    cap = os.environ.get("QPROJ_JOBS")
-    if cap is not None:
-        try:
-            cap_jobs = int(cap)
-        except ValueError:
-            cap_jobs = 0
-        if cap_jobs < 1:
-            raise OutOfRange(f"QPROJ_JOBS must be a positive integer, got {cap!r}")
-        requested = min(requested, cap_jobs)
-    return requested
-
-
 def run_all(seed=DEFAULT_SEED, jobs=None):
-    """Every family in order; fan out over processes when jobs > 1.  The
-    seed is checked before any family runs."""
+    """Every family in order, over ``jobs`` processes (default: the cpu
+    count), at most one per family.  The seed and the job count are checked
+    before any family runs."""
     integer(seed, "random seed", error=OutOfRange)
-    jobs = effective_jobs(jobs)
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    jobs = min(integer(jobs, "job count", 1, error=OutOfRange), len(GROUP_NAMES))
     if jobs <= 1:
         return [r for name in GROUP_NAMES for r in run_group(name, seed)]
     from concurrent.futures import ProcessPoolExecutor

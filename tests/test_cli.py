@@ -171,10 +171,24 @@ class TestValidationExitCode:
 
     @pytest.mark.parametrize("cap", ["many", "0"])
     def test_bad_job_cap_refused(self, capsys, monkeypatch, cap):
-        monkeypatch.setenv("QPROJ_JOBS", cap)
-        code, out, err = run_cli(capsys, "verify-all", "--format", "json")
+        # the worker count comes from --jobs, and a bad one is refused
+        # before any family runs
+        monkeypatch.setattr(suite, "_FAMILIES", {})
+        code, out, err = run_cli(capsys, "verify-all", "--jobs", cap,
+                                 "--format", "json")
         assert code == 1 and out == ""
-        assert err.startswith("error: QPROJ_JOBS must be a positive integer")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "job" in err
+
+    def test_job_cap_variable_is_not_read(self, capsys, monkeypatch):
+        # --jobs alone sets the worker count; the variable is left unread
+        monkeypatch.setenv("QPROJ_JOBS", "0")
+        monkeypatch.setattr(suite, "_FAMILIES", {
+            name: (lambda *args, name=name: [VerifyReport(name, {}, True)])
+            for name in suite.GROUP_NAMES})
+        code, out, err = run_cli(capsys, "verify-all", "--jobs", "1")
+        assert code == 0 and out.count("PASS") == len(suite.GROUP_NAMES)
+        assert err == f"{len(suite.GROUP_NAMES)}/{len(suite.GROUP_NAMES)} checks passed\n"
 
     def test_internal_fault_is_one_error_line(self, capsys, monkeypatch):
         def broken(args):
@@ -364,14 +378,16 @@ sys.exit({func}())
 """
 
 
-def run_child(*argv):
+def run_child(*argv, stdout=subprocess.PIPE, **env):
     """Run argv with the checkout of the imported qproj first on PYTHONPATH,
-    so the child never picks up an older install or a foreign path."""
+    so the child never picks up an older install or a foreign path; ``env``
+    sets further variables."""
     source_root = str(Path(qproj.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [source_root, inherited] if inherited else [source_root]))
-    return subprocess.run(list(argv), capture_output=True, text=True, env=env)
+        [source_root, inherited] if inherited else [source_root]), **env)
+    return subprocess.run(list(argv), stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
 
 
 def declared_entry_point():
@@ -416,6 +432,24 @@ class TestConsoleScript:
                          "--n", "1")
         assert proc.returncode == 0 and proc.stdout.strip() == "P[0,1]"
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "P[1,2]", "--n", "2"),
+        ("groupoid-verify", "--n", "3", "--format", "json"),
+        ("verify-all", "--jobs", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_closed_stdout_is_a_quiet_exit_one(self, argv, unbuffered):
+        """A stdout whose reader has left, as in `qproj ... | head -n 1`,
+        is no internal fault: nothing is printed and the status is 1."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_child(sys.executable, "-m", "qproj.cli", *argv,
+                             stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     def test_optimized_interpreter_gives_same_records(self):
         """No verdict rests on an assert: ``python -O`` prints the same
         records, here for a window with offsets up to 38."""
@@ -443,7 +477,7 @@ SCRIPT_WITHOUT_NUMPY = BLOCK_NUMPY + (
 # run twice through the process pool from a fresh interpreter.  The pool
 # imports groupoid before it forks, and nothing imports numpy.
 FORK_PROBE = """\
-import os, sys
+import sys
 from qproj import suite
 from qproj.reports import VerifyReport
 
@@ -451,7 +485,6 @@ def probe():
     loaded = [m for m in ("numpy", "qproj.groupoid") if m in sys.modules]
     return [VerifyReport("probe", {"loaded": loaded}, True)]
 
-os.environ.pop("QPROJ_JOBS", None)
 suite._FAMILIES["probe"] = probe
 suite.GROUP_NAMES = ("probe", "probe")
 for report in suite.run_all(jobs=2):

@@ -1,5 +1,6 @@
 """Extended natural arithmetic: a genuine absorbing infinity, not a sentinel."""
 
+import operator
 import pickle
 
 import pytest
@@ -41,6 +42,35 @@ def test_ordering():
     assert not INF > INF
     assert 3 < INF
     assert 3 <= INF
+
+
+# What INF is compared with: ints (bools are ints) and values it has no
+# order with.
+OTHERS = (0, 1, -3, 10 ** 100, True, False, 2.5, "x", None, float("inf"))
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def place(value):
+    """INF above every int, or None where no order is defined."""
+    if value is INF:
+        return (1, 0)
+    return (0, value) if isinstance(value, int) else None
+
+
+@pytest.mark.parametrize("op", ORDER + (operator.eq, operator.ne),
+                         ids=lambda op: op.__name__)
+def test_comparison_table(op):
+    """Each operator with INF on either side: the order of `place`, a
+    TypeError where it has none, and equality with INF alone."""
+    pairs = [(INF, INF), *((INF, v) for v in OTHERS), *((v, INF) for v in OTHERS)]
+    for a, b in pairs:
+        if op not in ORDER:
+            assert op(a, b) is op(a is INF, b is INF), (a, b)
+        elif place(a) is None or place(b) is None:
+            with pytest.raises(TypeError):
+                op(a, b)
+        else:
+            assert op(a, b) is op(place(a), place(b)), (a, b)
 
 
 def test_is_finite():

@@ -27,6 +27,9 @@ codomain row too many, must fail its record as a size mismatch.
 """
 
 import inspect
+import json
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -35,8 +38,10 @@ from qproj import k_theory, line_bundles, oracle, projections, suite
 from qproj.errors import QprojError
 from qproj.extnat import INF, Infinity
 from qproj.groupoid import MAP_IDS, enumerate_stratum
-from qproj.projections import RhoVector
+from qproj.projections import ProjClass, RhoVector
 from test_groupoid import cut_into_parts
+
+VERIFY_ALL = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify_all.jsonl"
 
 # map id -> (change to its action, the only n it applies at or None,
 #            n_max of the sweep, probe: (n, degree, pins) of the elements and
@@ -215,6 +220,18 @@ OPERATION_MUTANTS = {
                                     "k0", "k0-exactness"),
 }
 
+# Operation edits that change no record of verify-all: mutant -> (owner,
+# the function it edits, the text it replaces, replacement).
+OPERATION_EQUIVALENT = {
+    # equal levels return before the absorption test, so `<=` meets no tie
+    "absorb-at-equal-levels": (projections, "boxplus", "a.j < b.j", "a.j <= b.j"),
+    # a valid class at level 0 leaves the fast path; the checks below accept it
+    "class-level-0-checked": (ProjClass, "__init__", "and 0 <= j <= n and",
+                              "and 0 < j <= n and"),
+    # a zero entry leaves the fast path; the check below accepts it
+    "rho-zero-entry-checked": (RhoVector, "__init__", "e >= 0", "e > 0"),
+}
+
 # The counterexample of the first failing exactness record (n = 1) under each
 # restriction mutant.  A linear nu_star cannot reach "image-not-in-kernel": it
 # maps n + 1 coordinates onto n, so its kernel is never zero, and once the
@@ -246,6 +263,14 @@ def test_operation_mutant_is_caught(monkeypatch, name):
     monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     failed = {r.check for r in suite.run_group(family) if not r.passed}
     assert check in failed
+
+
+@pytest.mark.parametrize("name", sorted(OPERATION_EQUIVALENT))
+def test_equivalent_operation_mutant_changes_no_record(monkeypatch, name):
+    owner, function, old, new = OPERATION_EQUIVALENT[name]
+    monkeypatch.setattr(owner, function, edited(owner, function, old, new, name))
+    records = "".join(json.dumps(r.to_json()) + "\n" for r in suite.run_all(jobs=1))
+    assert records == VERIFY_ALL.read_text()
 
 
 @pytest.mark.parametrize("name", sorted(EXACTNESS_COUNTEREXAMPLES))
@@ -291,6 +316,8 @@ ENGINE_EQUIVALENT = {
     # appends the empty run (w, x, x - 1); it holds no pair, and every
     # reader of the runs (``_first``) ranges over their pairs
     "empty-runs": ("_cover", "if at > x:", "if at >= x:"),
+    # the digits 1, ..., 1 plus 2 // (X - 1), which is 0 for digits of B >= 2 bits
+    "ones-plus-two": ("_count", "((1 << B * m) - 1)", "((1 << B * m) + 1)"),
 }
 
 
@@ -338,14 +365,22 @@ def engine_probe():
         return type(err)
 
 
+def edited(owner, function, old, new, name):
+    """``owner.function`` compiled from its source with the one ``old`` in
+    it replaced by ``new``, in the namespace of its module."""
+    real = getattr(owner, function)
+    source = textwrap.dedent(inspect.getsource(real))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), f"<{name}>", "exec"),
+         vars(inspect.getmodule(real)), namespace)
+    return namespace[function]
+
+
 def engine_mutant(name):
     """The name of the function the mutant edits, and the edited function."""
     function, old, new = {**ENGINE_MUTANTS, **ENGINE_EQUIVALENT}[name]
-    source = inspect.getsource(getattr(G, function))
-    assert source.count(old) == 1
-    namespace = {}
-    exec(compile(source.replace(old, new), f"<{name}>", "exec"), vars(G), namespace)
-    return function, namespace[function]
+    return function, edited(G, function, old, new, name)
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_MUTANTS))

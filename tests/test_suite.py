@@ -1,7 +1,9 @@
 """The bundled check families and their report plumbing."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -113,41 +115,69 @@ class TestGroups:
             suite.run_group("random", seed)
 
 
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: runs each submitted call at once,
+    in this process, and records the worker count it was asked for."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestJobs:
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("QPROJ_JOBS", raising=False)
-        assert suite.effective_jobs(None) >= 1
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """Cheap families, and the inline executor in place of the pool;
+        yields the list of worker counts asked for."""
+        monkeypatch.setattr(suite, "_FAMILIES", {
+            name: (lambda *args, name=name: [VerifyReport(name, {}, True)])
+            for name in suite.GROUP_NAMES})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "requested", [])
+        return InlineExecutor.requested
 
-    def test_env_caps_requests(self, monkeypatch):
-        monkeypatch.setenv("QPROJ_JOBS", "1")
-        assert suite.effective_jobs(16) == 1
-        monkeypatch.setenv("QPROJ_JOBS", "4")
-        assert suite.effective_jobs(2) == 2
-        assert suite.effective_jobs(16) == 4
+    @pytest.mark.parametrize("jobs, workers", [(5000, [10]), (2, [2]), (1, [])],
+                             ids=["5000", "2", "1"])
+    def test_at_most_one_worker_per_family(self, pool, jobs, workers):
+        reports = suite.run_all(jobs=jobs)
+        assert [r.check for r in reports] == list(suite.GROUP_NAMES)
+        assert pool == workers
 
-    @pytest.mark.parametrize("cap", ["many", "2.5", "", "0", "-3"])
-    def test_bad_env_refused(self, monkeypatch, cap):
-        monkeypatch.setenv("QPROJ_JOBS", cap)
-        with pytest.raises(OutOfRange, match="QPROJ_JOBS"):
-            suite.effective_jobs(3)
-        with pytest.raises(OutOfRange, match="QPROJ_JOBS"):
-            suite.effective_jobs(None)
+    def test_default_is_cpu_count(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        suite.run_all()
+        assert pool == [10]
 
-    def test_nonpositive_request_refused(self, monkeypatch):
-        monkeypatch.delenv("QPROJ_JOBS", raising=False)
-        assert suite.effective_jobs(1) == 1
-        for requested in (0, -1, 2.5, True):
-            with pytest.raises(OutOfRange, match="job count"):
-                suite.effective_jobs(requested)
-            with pytest.raises(OutOfRange, match="job count"):
-                suite.run_all(jobs=requested)
+    def test_cap_reads_the_group_names_at_call_time(self, pool, monkeypatch):
+        monkeypatch.setattr(suite, "GROUP_NAMES", ("k0", "random", "monoid"))
+        assert [r.check for r in suite.run_all(jobs=64)] == ["k0", "random", "monoid"]
+        assert pool == [3]
+
+    def test_nonpositive_request_refused(self, pool, monkeypatch):
+        calls = []
+        monkeypatch.setattr(suite, "run_group", lambda *args: calls.append(args))
+        for jobs in (0, -1, 2.5, True):
+            with pytest.raises(OutOfRange, match="job count must be an integer >= 1"):
+                suite.run_all(jobs=jobs)
+        assert calls == [] and pool == []
 
 
 class TestRunAll:
     def test_serial_over_selected_groups(self, monkeypatch):
         monkeypatch.setattr(suite, "GROUP_NAMES", ("rho-injectivity", "random"))
-        monkeypatch.setenv("QPROJ_JOBS", "1")
-        reports = suite.run_all()
+        reports = suite.run_all(jobs=1)
         assert [r.check for r in reports] == [
             "rho-injectivity", "random-monoid", "random-bundle-recursion",
             "random-hockey-stick",
@@ -156,7 +186,6 @@ class TestRunAll:
 
     def test_parallel_path(self, monkeypatch):
         monkeypatch.setattr(suite, "GROUP_NAMES", ("rho-injectivity", "hockey-stick"))
-        monkeypatch.delenv("QPROJ_JOBS", raising=False)
         reports = suite.run_all(jobs=2)
         assert [r.check for r in reports] == ["rho-injectivity", "hockey-stick"]
         assert all(r.passed for r in reports)
@@ -169,13 +198,11 @@ class TestRunAll:
         monkeypatch.setattr(suite, "_FAMILIES", {
             name: (lambda *args, name=name: calls.append(name) or [])
             for name in suite.GROUP_NAMES})
-        monkeypatch.delenv("QPROJ_JOBS", raising=False)
         with pytest.raises(OutOfRange, match="random seed must be an integer"):
             suite.run_all(seed=None, jobs=jobs)
         assert calls == []
 
-    def test_jobs_do_not_change_records(self, monkeypatch):
-        monkeypatch.delenv("QPROJ_JOBS", raising=False)
+    def test_jobs_do_not_change_records(self):
         serial = [r.to_json() for r in suite.run_all(jobs=1)]
         parallel = [r.to_json() for r in suite.run_all(jobs=2)]
         assert len(serial) == 191
