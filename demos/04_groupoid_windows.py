@@ -54,7 +54,8 @@ print("g o h =", compose(g, h))
 # -----------------------------------------
 # enumerate_stratum(n, k, j, window) lists every element of the (k, j)
 # stratum whose window data fits in the given box.  The counts grow
-# quickly, which is why the windowed engine is vectorized.
+# quickly, so a listing is capped at 2**18 positions per block; the
+# verifiers below count rows instead of listing them.
 print()
 for W in (2, 3, 4):
     els = enumerate_stratum(2, 1, 0, W)
@@ -83,9 +84,10 @@ print("and gamma_iso_inv returns", gamma_iso_inv(gamma_iso(a)))
 
 # 5. Windowed verification
 # ------------------------
-# verify_bijection enumerates the domain stratum and the image stratum on
-# paired windows and checks the map is a bijection between them; the
-# report carries sizes and a counterexample slot (empty on success).
+# verify_bijection checks on paired windows that the map carries the
+# domain stratum one to one onto the image stratum.  It decides this axis
+# by axis, from one pair table per coordinate range, and lists no element;
+# the report carries sizes and a counterexample slot (empty on success).
 print()
 for map_id, kwargs in (("theta-neg", dict(k=-2)),
                        ("theta-shift", dict(k=2, j=1)),

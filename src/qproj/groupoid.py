@@ -346,8 +346,8 @@ def _iter_raw(spec):
     """Element-level enumeration of a window: raw (z, x, w) rows, block by
     block, each block in position order.  A block of more than ``_LIMIT``
     positions is refused before any row is listed."""
-    blocks = _blocks(spec)
-    size = max(math.prod(_axis_size(*r[:4]) for r in spec.ranges[:p]) for p in blocks)
+    blocks, sizes = _blocks(spec), [_axis_size(*r[:4]) for r in spec.ranges]
+    size = max(math.prod(sizes[:p]) for p in blocks)
     if size > _LIMIT:
         raise OutOfRange(f"a window block of {size} positions exceeds the limit "
                          f"of {_LIMIT}; use a smaller window")
@@ -395,8 +395,9 @@ def _axis_size(x_lo, x_hi, w_lo, w_hi):
 def _table(x_lo, x_hi, w_lo, w_hi):
     """The pair table of one coordinate: every (x, w) with w_lo <= w <= w_hi
     and max(x_lo, -w) <= x <= x_hi, ordered by w, then x, as one run
-    (w, first x, last x) per w that has a pair."""
-    ws = range(max(w_lo, -x_hi), w_hi + 1) if _axis_size(x_lo, x_hi, w_lo, w_hi) else ()
+    (w, first x, last x) per w that has a pair.  The caller sizes it with
+    ``_axis_size`` first."""
+    ws = range(max(w_lo, -x_hi), w_hi + 1) if x_lo <= x_hi else ()
     return tuple((w, max(x_lo, -w), x_hi) for w in ws)
 
 
@@ -424,8 +425,9 @@ def _raw(spec, p, pairs):
     return z, tuple(x), tuple(w for w, _ in pairs) + (INF,) * (n - p)
 
 
-def _count(spec, blocks):
-    """The number of rows of a window, in exact packed-integer products.
+def _count(spec, blocks, sizes):
+    """The number of rows of a window, in exact packed-integer products,
+    given the ``_axis_size`` of each of its coordinates.
 
     ``sums`` counts the pair prefixes by offset sum, one B-bit digit per
     sum from ``start`` on.  A digit counts a subset of the window's
@@ -436,7 +438,6 @@ def _count(spec, blocks):
     (w below -x_lo) add them over -w..x_hi.  A block's rows are the digit
     sum of its window of digits, which is that window's residue modulo
     2**B - 1, since 2**B is 1 there and the sum is smaller."""
-    sizes = [_axis_size(*r[:4]) for r in spec.ranges]
     B = math.prod(size or 1 for size in sizes).bit_length() + 1
     X = 1 << B
 
@@ -620,8 +621,9 @@ def _image_check(sources, cod):
     j = _split_coordinate(sources)
     (s, a), t, c, n = sources[0], cod, sources[0][1].coord, cod.n
     windows = [(t, None), *sources]
-    tables = {key: _table(*key) for key in dict.fromkeys(
+    sizes = {key: _axis_size(*key) for key in dict.fromkeys(
         r[:4] for spec, _ in windows for r in spec.ranges)}
+    tables = {key: _table(*key) for key in sizes}
     blocks = [_blocks(spec) for spec, _ in windows]
     carried = {(i, r): _carry(a, t, i, tables[r[:4]]) for i, r in dict.fromkeys(
         (i, r) for spec, _ in sources for i, r in enumerate(spec.ranges))}
@@ -666,7 +668,8 @@ def _image_check(sources, cod):
         note("collision", t, p, [cover[1] for cover in covers[:p]], both,
              [(i, cover[2]) for i, cover in enumerate(covers[:p])] if times == 1 else (),
              [both] if times > 1 else ())
-    counts = [_count(spec, b) for (spec, _), b in zip(windows, blocks)]
+    counts = [_count(spec, b, [sizes[r[:4]] for r in spec.ranges])
+              for (spec, _), b in zip(windows, blocks)]
     return sum(counts[1:]), counts[0], found
 
 
@@ -709,8 +712,13 @@ def _cut(spec, j):
 
 
 def _partition_setup(n, k, j, W):
-    """The full degree-k, level-j window and its k + 1 pieces."""
+    """The full degree-k, level-j window and its k + 1 pieces.  The full
+    window's distinct ranges up to the cut coordinate j are sized first, in
+    the order ``_image_check`` sizes them, so a k too large for the limit
+    is refused before the pieces are built, with the same message."""
     full = _recoord(_stratum_spec(n, k, W, pins=j), j, 0, (0, k + W, True))
+    for key in dict.fromkeys(r[:4] for r in full.ranges[:j + 1]):
+        _axis_size(*key)
     return full, _cut(full, j)
 
 

@@ -378,16 +378,25 @@ sys.exit({func}())
 """
 
 
-def run_child(*argv, stdout=subprocess.PIPE, **env):
+# `python -m qproj.cli ARGS` from the rest of argv, with the child's address
+# space capped at 1 GiB: a large input that escaped its check fails there
+# instead of taking the machine's memory.
+CAPPED_CLI = (
+    "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "runpy.run_module('qproj.cli', run_name='__main__', alter_sys=True)")
+
+
+def run_child(*argv, stdout=subprocess.PIPE, timeout=300, **env):
     """Run argv with the checkout of the imported qproj first on PYTHONPATH,
     so the child never picks up an older install or a foreign path; ``env``
-    sets further variables."""
+    sets further variables.  A child still running after ``timeout``
+    seconds is killed and fails the test with ``TimeoutExpired``."""
     source_root = str(Path(qproj.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [source_root, inherited] if inherited else [source_root]), **env)
     return subprocess.run(list(argv), stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env)
+                          text=True, env=env, timeout=timeout)
 
 
 def declared_entry_point():
@@ -449,6 +458,19 @@ class TestConsoleScript:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+    @pytest.mark.parametrize("k", ["1000000", "99999999999999999999"])
+    def test_oversized_partition_is_refused_at_once(self, k):
+        """A partition whose cut coordinate is over the limit is refused
+        before its k + 1 pieces are built: within a second, in a child
+        whose memory is capped, with one error line."""
+        proc = run_child(sys.executable, "-c", CAPPED_CLI, "groupoid-verify", "--n", "1",
+                         "--map", "partition", "--k", k, "--j", "0", "--window", "1",
+                         timeout=1)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: a window coordinate of ")
+        assert line.endswith("pairs exceeds the limit of 262144; use a smaller window")
 
     def test_optimized_interpreter_gives_same_records(self):
         """No verdict rests on an assert: ``python -O`` prints the same

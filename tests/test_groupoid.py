@@ -233,6 +233,12 @@ def convolved_count(spec, blocks):
     return total
 
 
+def axis_sizes(spec):
+    """The ``_axis_size`` of each coordinate of a window, as ``_count``
+    takes them."""
+    return [_axis_size(*r[:4]) for r in spec.ranges]
+
+
 def spec_with(n, z, W, pins=0, shear=False, over=None):
     """``_stratum_spec`` with the range fields that ``over`` gives, by
     coordinate, set: windows that no check builds."""
@@ -993,6 +999,22 @@ class TestWindowEdges:
                                               r"the limit of 262144"):
             call()
 
+    @pytest.mark.parametrize("n,k,j,W,pairs", [
+        (1, 10 ** 20, 0, 1, 3 * 10 ** 20 + 5),  # the cut coordinate
+        (2, 1, 1, 2 ** 18, 2 ** 18 + 1),  # a pinned coordinate before it
+    ], ids=["cut coordinate", "pinned coordinate"])
+    def test_oversized_partition_refused_before_its_pieces(self, monkeypatch, n, k, j, W, pairs):
+        """A partition is refused before its k + 1 pieces exist, by the first
+        oversized coordinate in the order its image check sizes them."""
+        import qproj.groupoid as G
+
+        def cut(*args):
+            raise AssertionError("pieces built before the window was sized")
+
+        monkeypatch.setattr(G, "_cut", cut)
+        with pytest.raises(OutOfRange, match=f"coordinate of {pairs} pairs exceeds"):
+            verify_partition(n, k, j, W)
+
     def test_negative_source_bound_refused(self):
         """No element has a negative source, so a hand-built window whose
         source range starts below 0 is refused when it is built, before the
@@ -1104,7 +1126,8 @@ class TestCount:
     def test_edge_ranges(self, n, z, kw):
         spec = spec_with(n, z, 3, **kw)
         blocks = _blocks(spec)
-        assert _count(spec, blocks) == len(box_rows(spec)) == convolved_count(spec, blocks)
+        assert (_count(spec, blocks, axis_sizes(spec)) == len(box_rows(spec))
+                == convolved_count(spec, blocks))
 
     @pytest.mark.parametrize("n,W", [(1, 60), (3, 60), (6, 8)])
     def test_one_block_holds_every_prefix(self, n, W):
@@ -1112,28 +1135,28 @@ class TestCount:
         # digit read is the product of the axis sizes, the widest a digit gets
         spec = _stratum_spec(n, 1, W, pins=n)
         assert list(_blocks(spec)) == [n]
-        assert _count(spec, _blocks(spec)) == (W + 1) ** n
+        assert _count(spec, _blocks(spec), axis_sizes(spec)) == (W + 1) ** n
 
     @seed(2019)
     @settings(max_examples=150, deadline=None)
     @given(count_windows(n_max=3, w_max=2))
     def test_matches_box_rows(self, spec):
-        assert _count(spec, _blocks(spec)) == len(box_rows(spec))
+        assert _count(spec, _blocks(spec), axis_sizes(spec)) == len(box_rows(spec))
 
     @seed(2019)
     @settings(max_examples=150, deadline=None)
     @given(count_windows(n_max=6, w_max=60))
     def test_matches_convolved_count(self, spec):
         blocks = _blocks(spec)
-        count = _count(spec, blocks)
+        count = _count(spec, blocks, axis_sizes(spec))
         assert count == convolved_count(spec, blocks)
         if not any(r.w_inf for r in spec.ranges):  # one block, every prefix
-            assert count == math.prod(_axis_size(*r[:4]) for r in spec.ranges)
+            assert count == math.prod(axis_sizes(spec))
 
 
 class TestSharedTables:
-    """One pair table per distinct range and one per-axis carry per source
-    range in a check, on tables no window can edit."""
+    """One sizing and one pair table per distinct range and one per-axis
+    carry per source range in a check, on tables no window can edit."""
 
     @pytest.mark.parametrize("kind,n,k,j,W", [
         ("theta-shift", 6, 1, 2, 1),  # 12 tables and 6 carries before sharing
@@ -1143,18 +1166,30 @@ class TestSharedTables:
     def test_tables_and_lookups_once_per_check(self, monkeypatch, kind, n, k, j, W):
         import qproj.groupoid as G
 
-        builds, carries = [], []
-        table, carry = G._table, G._carry
+        sources, cod = _check_setup(kind, n, k, j, None, W)
+        sized, builds, carries = [], [], []
+        axis_size, table, carry = G._axis_size, G._table, G._carry
+        monkeypatch.setattr(G, "_axis_size", lambda *key: sized.append(key) or axis_size(*key))
         monkeypatch.setattr(G, "_table", lambda *key: builds.append(key) or table(*key))
         monkeypatch.setattr(G, "_carry", lambda a, t, i, runs: carries.append(
             (i, runs)) or carry(a, t, i, runs))
         assert G._verify(kind, n, k, j, None, W).passed
-        sources, cod = _check_setup(kind, n, k, j, None, W)
-        distinct = {r[:4] for spec in [cod, *(spec for spec, _ in sources)]
-                    for r in spec.ranges}
+        distinct = list(dict.fromkeys(r[:4] for spec in [cod, *(spec for spec, _ in sources)]
+                                      for r in spec.ranges))
+        # a partition first sizes its full window (the codomain) up to the cut
+        cut = list(dict.fromkeys(r[:4] for r in cod.ranges[:j + 1])) if kind == "partition" else []
+        assert sized == cut + distinct
         assert sorted(builds) == sorted(distinct)
         assert len(carries) == len({(i, r) for spec, _ in sources
                                     for i, r in enumerate(spec.ranges)})
+
+    def test_enumeration_sizes_each_coordinate_once(self, monkeypatch):
+        import qproj.groupoid as G
+
+        sized, axis_size = [], G._axis_size
+        monkeypatch.setattr(G, "_axis_size", lambda *key: sized.append(key) or axis_size(*key))
+        assert enumerate_stratum(3, 1, 1, window=2)
+        assert sized == [r[:4] for r in _stratum_spec(3, 1, 2, pins=1).ranges]
 
     def test_pair_tables_are_read_only(self):
         # the windows of one check share tables, so no window may edit one
