@@ -70,7 +70,7 @@ try:
     rho_numeric(wide, 8, 16)
 except CutoffTooSmall as err:
     print("refused:", err)
-print("with room to breathe:", rho_numeric(wide, 32, 64, guard=128))
+print("with room to breathe:", rho_numeric(wide, 32, 64))
 
 # A multiplicity larger than the first cutoff would be misread as growth,
 # so it is refused the same way; cutoffs above it give the exact answer.

@@ -804,7 +804,7 @@ def _verify(kind, n, k, j, l, window=DEFAULT_WINDOW, kinds=_PARAMETERS):
     n = integer(n, "coordinate count", 1)
     W = integer(window, "window bound", 1, error=OutOfRange)
     if kind not in kinds:
-        raise OutOfRange(f"unknown map id {kind!r}; expected one of {MAP_IDS}")
+        raise OutOfRange(f"unknown map id {kind!r}; expected one of {tuple(kinds)}")
     rows, size, found = _image_check(*_check_setup(kind, n, k, j, l, W))
     if kind == "partition":  # the full window is the domain, the pieces the image
         check, params, rows, size = kind, {"n": n, "k": k, "j": j, "W": W}, size, rows

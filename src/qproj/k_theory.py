@@ -153,7 +153,8 @@ def _solve_int(H, U, b):
 
     Solves H y = b down the pivots, then x = U y.  A pivot column is zero
     above its pivot row, so each step updates only the rows from the
-    pivot down, and a zero quotient updates none."""
+    pivot down, and a zero quotient updates none.  Each row's residue is
+    zeroed or checked in its own step, so none is left over after the loop."""
     nrows, ncols = len(H), len(U)
     residue = list(b)
     y = {}  # the nonzero entries of y, by column
@@ -170,8 +171,6 @@ def _solve_int(H, U, b):
             col += 1
         elif residue[r] != 0:
             return None
-    if any(residue):
-        return None
     return [sum(row[c] * q for c, q in y.items()) for row in U]
 
 

@@ -191,7 +191,7 @@ def boxplus_patterns(a, b):
     return PatternStack(layers)
 
 
-def rho_numeric(pattern_or_stack, n1=8, n2=16, guard=None):
+def rho_numeric(pattern_or_stack, n1=8, n2=16):
     """Counting vector computed from truncated ranks alone.
 
     Level l uses n - l face restrictions, then compares ranks at the two
@@ -201,17 +201,13 @@ def rho_numeric(pattern_or_stack, n1=8, n2=16, guard=None):
     strictly with N, so the comparison is exact; a deeper factor raises
     CutoffTooSmall instead of being misread.  Faces only drop factors, so
     checking the pattern once covers every level.  A rank that agrees at
-    the two cutoffs is then the same at every larger one, so no further
-    cutoff is consulted; the guard (default 2 * n2) is still validated and
-    must exceed n2.
+    the two cutoffs is then the same at every larger one, so no third
+    cutoff is needed.
     """
     n1 = integer(n1, "first cutoff", 1, error=OutOfRange)
     n2 = integer(n2, "second cutoff", 1, error=OutOfRange)
     if n1 >= n2:
         raise OutOfRange(f"cutoffs must increase, got {n1} >= {n2}")
-    guard = 2 * n2 if guard is None else integer(guard, "guard cutoff", 1, error=OutOfRange)
-    if guard <= n2:
-        raise OutOfRange(f"guard cutoff must exceed {n2}, got {guard}")
 
     layers = _layers(pattern_or_stack)
     depth = max((f[1] for layer in layers if layer.copies

@@ -26,12 +26,13 @@ class _Params(dict):
 
 
 class VerifyReport(Value):
-    """One check's record; ``passed`` is a bool and each size None or a
-    count, so the JSON record holds exactly those; ``params`` is a read-only copy."""
+    """One check's record; ``params`` (kept as a read-only copy) and the bool
+    ``passed`` are required, so no record passes by default; each size is None
+    or a count, so the JSON record holds exactly those."""
 
     __slots__ = ("check", "params", "passed", "domain_size", "image_size", "counterexample")
 
-    def __init__(self, check, params=None, passed=True, domain_size=None, image_size=None,
+    def __init__(self, check, params, passed, domain_size=None, image_size=None,
                  counterexample=None):
         if type(passed) is not bool:
             raise InvalidClass(f"passed must be true or false, got {passed!r}")
@@ -39,7 +40,7 @@ class VerifyReport(Value):
             if size is not None:
                 integer(size, name, 0, error=OutOfRange)
         self._store("check", check)
-        self._store("params", _Params(() if params is None else params))
+        self._store("params", _Params(params))
         self._store("passed", passed)
         self._store("domain_size", domain_size)
         self._store("image_size", image_size)

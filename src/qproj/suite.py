@@ -44,6 +44,8 @@ DEFAULT_SEED = 1729
 DEFAULT_WINDOW = 8
 DEFAULT_TALLY_WINDOW = 6
 
+_ORACLE_CUTOFFS = (8, 16, 32)  # the oracle record's; ranks at 8 and 16, 32 the retired guard
+
 
 def _class_stock(n, k_max):
     """The zero class plus every normal form with multiplicity up to k_max."""
@@ -285,7 +287,8 @@ def hockey_stick_checks(l_max=12, k_max=40):
 
 
 def k0_checks(n_max=5, k_max=25, exact_n_max=6):
-    """Restriction consistency of bundle classes, plus exactness reports."""
+    """Restriction of each bundle class against the bundle's decomposition one
+    level down (the identity at k = 0), plus exactness reports."""
     from . import k_theory, line_bundles
 
     integer(n_max, "k0 n_max", 2, error=OutOfRange)
@@ -293,7 +296,8 @@ def k0_checks(n_max=5, k_max=25, exact_n_max=6):
     integer(exact_n_max, "k0 exact_n_max", 1, error=OutOfRange)
     def test(n, k):
         lhs = k_theory.nu_star(line_bundles.k0_class(n, k))
-        rhs = line_bundles.k0_class(n - 1, k)
+        rhs = (k_theory.generator(n - 1, 0) if k == 0 else
+               k_theory.K0Vector(n - 1, line_bundles.closed_form(n - 1, k).mult))
         if lhs == rhs:
             return None
         return {"n": n, "k": k, "restricted": lhs.to_json(), "direct": rhs.to_json()}
@@ -333,18 +337,15 @@ def groupoid_checks(n_max=3, k_abs_max=4, window=DEFAULT_WINDOW):
             for kind, n, k, j, l in checks]
 
 
-def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
+def oracle_agreement_checks(n_max=3, k_max=6):
     """Numeric counting vectors from truncated ranks match the symbolic ones."""
     from . import oracle
 
     integer(n_max, "oracle n_max", 1, error=OutOfRange)
     integer(k_max, "oracle k_max", 0, error=OutOfRange)
-    if type(cutoffs) is not tuple or len(cutoffs) != 3:
-        raise OutOfRange(f"oracle cutoffs must be a 3-tuple, got {cutoffs!r}")
-    n1, n2, guard = cutoffs
 
     def test(p):
-        numeric = oracle.rho_numeric(oracle.encode(p), n1, n2, guard)
+        numeric = oracle.rho_numeric(oracle.encode(p), *_ORACLE_CUTOFFS[:2])
         if numeric == projections.rho(p):
             return None
         return {"class": p.to_json(), "numeric": numeric.to_json(),
@@ -353,17 +354,17 @@ def oracle_agreement_checks(n_max=3, k_max=6, cutoffs=(8, 16, 32)):
     count, bad = _first_counterexample(
         ((p,) for n in range(1, n_max + 1) for p in _class_stock(n, k_max)), test)
     return [VerifyReport("oracle-agreement",
-                         {"n_max": n_max, "k_max": k_max, "cutoffs": list(cutoffs)},
+                         {"n_max": n_max, "k_max": k_max, "cutoffs": list(_ORACLE_CUTOFFS)},
                          bad is None, domain_size=count, counterexample=bad)]
 
 
-def terminal_count_checks(n_max=2, k_max=3, window=DEFAULT_TALLY_WINDOW):
-    """Windowed terminal tallies reproduce the symbolic multiplicities."""
+def terminal_count_checks(n_max=2, k_max=3):
+    """Terminal tallies in the default window reproduce the symbolic multiplicities."""
     from . import groupoid
 
     integer(n_max, "terminal n_max", 1, error=OutOfRange)
     integer(k_max, "terminal k_max", 1, error=OutOfRange)
-    return [groupoid.verify_terminal_counts(n, k, window)
+    return [groupoid.verify_terminal_counts(n, k)
             for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
 
 

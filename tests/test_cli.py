@@ -207,6 +207,12 @@ class TestValidationExitCode:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert all(repr(map_id) in lines[0] for map_id in groupoid.MAP_IDS)
 
+    def test_unknown_map_error_lists_the_partition(self, capsys):
+        # the command accepts the partition as well as the maps
+        code, out, err = run_cli(capsys, "groupoid-verify", "--n", "1", "--map", "bogus")
+        ids = ("partition", *groupoid.MAP_IDS)
+        assert err == f"error: unknown map id 'bogus'; expected one of {ids}\n"
+
     @pytest.mark.parametrize("argv,message", [
         # the record used to echo k and j although no check read them
         (("--map", "t", "--k", "3", "--j", "9"), "t takes no parameter k, got k=3"),
@@ -634,15 +640,17 @@ class TestCalculatorsWithoutNumpy:
 class TestForkedWorkers:
     def assert_committed_output(self, proc):
         assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stderr == "191/191 checks passed\n"  # and no warning
         digest, _ = (EXPECTED / "verify_all.sha256").read_text().split()
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("flags,jobs", [((), "2"), (("-O",), "2"), ((), "1")],
-                             ids=["plain", "-O", "jobs1"])
+    @pytest.mark.parametrize("flags,jobs", [((), "2"), (("-O",), "2"), ((), "1"),
+                                            (("-X", "dev", "-W", "error"), "2")],
+                             ids=["plain", "-O", "jobs1", "dev-warnings-as-errors"])
     def test_records_match_committed_output(self, flags, jobs):
         """`verify-all` from a fresh interpreter prints the committed records
-        with two workers, also under -O, which strips every assert, and
-        serially."""
+        with two workers, also under -O, which strips every assert, and under
+        -X dev with every warning an error, and serially."""
         self.assert_committed_output(run_child(
             sys.executable, *flags, "-m", "qproj.cli", "verify-all", "--jobs", jobs,
             "--format", "json"))

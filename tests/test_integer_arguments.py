@@ -123,8 +123,6 @@ SITES = {
     "Truncation": (lambda v: oracle.rank_at(STACK, v), 0, OutOfRange, OutOfRange),
     "rho_numeric n1": (lambda v: oracle.rho_numeric(PATTERN, n1=v), 0, OutOfRange, OutOfRange),
     "rho_numeric n2": (lambda v: oracle.rho_numeric(PATTERN, n2=v), 0, OutOfRange, OutOfRange),
-    "rho_numeric guard": (lambda v: oracle.rho_numeric(PATTERN, guard=v),
-                          0, OutOfRange, OutOfRange),
 }
 
 CASES = [pytest.param(call, value, error, id=f"{name}={value!r}")

@@ -246,7 +246,7 @@ EXACTNESS_COUNTEREXAMPLES = {
 OPERATION_NOT_CATCHABLE = {
     "oracle-depth-refusal": "rho_numeric refuses a factor deeper than the first "
         "cutoff; the default oracle sweep encodes factors of depth at most "
-        "k_max = 6 and runs at cutoffs (8, 16, 32), so dropping the refusal "
+        "k_max = 6 and runs at cutoffs (8, 16), so dropping the refusal "
         "changes none of its records; tests/test_oracle.py checks the refusal",
 }
 

@@ -158,7 +158,7 @@ class TestRhoNumeric:
                                        for j in range(n + 1)
                                        for k in range(1, 7)]
             for p in stock:
-                assert rho_numeric(encode(p), 8, 16, 32) == rho(p), p
+                assert rho_numeric(encode(p), 8, 16) == rho(p), p
 
     def test_additive_over_stacks(self):
         a, b = ProjClass(2, 1, 2), ProjClass(2, 2, 4)
@@ -176,17 +176,20 @@ class TestRhoNumeric:
         with pytest.raises(OutOfRange):
             rho_numeric(pat, 16, 8)
         with pytest.raises(OutOfRange):
-            rho_numeric(pat, 8, 16, guard=16)
+            rho_numeric(pat, 16, 16)
+        with pytest.raises(TypeError):
+            rho_numeric(pat, 8, 16, 32)  # no third cutoff
 
     def test_guard_catches_accidental_agreement(self):
-        # N - 20 is 0 at both cutoffs 8 and 16, but 12 at the guard 32:
-        # read naively this would report a finite rank of 0; the depth 20
-        # above the first cutoff refuses it
+        # N - 20 is 0 at both cutoffs 8 and 16, but 12 at 32: read naively
+        # this would report a finite rank of 0; the depth 20 above the first
+        # cutoff guards against it by refusing
         pat = DiagonalPattern(1, (complement(20),))
         with pytest.raises(CutoffTooSmall):
-            rho_numeric(pat, 8, 16, 32)
+            rho_numeric(pat, 8, 16)
         with pytest.raises(CutoffTooSmall):
-            rho_numeric(pat)  # default guard is 2 * 16
+            rho_numeric(pat)  # default cutoffs 8 and 16
+        assert rho_numeric(pat, 20, 21).entries == (1, INF)
 
     def test_multiplicity_above_cutoff_needs_bigger_window(self):
         # the level multiplicity 10 exceeds the first cutoff 8, so the
@@ -194,8 +197,8 @@ class TestRhoNumeric:
         # infinite; with honest cutoffs the verdict is finite
         p = ProjClass(1, 1, 10)
         with pytest.raises(CutoffTooSmall):
-            rho_numeric(encode(p), 8, 16, 32)
-        assert rho_numeric(encode(p), 16, 32, 64) == rho(p)
+            rho_numeric(encode(p), 8, 16)
+        assert rho_numeric(encode(p), 16, 32) == rho(p)
 
     @settings(max_examples=300)
     @given(st.data())
@@ -203,9 +206,9 @@ class TestRhoNumeric:
         # multiplicities below, at and above each cutoff, alone or stacked
         n1 = data.draw(st.sampled_from((1, 2, 4, 8)))
         n2 = data.draw(st.integers(n1 + 1, 3 * n1 + 1))
-        guard = data.draw(st.integers(n2 + 1, 3 * n2))
         n = data.draw(st.integers(1, 3))
-        near = st.tuples(st.sampled_from((n1, n2, guard)), st.integers(-2, 2))
+        # multiplicities near each cutoff, and near 2 * n2, past both
+        near = st.tuples(st.sampled_from((n1, n2, 2 * n2)), st.integers(-2, 2))
         classes = [ProjClass(n, data.draw(st.integers(0, n)), max(1, c + d))
                    for c, d in data.draw(st.lists(near, min_size=1, max_size=2))]
         pattern = encode(classes[0])
@@ -214,12 +217,12 @@ class TestRhoNumeric:
         # only a level j >= 1 puts its multiplicity into a factor's depth
         if max(p.k if p.j else 0 for p in classes) > n1:
             with pytest.raises(CutoffTooSmall):
-                rho_numeric(pattern, n1, n2, guard)
+                rho_numeric(pattern, n1, n2)
         else:
             expected = rho(classes[0])
             for p in classes[1:]:
                 expected = expected + rho(p)
-            assert rho_numeric(pattern, n1, n2, guard) == expected
+            assert rho_numeric(pattern, n1, n2) == expected
 
 
     @settings(max_examples=300)

@@ -54,8 +54,6 @@ class TestGroups:
         (suite.terminal_count_checks, {"n_max": 0}, "terminal n_max"),
         (suite.monoid_checks, {"n_max": 1.5}, "monoid n_max must be an integer >= 0"),
         (suite.hockey_stick_checks, {"l_max": 2.5}, "hockey-stick l_max must be an integer >= 2"),
-        (suite.oracle_agreement_checks, {"cutoffs": (8, 16)},
-         r"oracle cutoffs must be a 3-tuple, got \(8, 16\)"),
         (suite.cancellation_checks, {"n_max": -1}, "cancellation n_max must be an integer >= 1"),
         # one compact class at n = 1, k_max = 1: no witness pair to test
         (suite.cancellation_checks, {"n_max": 1, "k_max": 1},
@@ -66,9 +64,8 @@ class TestGroups:
          "rho-injectivity n_max must be an integer >= 0"),
         (suite.k0_checks, {"n_max": 1}, "k0 n_max must be an integer >= 2"),
         (suite.random_checks, {"samples": 0}, "random samples must be an integer >= 1"),
-    ], ids=["groupoid", "oracle", "terminal", "monoid", "hockey-stick", "oracle-cutoffs",
-            "cancellation", "cancellation-pairs", "bundle-recursion", "rho-injectivity", "k0",
-            "random"])
+    ], ids=["groupoid", "oracle", "terminal", "monoid", "hockey-stick", "cancellation",
+            "cancellation-pairs", "bundle-recursion", "rho-injectivity", "k0", "random"])
     def test_bad_range_refused(self, family, ranges, match):
         """A non-integer or empty range is refused, not run or swept vacuously."""
         with pytest.raises(OutOfRange, match=match):
@@ -614,7 +611,8 @@ def _first_hockey_failure(monkeypatch):
 
 def _first_restriction_mismatch(monkeypatch):
     # the class of degree 4 over n=3 reads that of degree 5: it is restricted
-    # at n=3, k=4 (after the 26 degrees at n=2 and 4 more) and direct at n=4
+    # at n=3, k=4 (after the 26 degrees at n=2 and 4 more); the direct side is
+    # the decomposition over n=2, not k0_class
     real = line_bundles.k0_class
     _patch(monkeypatch, line_bundles, "k0_class", lambda n, k: (n, k) == (3, 4),
            lambda n, k: real(3, 5))
@@ -652,6 +650,18 @@ class TestFirstCounterexample:
         assert not r.passed
         assert r.counterexample == counterexample
         assert r.domain_size == domain_size
+
+    def test_restriction_reads_the_decomposition_one_level_down(self, monkeypatch):
+        # k0_class giving C(k + j, j) for k >= 1 ignores n, so nu_star of its
+        # class over n is its class over n - 1; the decomposition over n - 1
+        # catches it at the first positive degree, after n=2, k=0
+        real = line_bundles.k0_class
+        monkeypatch.setattr(line_bundles, "k0_class",
+                            lambda n, k: real(n, k + 1) if k >= 1 else real(n, k))
+        r = suite.k0_checks(exact_n_max=1)[0]
+        assert (r.check, r.passed, r.domain_size) == ("k0-restriction-consistency", False, 1)
+        assert r.counterexample == {"n": 2, "k": 1, "restricted": {"n": 1, "coords": [1, 2]},
+                                    "direct": {"n": 1, "coords": [1, 1]}}
 
     def _random(self, check):
         [r] = [r for r in suite.random_checks() if r.check == check]

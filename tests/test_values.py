@@ -129,3 +129,11 @@ def test_report_params_are_a_read_only_copy():
         with pytest.raises(TypeError, match="read-only"):
             twin.params["n"] = 9
     assert report.replace(params={"n": 3}).params == {"n": 3}
+
+
+def test_report_needs_its_params_and_verdict():
+    """A record that names no params or no verdict is refused, not passed."""
+    with pytest.raises(TypeError):
+        VerifyReport("demo")
+    with pytest.raises(TypeError):
+        VerifyReport("demo", {"n": 2})
